@@ -78,10 +78,9 @@ from .nets import (
     init_adam_state,
     init_params,
     minibatch_indices,
-    params_from_json,
-    params_to_json,
     predict,
     train,
+    train_models,
 )
 from .ranktests import TestResult, chi_square_sf, kruskal_wallis, rank_with_ties, wilcoxon_rank_sum
 from .report import (

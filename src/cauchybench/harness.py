@@ -11,6 +11,8 @@ The protocol for one experiment cell:
     splitting, so every test fold stays byte-for-byte clean,
   * each candidate loss trains on the SAME corrupted matrix from the
     SAME initialization seed; the loss function is the only difference,
+    and a cell's models train together, in one loop over one minibatch
+    stream (``nets.train_models``),
   * fold MAE/RMSE against the clean test fold are averaged into one
     replicate score per model, and replicate scores feed the rank tests.
 
@@ -22,7 +24,7 @@ same stream twice, so no two stages can share entropy by accident.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from itertools import combinations
 from typing import Callable, Sequence
 
@@ -31,7 +33,7 @@ import numpy as np
 from .datagen import Dataset, NoiseFamily, NoiseSpec, apply_noise, make_hc2, make_hc8
 from .ingest import SEOUL_BIKE_SCHEMA, load_dataset, schema_from_json
 from .losses import LossSpec, mae_score, rmse_score
-from .nets import NetworkConfig, TrainConfig, TrainingDiverged, train
+from .nets import NetworkConfig, TrainConfig, TrainingDiverged, train_models
 from .ranktests import TestResult, kruskal_wallis, wilcoxon_rank_sum
 
 __all__ = [
@@ -79,6 +81,8 @@ class DatasetSpec:
             raise ValueError(f"unknown dataset {self.name!r}")
         if self.name in _SYNTH_BUILDERS and (self.n_samples is None or self.n_samples < 1):
             raise ValueError("synthetic datasets need n_samples >= 1")
+        if self.name == "bike" and self.n_samples is not None and self.n_samples < 1:
+            raise ValueError("a bike subsample needs n_samples >= 1")
         if self.name == "bike" and not self.path:
             raise ValueError("the bike dataset needs a CSV path")
 
@@ -213,14 +217,15 @@ def run_replicate(
         noise = replace(cfg.noise, seed=ledger.derive_int("noise", replicate_index, fold_idx))
         corrupted = apply_noise(train_clean, noise)
         tc = replace(cfg.train, seed=ledger.derive_int("train", replicate_index, fold_idx))
-        for spec in cfg.models:
-            try:
-                model = train(corrupted, net, spec, tc)
-            except TrainingDiverged as err:
-                raise TrainingDiverged(
-                    err.epoch,
-                    f"model={spec.label} fold={fold_idx} replicate={replicate_index}",
-                ) from err
+        try:
+            models = train_models(corrupted, net, cfg.models, tc)
+        except TrainingDiverged as err:
+            raise TrainingDiverged(
+                err.epoch,
+                f"model={cfg.models[err.model].label} fold={fold_idx} replicate={replicate_index}",
+                model=err.model,
+            ) from err
+        for spec, model in zip(cfg.models, models):
             preds = model.predict(test_clean.X)
             scores[spec.label].append(
                 (mae_score(test_clean.y, preds), rmse_score(test_clean.y, preds))
@@ -411,20 +416,32 @@ def config_to_dict(cfg: ExperimentConfig) -> dict:
     }
 
 
+def _fields_of(doc, cls, path: str) -> dict:
+    """``doc`` checked to be an object whose keys are all fields of ``cls``."""
+    if not isinstance(doc, dict):
+        raise ValueError(f"config {path or 'document'} must be an object")
+    allowed = {f.name for f in fields(cls)}
+    for key in doc:
+        if key not in allowed:
+            dotted = f"{path}.{key}" if path else key
+            raise ValueError(f"unknown config key {dotted!r}")
+    return doc
+
+
 def config_from_dict(doc: dict) -> ExperimentConfig:
-    ds = doc["dataset"]
-    noise_doc = dict(doc["noise"])
+    """The inverse of ``config_to_dict``; an unknown key at any level is an
+    error naming its dotted path (e.g. ``dataset.n_sample``)."""
+    doc = _fields_of(doc, ExperimentConfig, "")
+    ds = _fields_of(doc["dataset"], DatasetSpec, "dataset")
+    noise_doc = dict(_fields_of(doc["noise"], NoiseSpec, "noise"))
     family = NoiseFamily(noise_doc.pop("family"))
     noise = NoiseSpec(family=family, **noise_doc)
+    model_docs = [_fields_of(m, LossSpec, f"models[{i}]") for i, m in enumerate(doc["models"])]
     models = tuple(
-        LossSpec.clf(m["c"]) if m["kind"] == "clf" else LossSpec.mse() for m in doc["models"]
+        LossSpec.clf(m["c"]) if m["kind"] == "clf" else LossSpec.mse() for m in model_docs
     )
     net = doc.get("net")
-    net_cfg = (
-        None
-        if net is None
-        else NetworkConfig(net["input_dim"], tuple(net["hidden_layers"]), net.get("output_dim", 1))
-    )
+    net_cfg = None if net is None else NetworkConfig(**_fields_of(net, NetworkConfig, "net"))
     return ExperimentConfig(
         dataset=DatasetSpec(
             name=ds["name"],
@@ -434,7 +451,7 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
         ),
         noise=noise,
         models=models,
-        train=TrainConfig(**doc.get("train", {})),
+        train=TrainConfig(**_fields_of(doc.get("train", {}), TrainConfig, "train")),
         net=net_cfg,
         folds=doc.get("folds", 10),
         replicates=doc.get("replicates", 5),
@@ -512,13 +529,13 @@ def experiment_preset(
         )
     else:
         models = _hc_models()
-        dataset = DatasetSpec(name=ds_name, n_samples=n_samples or 5000)
+        dataset = DatasetSpec(name=ds_name, n_samples=5000 if n_samples is None else n_samples)
     return ExperimentConfig(
         dataset=dataset,
         noise=entry["noise"],
         models=models,
-        train=train or TrainConfig(),
-        folds=folds or 10,
-        replicates=replicates or 5,
+        train=TrainConfig() if train is None else train,
+        folds=10 if folds is None else folds,
+        replicates=5 if replicates is None else replicates,
         master_seed=master_seed,
     )

@@ -78,12 +78,21 @@ def _as_result(value):
 
 # Unvalidated kernels; the trainer calls these on data it has already
 # screened (so an overflowing prediction surfaces as divergence, not as
-# an argument error).
+# an argument error). The residual forms broadcast a column of constants
+# c against a (models, samples) residual matrix.
+
+
+def _clf_of_residual(r, c):
+    return 0.5 * c * c * np.log1p((r / c) ** 2)
+
+
+def _clf_grad_of_residual(r, c):
+    return -(c * c) * r / (c * c + r * r)
 
 
 def _clf_values(y, y_hat, c):
     r = np.asarray(y, dtype=float) - np.asarray(y_hat, dtype=float)
-    return 0.5 * c * c * np.log1p((r / c) ** 2)
+    return _clf_of_residual(r, c)
 
 
 def _mse_values(y, y_hat):
@@ -95,8 +104,7 @@ def _grad_values(y, y_hat, spec: LossSpec):
     r = np.asarray(y, dtype=float) - np.asarray(y_hat, dtype=float)
     if spec.kind is LossKind.MSE:
         return -2.0 * r
-    c = spec.c
-    return -(c * c) * r / (c * c + r * r)
+    return _clf_grad_of_residual(r, spec.c)
 
 
 def _loss_values(y, y_hat, spec: LossSpec):

@@ -4,6 +4,15 @@ ReLU hidden layers, linear scalar output, hand-written backprop, and the
 Adam optimizer with bias correction. Everything is deterministic given
 the seeds carried in the configs; no global RNG state is touched.
 
+``train_models`` trains several losses together: the models share one
+initialization, one shuffle stream and so one minibatch stream, and only
+their loss gradients differ. Their parameters are stacked along a leading
+model axis (weights ``(M, out, in)``, biases ``(M, out)``, all views into
+one flat ``(M, P)`` buffer), so each step is one batched forward and
+backward pass and one fused in-place Adam update for every model at once.
+Each model's result is bit-identical to training it alone; ``train`` is
+the one-model case.
+
 Features are standardized inside ``train`` using statistics of the
 training data it receives (targets are left on their original scale),
 and the fitted scaler travels with the returned model so predictions on
@@ -12,13 +21,12 @@ held-out data see the same transform.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .losses import LossSpec, _grad_values, _loss_values
+from .losses import LossKind, LossSpec, _clf_grad_of_residual, _clf_of_residual
 
 __all__ = [
     "NetworkConfig",
@@ -36,16 +44,20 @@ __all__ = [
     "init_adam_state",
     "minibatch_indices",
     "train",
-    "params_to_json",
-    "params_from_json",
+    "train_models",
 ]
 
 
 class TrainingDiverged(RuntimeError):
-    """Raised when a non-finite training loss appears; carries the epoch."""
+    """Raised when a non-finite training loss appears; carries the epoch.
 
-    def __init__(self, epoch: int, detail: str = ""):
+    ``model`` is the index, in the trained loss list, of the model that
+    diverged (None when the error does not come from a trainer).
+    """
+
+    def __init__(self, epoch: int, detail: str = "", model: int | None = None):
         self.epoch = epoch
+        self.model = model
         msg = f"training diverged at epoch {epoch}"
         if detail:
             msg += f" ({detail})"
@@ -150,18 +162,28 @@ class ForwardCache:
     acts: list[np.ndarray]      # post-ReLU per hidden layer, (n, fan_out)
 
 
-def _forward_2d(params: Parameters, x: np.ndarray):
+def _forward(weights, biases, x: np.ndarray):
+    """Pre-activations and hidden activations of a batch ``x`` of shape (n, d).
+
+    Parameters may carry a leading model axis, weights (M, out, in) and
+    biases (M, out); ``x`` is then shared by every model and each layer's
+    arrays gain that axis, (M, n, out).
+    """
     a = x
     pre_acts, acts = [], []
-    last = params.n_layers - 1
-    for i, (w, b) in enumerate(zip(params.weights, params.biases)):
-        z = a @ w.T + b
+    last = len(weights) - 1
+    for i, (w, b) in enumerate(zip(weights, biases)):
+        z = a @ w.swapaxes(-1, -2) + b[..., None, :]
         pre_acts.append(z)
         if i < last:
             a = np.maximum(z, 0.0)
             acts.append(a)
-    preds = pre_acts[-1][:, 0]
-    return preds, ForwardCache(inputs=x, pre_acts=pre_acts, acts=acts)
+    return pre_acts, acts
+
+
+def _forward_2d(params: Parameters, x: np.ndarray):
+    pre_acts, acts = _forward(params.weights, params.biases, x)
+    return pre_acts[-1][:, 0], ForwardCache(inputs=x, pre_acts=pre_acts, acts=acts)
 
 
 def forward(params: Parameters, x):
@@ -186,6 +208,21 @@ def predict(params: Parameters, X: np.ndarray) -> np.ndarray:
     return _forward_2d(params, np.asarray(X, dtype=float))[0]
 
 
+def _backward(weights, inputs, pre_acts, acts, g, grad_w, grad_b) -> None:
+    """Sum over the batch of parameter gradients, written into grad_w / grad_b.
+
+    ``g`` is dL/dprediction, (n,) or (M, n) with a model axis. An entry of
+    the output lists that is None is allocated fresh.
+    """
+    delta = g[..., None]  # output layer is affine
+    for i in range(len(weights) - 1, -1, -1):
+        a_prev = inputs if i == 0 else acts[i - 1]
+        grad_w[i] = np.matmul(delta.swapaxes(-1, -2), a_prev, out=grad_w[i])
+        grad_b[i] = delta.sum(axis=-2, out=grad_b[i])
+        if i > 0:
+            delta = (delta @ weights[i]) * (pre_acts[i - 1] > 0.0)
+
+
 def backward(params: Parameters, cache: ForwardCache, dloss_dpred) -> Parameters:
     """Backpropagate dL/dprediction to parameter gradients.
 
@@ -198,16 +235,21 @@ def backward(params: Parameters, cache: ForwardCache, dloss_dpred) -> Parameters
     n = cache.inputs.shape[0]
     if g.shape != (n,):
         raise ValueError(f"dloss_dpred has shape {g.shape}, cache holds {n} samples")
-    delta = g[:, None]  # output layer is affine
-    grad_w = [None] * params.n_layers
-    grad_b = [None] * params.n_layers
-    for i in range(params.n_layers - 1, -1, -1):
-        a_prev = cache.inputs if i == 0 else cache.acts[i - 1]
-        grad_w[i] = delta.T @ a_prev
-        grad_b[i] = delta.sum(axis=0)
-        if i > 0:
-            delta = (delta @ params.weights[i]) * (cache.pre_acts[i - 1] > 0.0)
-    return Parameters(grad_w, grad_b)
+    grads = Parameters([None] * params.n_layers, [None] * params.n_layers)
+    _backward(params.weights, cache.inputs, cache.pre_acts, cache.acts, g, grads.weights, grads.biases)
+    return grads
+
+
+def _adam_update(theta, g, m, v, t: int, tc: TrainConfig) -> None:
+    """Bias-corrected Adam step number ``t``, in place on theta, m and v."""
+    b1, b2, lr, eps = tc.beta1, tc.beta2, tc.learning_rate, tc.epsilon
+    c1 = 1.0 - b1**t
+    c2 = 1.0 - b2**t
+    m *= b1
+    m += (1.0 - b1) * g
+    v *= b2
+    v += (1.0 - b2) * g * g
+    theta -= lr * (m / c1) / (np.sqrt(v / c2) + eps)
 
 
 def adam_step(
@@ -215,29 +257,15 @@ def adam_step(
 ) -> tuple[Parameters, AdamState]:
     """One bias-corrected Adam update; returns fresh (Parameters, AdamState)."""
     t = state.t + 1
-    b1, b2, lr, eps = tc.beta1, tc.beta2, tc.learning_rate, tc.epsilon
-    c1 = 1.0 - b1**t
-    c2 = 1.0 - b2**t
-
-    def upd(theta, g, m, v):
-        m_new = b1 * m + (1.0 - b1) * g
-        v_new = b2 * v + (1.0 - b2) * g * g
-        theta_new = theta - lr * (m_new / c1) / (np.sqrt(v_new / c2) + eps)
-        return theta_new, m_new, v_new
-
-    new_w, new_b = [], []
-    m_w, m_b, v_w, v_b = [], [], [], []
-    for i in range(params.n_layers):
-        w, mw, vw = upd(params.weights[i], grads.weights[i], state.m.weights[i], state.v.weights[i])
-        b, mb, vb = upd(params.biases[i], grads.biases[i], state.m.biases[i], state.v.biases[i])
-        new_w.append(w)
-        new_b.append(b)
-        m_w.append(mw)
-        m_b.append(mb)
-        v_w.append(vw)
-        v_b.append(vb)
-    new_state = AdamState(m=Parameters(m_w, m_b), v=Parameters(v_w, v_b), t=t)
-    return Parameters(new_w, new_b), new_state
+    new, m, v = params.copy(), state.m.copy(), state.v.copy()
+    for arrays in zip(
+        new.weights + new.biases,
+        grads.weights + grads.biases,
+        m.weights + m.biases,
+        v.weights + v.biases,
+    ):
+        _adam_update(*arrays, t, tc)
+    return new, AdamState(m=m, v=v, t=t)
 
 
 @dataclass(frozen=True)
@@ -277,17 +305,34 @@ def _shuffle_rng(seed) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(1,)))
 
 
-def train(data, net: NetworkConfig, loss: LossSpec, tc: TrainConfig) -> TrainedModel:
-    """Mini-batch Adam training of ``net`` under ``loss``.
+def _stacked_views(flat: np.ndarray, sizes: Sequence[int]):
+    """Per-layer (M, out, in) weight and (M, out) bias views of a flat (M, P) buffer."""
+    weights, biases, at = [], [], 0
+    for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
+        weights.append(flat[:, at : at + fan_out * fan_in].reshape(-1, fan_out, fan_in))
+        at += fan_out * fan_in
+        biases.append(flat[:, at : at + fan_out])
+        at += fan_out
+    return weights, biases
 
-    Initialization is exactly ``init_params(net, tc.seed)``; the epoch
-    shuffle uses an independent stream derived from the same seed, so the
-    whole run is a pure function of (data, net, loss, tc). The per-batch
-    gradient is the mean over the batch of per-sample prediction
-    gradients pushed through backprop.
 
-    Raises TrainingDiverged (carrying the epoch index) if a non-finite
-    prediction or batch loss shows up.
+def train_models(
+    data, net: NetworkConfig, losses: Sequence[LossSpec], tc: TrainConfig
+) -> list[TrainedModel]:
+    """Mini-batch Adam training of ``net`` under each loss in ``losses``.
+
+    Every model starts from ``init_params(net, tc.seed)`` and sees the
+    same minibatches: the epoch shuffle uses an independent stream derived
+    from the same seed, so each model is a pure function of (data, net,
+    loss, tc) and does not depend on the other losses in the list. The
+    per-batch gradient is the mean over the batch of per-sample
+    prediction gradients pushed through backprop. Returns one model per
+    loss, in order.
+
+    Raises TrainingDiverged (carrying the epoch, and the index of the
+    model in ``losses``) at the first step where some model's prediction
+    or batch loss is non-finite; when several models diverge on the same
+    step, the first of them in ``losses`` is named.
     """
     X = np.asarray(data.X, dtype=float)
     y = np.asarray(data.y, dtype=float)
@@ -298,47 +343,66 @@ def train(data, net: NetworkConfig, loss: LossSpec, tc: TrainConfig) -> TrainedM
         raise ValueError(f"data has {X.shape[1]} features, network expects {net.input_dim}")
     if net.output_dim != 1:
         raise ValueError("training supports scalar outputs only")
+    if not losses:
+        raise ValueError("at least one loss is required")
 
     scaler = FeatureScaler.fit(X)
     Xs = scaler.transform(X)
-    params = init_params(net, tc.seed)
-    state = init_adam_state(params)
+    init = init_params(net, tc.seed)
+    row = np.concatenate([a.ravel() for wb in zip(init.weights, init.biases) for a in wb])
+    theta = np.tile(row, (len(losses), 1))
+    grad, m, v = np.empty_like(theta), np.zeros_like(theta), np.zeros_like(theta)
+    # Each model's slice of a view keeps a single model's inner strides, so
+    # batched matmul makes per model the same BLAS call as for one model:
+    # that keeps every model bit-identical to training it alone.
+    weights, biases = _stacked_views(theta, net.layer_sizes)
+    grad_w, grad_b = _stacked_views(grad, net.layer_sizes)
+    # Per-model loss constants as (M, 1) columns; MSE rows carry a dummy c.
+    is_mse = np.array([[spec.kind is LossKind.MSE] for spec in losses])
+    c = np.array([[1.0 if spec.kind is LossKind.MSE else spec.c] for spec in losses])
     shuffle = _shuffle_rng(tc.seed)
 
+    t = 0
     for epoch in range(tc.epochs):
         for idx in minibatch_indices(n, tc.batch_size, shuffle):
+            xb, yb = Xs[idx], y[idx]
             with np.errstate(over="ignore", invalid="ignore"):
                 # Overflow here is the divergence signal itself, not an anomaly.
-                preds, cache = _forward_2d(params, Xs[idx])
-                if not np.all(np.isfinite(preds)):
-                    raise TrainingDiverged(epoch, "non-finite prediction")
-                batch_loss = float(np.mean(_loss_values(y[idx], preds, loss)))
-            if not np.isfinite(batch_loss):
-                raise TrainingDiverged(epoch, "non-finite loss")
-            g = _grad_values(y[idx], preds, loss)
-            grads = backward(params, cache, g)
-            inv = 1.0 / idx.size
-            for i in range(grads.n_layers):
-                grads.weights[i] *= inv
-                grads.biases[i] *= inv
-            params, state = adam_step(params, grads, state, tc)
+                pre_acts, acts = _forward(weights, biases, xb)
+                r = yb - pre_acts[-1][..., 0]
+                loss = np.where(is_mse, r * r, _clf_of_residual(r, c))
+                bad = ~np.isfinite(loss.sum(axis=1))
+            if bad.any():
+                k = int(np.argmax(bad))
+                finite = np.all(np.isfinite(pre_acts[-1][k]))
+                raise TrainingDiverged(
+                    epoch, "non-finite loss" if finite else "non-finite prediction", model=k
+                )
+            g = np.where(is_mse, -2.0 * r, _clf_grad_of_residual(r, c))
+            _backward(weights, xb, pre_acts, acts, g, grad_w, grad_b)
+            grad *= 1.0 / idx.size
+            t += 1
+            _adam_update(theta, grad, m, v, t, tc)
 
-    return TrainedModel(params=params, scaler=scaler, net=net)
-
-
-def params_to_json(params: Parameters) -> str:
-    """Checkpoint-inspection JSON (layer-indexed arrays); not a stable format."""
-    doc = {
-        "layers": [
-            {"weights": w.tolist(), "biases": b.tolist()}
-            for w, b in zip(params.weights, params.biases)
-        ]
-    }
-    return json.dumps(doc)
+    return [
+        TrainedModel(
+            params=Parameters([w[k].copy() for w in weights], [b[k].copy() for b in biases]),
+            scaler=scaler,
+            net=net,
+        )
+        for k in range(len(losses))
+    ]
 
 
-def params_from_json(text: str) -> Parameters:
-    doc = json.loads(text)
-    weights = [np.asarray(layer["weights"], dtype=float) for layer in doc["layers"]]
-    biases = [np.asarray(layer["biases"], dtype=float) for layer in doc["layers"]]
-    return Parameters(weights, biases)
+def train(data, net: NetworkConfig, loss: LossSpec, tc: TrainConfig) -> TrainedModel:
+    """Mini-batch Adam training of ``net`` under ``loss``: ``train_models``
+    with a single loss.
+
+    Initialization is exactly ``init_params(net, tc.seed)``; the epoch
+    shuffle uses an independent stream derived from the same seed, so the
+    whole run is a pure function of (data, net, loss, tc).
+
+    Raises TrainingDiverged (carrying the epoch index) if a non-finite
+    prediction or batch loss shows up.
+    """
+    return train_models(data, net, (loss,), tc)[0]

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -264,6 +266,50 @@ class TestPresetsAndConfig:
         )
         back = config_from_dict(config_to_dict(cfg))
         assert back == cfg
+
+    def test_zero_overrides_are_not_defaults(self):
+        for kw, match in (
+            ({"folds": 0}, "folds"),
+            ({"replicates": 0}, "replicates"),
+            ({"n_samples": 0}, "n_samples"),
+        ):
+            with pytest.raises(ValueError, match=match):
+                experiment_preset("hc2-negative", **kw)
+
+    def test_bike_subsample_must_be_positive(self):
+        with pytest.raises(ValueError, match="n_samples"):
+            DatasetSpec(name="bike", path="b.csv", n_samples=0)
+        assert DatasetSpec(name="bike", path="b.csv", n_samples=None).n_samples is None
+        with pytest.raises(ValueError, match="n_samples"):
+            experiment_preset("bike-negative", data_path="b.csv", n_samples=0)
+
+    @pytest.mark.parametrize(
+        "level, typo",
+        [
+            ("", "replicate"),
+            ("dataset", "n_sample"),
+            ("noise", "sigmaa"),
+            ("models[1]", "cc"),
+            ("net", "hidden"),
+            ("train", "lr"),
+        ],
+    )
+    def test_unknown_key_names_its_path(self, level, typo):
+        from cauchybench.nets import NetworkConfig
+
+        doc = config_to_dict(tiny_config(net=NetworkConfig(2, (4,))))
+        config_from_dict(doc)  # the untouched document loads
+        target = doc["models"][1] if level == "models[1]" else doc.get(level, doc)
+        target[typo] = 2
+        dotted = f"{level}.{typo}" if level else typo
+        with pytest.raises(ValueError, match=rf"unknown config key '{re.escape(dotted)}'"):
+            config_from_dict(doc)
+
+    def test_every_preset_round_trips_strictly(self):
+        for name in list_presets():
+            path = "b.csv" if name.startswith("bike") else None
+            cfg = experiment_preset(name, data_path=path)
+            assert config_from_dict(config_to_dict(cfg)) == cfg
 
     def test_net_override_validated(self):
         from cauchybench.nets import NetworkConfig

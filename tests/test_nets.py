@@ -15,10 +15,9 @@ from cauchybench.nets import (
     init_adam_state,
     init_params,
     minibatch_indices,
-    params_from_json,
-    params_to_json,
     predict,
     train,
+    train_models,
 )
 
 
@@ -341,12 +340,101 @@ class TestTrain:
         assert baseline.allclose(permuted, atol=1e-12)
 
 
-class TestParamsJson:
-    def test_round_trip(self):
-        p = random_params(NetworkConfig(3, (4, 2)), 31)
-        q = params_from_json(params_to_json(p))
-        assert p.allclose(q, atol=0)
-        assert [w.shape for w in q.weights] == [w.shape for w in p.weights]
+def assert_same_params(a, b):
+    assert len(a.weights) == len(b.weights)
+    for x, y in zip(a.weights + a.biases, b.weights + b.biases):
+        assert np.array_equal(x, y)
+
+
+MIXED_SPECS = (
+    LossSpec.clf(0.1),
+    LossSpec.clf(1.0),
+    LossSpec.mse(),
+    LossSpec.clf(100.0),
+    LossSpec.clf(10000.0),
+)
+
+
+def noisy_data(n=75, d=3, seed=0):
+    rng = np.random.default_rng(seed)
+    X = rng.normal(size=(n, d))
+    return Dataset(X, X[:, 0] - 2.0 * X[:, 1] + 5.0 * rng.standard_cauchy(n))
+
+
+class TestTrainModels:
+    NET = NetworkConfig(3, (6, 5))
+    TC = TrainConfig(epochs=3, batch_size=16, learning_rate=0.01, seed=13)
+
+    def test_each_model_equals_training_it_alone(self):
+        data = noisy_data()
+        models = train_models(data, self.NET, MIXED_SPECS, self.TC)
+        assert len(models) == len(MIXED_SPECS)
+        for spec, model in zip(MIXED_SPECS, models):
+            assert_same_params(model.params, train(data, self.NET, spec, self.TC).params)
+            assert model.net == self.NET
+
+    def test_result_does_not_depend_on_peers(self):
+        data = noisy_data(seed=1)
+        full = train_models(data, self.NET, MIXED_SPECS, self.TC)
+        backwards = train_models(data, self.NET, MIXED_SPECS[::-1], self.TC)[::-1]
+        subset = train_models(data, self.NET, (MIXED_SPECS[3], MIXED_SPECS[0]), self.TC)
+        for a, b in zip(full, backwards):
+            assert_same_params(a.params, b.params)
+        assert_same_params(full[3].params, subset[0].params)
+        assert_same_params(full[0].params, subset[1].params)
+
+    @staticmethod
+    def two_huge_targets():
+        # Each huge residual squares to ~1.44e308 (finite); two in one
+        # batch overflow the MSE batch sum, one CLF term stays ~709 * c^2.
+        X = np.random.default_rng(0).uniform(-1, 1, size=(64, 1))
+        y = np.zeros(64)
+        y[[5, 40]] = 1.2e154
+        return Dataset(X, y)
+
+    def test_divergence_names_model_and_epoch(self):
+        from cauchybench.nets import _shuffle_rng
+
+        data = self.two_huge_targets()
+        net = NetworkConfig(1, (4,))
+        tc = TrainConfig(epochs=6, batch_size=16, seed=3)
+        # Oracle: MSE diverges in the first epoch whose shuffle puts both
+        # huge targets into one batch.
+        shuffle = _shuffle_rng(tc.seed)
+        epochs = [
+            any({5, 40} <= set(b.tolist()) for b in minibatch_indices(64, 16, shuffle))
+            for _ in range(tc.epochs)
+        ]
+        expected = epochs.index(True)
+        assert expected > 0
+        specs = (LossSpec.clf(1.0), LossSpec.mse(), LossSpec.clf(10.0))
+        with pytest.raises(TrainingDiverged, match="non-finite loss") as exc:
+            train_models(data, net, specs, tc)
+        assert exc.value.model == 1
+        assert exc.value.epoch == expected
+        with pytest.raises(TrainingDiverged) as alone:
+            train(data, net, LossSpec.mse(), tc)
+        assert alone.value.epoch == expected and alone.value.model == 0
+        for spec in (specs[0], specs[2]):
+            train(data, net, spec, tc)  # the CLF peers alone train through
+
+    def test_same_step_divergence_names_first_in_order(self):
+        data = self.two_huge_targets()
+        specs = (LossSpec.clf(1.0), LossSpec.mse(), LossSpec.clf(10.0), LossSpec.mse())
+        with pytest.raises(TrainingDiverged) as exc:
+            train_models(data, NetworkConfig(1, (4,)), specs, TrainConfig(epochs=6, batch_size=16, seed=3))
+        assert exc.value.model == 1
+
+    def test_input_checks(self):
+        net = NetworkConfig(3, (4,))
+        with pytest.raises(ValueError, match="empty"):
+            train_models(Dataset(np.zeros((0, 3)), np.zeros(0)), net, MIXED_SPECS, self.TC)
+        with pytest.raises(ValueError, match="features"):
+            train_models(noisy_data(d=2), net, MIXED_SPECS, self.TC)
+        with pytest.raises(ValueError, match="features"):
+            train(noisy_data(d=2), net, LossSpec.mse(), self.TC)
+        with pytest.raises(ValueError, match="at least one loss"):
+            train_models(noisy_data(), net, (), self.TC)
 
 
 class TestMinibatchIndices:

@@ -212,6 +212,28 @@ class TestCli:
         assert cli_main(["frobnicate"]) == 1
         capsys.readouterr()
 
+    def test_zero_override_is_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "r.json"
+        assert cli_main(["run", "--preset", "hc2-negative", "--folds", "0", "--out", str(out)]) == 1
+        assert "folds" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_misspelled_config_key_is_usage_error(self, tmp_path, capsys):
+        doc = config_to_dict(
+            ExperimentConfig(
+                dataset=DatasetSpec(name="hc2", n_samples=40),
+                noise=NoiseSpec(NoiseFamily.NONE),
+                models=(LossSpec.mse(),),
+                folds=2,
+                replicates=1,
+            )
+        )
+        doc["dataset"]["n_sample"] = 100
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(doc))
+        assert cli_main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "r.json")]) == 1
+        assert "dataset.n_sample" in capsys.readouterr().err
+
     def test_runtime_failure_exit_2(self, tmp_path, capsys):
         cfg = ExperimentConfig(
             dataset=DatasetSpec(name="hc2", n_samples=40),
