@@ -41,6 +41,7 @@ from .harness import (
     experiment_preset,
     kfold_split,
     list_presets,
+    preset_document,
     run_experiment,
     run_replicate,
 )

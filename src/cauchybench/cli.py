@@ -19,15 +19,8 @@ import sys
 
 from . import __version__
 from .datagen import NoiseFamily, NoiseSpec, apply_noise, export_csv, make_hc2, make_hc8
-from .harness import (
-    TrainConfig,
-    config_from_dict,
-    experiment_preset,
-    list_presets,
-    run_experiment,
-)
+from .harness import config_from_dict, list_presets, preset_document, run_experiment
 from .losses import LossSpec
-from .nets import TrainingDiverged
 from .report import format_table, influence_csv, load_results, save_results
 
 __all__ = ["cli_main", "main"]
@@ -59,7 +52,7 @@ def _build_parser() -> _Parser:
     src = run.add_mutually_exclusive_group(required=True)
     src.add_argument("--preset", choices=list_presets(), help="named experiment")
     src.add_argument("--config", help="JSON experiment config file")
-    run.add_argument("--seed", type=int, default=0, help="master seed (presets only)")
+    run.add_argument("--seed", type=int, help="master seed")
     run.add_argument("--out", help="results JSON path (default: results.json in $CAUCHYBENCH_OUT_DIR or .)")
     run.add_argument("--data", help="CSV path for the bike dataset")
     run.add_argument("--schema", help="JSON column-schema sidecar for --data")
@@ -98,40 +91,39 @@ def _build_parser() -> _Parser:
     return p
 
 
-def _train_overrides(args) -> TrainConfig:
-    kw = {}
-    if args.epochs is not None:
-        kw["epochs"] = args.epochs
-    if args.batch_size is not None:
-        kw["batch_size"] = args.batch_size
-    if args.learning_rate is not None:
-        kw["learning_rate"] = args.learning_rate
-    return TrainConfig(**kw)
+# Each `run` flag that is given sets this key of the config document.
+_OVERRIDES = {
+    "seed": ("master_seed",),
+    "n": ("dataset", "n_samples"),
+    "data": ("dataset", "path"),
+    "schema": ("dataset", "schema_path"),
+    "folds": ("folds",),
+    "replicates": ("replicates",),
+    "epochs": ("train", "epochs"),
+    "batch_size": ("train", "batch_size"),
+    "learning_rate": ("train", "learning_rate"),
+}
 
 
 def _cmd_run(args) -> int:
-    if args.config:
-        if not os.path.exists(args.config):
-            raise UsageError(f"no such config file: {args.config}")
-        try:
+    if args.config and not os.path.exists(args.config):
+        raise UsageError(f"no such config file: {args.config}")
+    try:
+        if args.config:
             with open(args.config) as fh:
-                cfg = config_from_dict(json.load(fh))
-        except (json.JSONDecodeError, KeyError, TypeError, ValueError) as err:
-            raise UsageError(f"malformed config {args.config}: {err}") from err
-    else:
-        try:
-            cfg = experiment_preset(
-                args.preset,
-                n_samples=args.n,
-                data_path=args.data,
-                schema_path=args.schema,
-                folds=args.folds,
-                replicates=args.replicates,
-                master_seed=args.seed,
-                train=_train_overrides(args),
-            )
-        except (KeyError, ValueError) as err:
-            raise UsageError(str(err)) from err
+                doc = json.load(fh)
+        else:
+            doc = preset_document(args.preset)
+        for dest, keys in _OVERRIDES.items():
+            value = getattr(args, dest)
+            if value is not None:
+                target = doc
+                for key in keys[:-1]:
+                    target = target.setdefault(key, {})
+                target[keys[-1]] = value
+        cfg = config_from_dict(doc)
+    except (AttributeError, KeyError, TypeError, ValueError) as err:
+        raise UsageError(f"invalid config {args.config or args.preset}: {err}") from err
     result = run_experiment(cfg)
     out = _out_path(args, "results.json")
     save_results(result, out)
@@ -231,9 +223,6 @@ def cli_main(argv=None) -> int:
     except FileNotFoundError as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
-    except TrainingDiverged as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
     except (ValueError, RuntimeError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2

@@ -24,15 +24,15 @@ same stream twice, so no two stages can share entropy by accident.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from itertools import combinations
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .datagen import Dataset, NoiseFamily, NoiseSpec, apply_noise, make_hc2, make_hc8
+from .datagen import Dataset, NoiseSpec, apply_noise, make_hc2, make_hc8
 from .ingest import SEOUL_BIKE_SCHEMA, load_dataset, schema_from_json
-from .losses import LossSpec, mae_score, rmse_score
+from .losses import LossKind, LossSpec, mae_score, rmse_score
 from .nets import NetworkConfig, TrainConfig, TrainingDiverged, train_models
 from .ranktests import TestResult, kruskal_wallis, wilcoxon_rank_sum
 
@@ -49,6 +49,7 @@ __all__ = [
     "run_experiment",
     "compare_models",
     "experiment_preset",
+    "preset_document",
     "list_presets",
     "HC_CLF_GRID",
     "BIKE_CLF_GRID",
@@ -58,7 +59,6 @@ HC_CLF_GRID = (0.1, 1.0, 10.0, 20.0, 100.0)
 BIKE_CLF_GRID = (1.0, 10.0, 100.0, 200.0, 1000.0, 10000.0)
 
 _SYNTH_BUILDERS = {"hc2": make_hc2, "hc8": make_hc8}
-_SYNTH_DIMS = {"hc2": 2, "hc8": 8}
 
 
 @dataclass(frozen=True)
@@ -66,24 +66,27 @@ class DatasetSpec:
     """Which data an experiment runs on.
 
     name: "hc2" | "hc8" | "bike". Synthetic sets draw ``n_samples``
-    fresh points per replicate; "bike" loads ``path`` (schema optional)
-    and, if ``n_samples`` is set, subsamples that many rows per
-    replicate.
+    fresh points per replicate and take no files; "bike" loads ``path``
+    (schema optional) and uses every row, or, if ``n_samples`` is set,
+    a subsample of that many rows per replicate.
     """
 
     name: str
-    n_samples: int | None = 5000
+    n_samples: int | None = None
     path: str | None = None
     schema_path: str | None = None
 
     def __post_init__(self):
         if self.name not in ("hc2", "hc8", "bike"):
             raise ValueError(f"unknown dataset {self.name!r}")
-        if self.name in _SYNTH_BUILDERS and (self.n_samples is None or self.n_samples < 1):
-            raise ValueError("synthetic datasets need n_samples >= 1")
-        if self.name == "bike" and self.n_samples is not None and self.n_samples < 1:
+        if self.name in _SYNTH_BUILDERS:
+            if self.n_samples is None or self.n_samples < 1:
+                raise ValueError("synthetic datasets need n_samples >= 1")
+            if self.path is not None or self.schema_path is not None:
+                raise ValueError(f"the synthetic dataset {self.name!r} takes no path or schema_path")
+        elif self.n_samples is not None and self.n_samples < 1:
             raise ValueError("a bike subsample needs n_samples >= 1")
-        if self.name == "bike" and not self.path:
+        elif not self.path:
             raise ValueError("the bike dataset needs a CSV path")
 
 
@@ -92,8 +95,8 @@ class ExperimentConfig:
     dataset: DatasetSpec
     noise: NoiseSpec
     models: tuple[LossSpec, ...]
-    train: TrainConfig = TrainConfig()
     net: NetworkConfig | None = None  # None: inferred from the dataset
+    train: TrainConfig = TrainConfig()
     folds: int = 10
     replicates: int = 5
     master_seed: int = 0
@@ -165,11 +168,10 @@ def _load_base(spec: DatasetSpec) -> Dataset | None:
 def _clean_dataset(spec: DatasetSpec, seed, base: Dataset | None) -> Dataset:
     if spec.name in _SYNTH_BUILDERS:
         return _SYNTH_BUILDERS[spec.name](spec.n_samples, seed)
-    ds = base if base is not None else _load_base(spec)
-    if spec.n_samples is not None and spec.n_samples < len(ds):
-        idx = np.random.default_rng(seed).choice(len(ds), size=spec.n_samples, replace=False)
-        ds = ds.take(np.sort(idx))
-    return ds
+    if spec.n_samples is not None and spec.n_samples < len(base):
+        idx = np.random.default_rng(seed).choice(len(base), size=spec.n_samples, replace=False)
+        return base.take(np.sort(idx))
+    return base
 
 
 def _resolve_net(cfg: ExperimentConfig, data: Dataset) -> NetworkConfig:
@@ -382,38 +384,15 @@ def run_experiment(
 
 
 def config_to_dict(cfg: ExperimentConfig) -> dict:
-    return {
-        "dataset": {
-            "name": cfg.dataset.name,
-            "n_samples": cfg.dataset.n_samples,
-            "path": cfg.dataset.path,
-            "schema_path": cfg.dataset.schema_path,
-        },
-        "noise": cfg.noise.describe(),
-        "models": [
-            {"kind": m.kind.value, **({"c": m.c} if m.kind.value == "clf" else {})}
-            for m in cfg.models
-        ],
-        "net": None
-        if cfg.net is None
-        else {
-            "input_dim": cfg.net.input_dim,
-            "hidden_layers": list(cfg.net.hidden_layers),
-            "output_dim": cfg.net.output_dim,
-        },
-        "train": {
-            "learning_rate": cfg.train.learning_rate,
-            "beta1": cfg.train.beta1,
-            "beta2": cfg.train.beta2,
-            "epsilon": cfg.train.epsilon,
-            "epochs": cfg.train.epochs,
-            "batch_size": cfg.train.batch_size,
-            "seed": cfg.train.seed,
-        },
-        "folds": cfg.folds,
-        "replicates": cfg.replicates,
-        "master_seed": cfg.master_seed,
-    }
+    doc = asdict(cfg)
+    doc["noise"] = cfg.noise.describe()
+    doc["models"] = [
+        {"kind": m.kind.value, **({"c": m.c} if m.kind is LossKind.CLF else {})}
+        for m in cfg.models
+    ]
+    if cfg.net is not None:
+        doc["net"]["hidden_layers"] = list(cfg.net.hidden_layers)
+    return doc
 
 
 def _fields_of(doc, cls, path: str) -> dict:
@@ -428,69 +407,47 @@ def _fields_of(doc, cls, path: str) -> dict:
     return doc
 
 
+def _model_from_dict(doc, path: str) -> LossSpec:
+    m = _fields_of(doc, LossSpec, path)
+    if LossKind(m["kind"]) is LossKind.MSE:
+        return LossSpec.mse()
+    if "c" not in m:
+        raise ValueError(f"config {path} is a CLF model without 'c'")
+    return LossSpec.clf(m["c"])
+
+
 def config_from_dict(doc: dict) -> ExperimentConfig:
-    """The inverse of ``config_to_dict``; an unknown key at any level is an
-    error naming its dotted path (e.g. ``dataset.n_sample``)."""
-    doc = _fields_of(doc, ExperimentConfig, "")
-    ds = _fields_of(doc["dataset"], DatasetSpec, "dataset")
-    noise_doc = dict(_fields_of(doc["noise"], NoiseSpec, "noise"))
-    family = NoiseFamily(noise_doc.pop("family"))
-    noise = NoiseSpec(family=family, **noise_doc)
-    model_docs = [_fields_of(m, LossSpec, f"models[{i}]") for i, m in enumerate(doc["models"])]
-    models = tuple(
-        LossSpec.clf(m["c"]) if m["kind"] == "clf" else LossSpec.mse() for m in model_docs
-    )
-    net = doc.get("net")
-    net_cfg = None if net is None else NetworkConfig(**_fields_of(net, NetworkConfig, "net"))
-    return ExperimentConfig(
-        dataset=DatasetSpec(
-            name=ds["name"],
-            n_samples=ds.get("n_samples"),
-            path=ds.get("path"),
-            schema_path=ds.get("schema_path"),
-        ),
-        noise=noise,
-        models=models,
-        train=TrainConfig(**_fields_of(doc.get("train", {}), TrainConfig, "train")),
-        net=net_cfg,
-        folds=doc.get("folds", 10),
-        replicates=doc.get("replicates", 5),
-        master_seed=doc.get("master_seed", 0),
-    )
+    """The inverse of ``config_to_dict``; a missing key takes the dataclass
+    default, and an unknown key at any level is an error naming its dotted
+    path (e.g. ``dataset.n_sample``)."""
+    top = dict(_fields_of(doc, ExperimentConfig, ""))
+    top["dataset"] = DatasetSpec(**_fields_of(top["dataset"], DatasetSpec, "dataset"))
+    top["noise"] = NoiseSpec(**_fields_of(top["noise"], NoiseSpec, "noise"))
+    top["models"] = tuple(_model_from_dict(m, f"models[{i}]") for i, m in enumerate(top["models"]))
+    if top.get("net") is not None:
+        top["net"] = NetworkConfig(**_fields_of(top["net"], NetworkConfig, "net"))
+    if "train" in top:
+        top["train"] = TrainConfig(**_fields_of(top["train"], TrainConfig, "train"))
+    return ExperimentConfig(**top)
 
 
 # ---------------------------------------------------------------------------
-# Named presets mirroring the benchmark grids.
+# Named presets mirroring the benchmark grids, as config documents.
 
 
-def _hc_models() -> tuple[LossSpec, ...]:
-    return tuple(LossSpec.clf(c) for c in HC_CLF_GRID) + (LossSpec.mse(),)
-
-
-def _bike_models() -> tuple[LossSpec, ...]:
-    return tuple(LossSpec.clf(c) for c in BIKE_CLF_GRID) + (LossSpec.mse(),)
-
-
-def _preset_registry() -> dict[str, dict]:
-    presets: dict[str, dict] = {}
+def _preset_registry() -> dict[str, tuple[str, dict]]:
+    """Each preset's dataset name and noise document."""
+    presets: dict[str, tuple[str, dict]] = {}
     for ds in ("hc2", "hc8"):
-        presets[f"{ds}-negative"] = {"dataset": ds, "noise": NoiseSpec(NoiseFamily.NONE)}
+        presets[f"{ds}-negative"] = (ds, {"family": "none"})
         for sigma in (1.0, 10.0, 50.0, 100.0):
-            presets[f"{ds}-gaussian-{sigma:g}"] = {
-                "dataset": ds,
-                "noise": NoiseSpec(NoiseFamily.GAUSSIAN, sigma=sigma),
-            }
+            presets[f"{ds}-gaussian-{sigma:g}"] = (ds, {"family": "gaussian", "sigma": sigma})
         for tau in (1.0, 10.0, 50.0, 100.0):
-            presets[f"{ds}-cauchy-{tau:g}"] = {
-                "dataset": ds,
-                "noise": NoiseSpec(NoiseFamily.CAUCHY, tau=tau),
-            }
-    presets["bike-negative"] = {"dataset": "bike", "noise": NoiseSpec(NoiseFamily.NONE)}
+            presets[f"{ds}-cauchy-{tau:g}"] = (ds, {"family": "cauchy", "tau": tau})
+    presets["bike-negative"] = ("bike", {"family": "none"})
     for pct in (2.5, 5.0, 7.5, 10.0):
-        presets[f"bike-outliers-{pct:g}"] = {
-            "dataset": "bike",
-            "noise": NoiseSpec(NoiseFamily.UNIFORM_OUTLIER, proportion=pct / 100.0),
-        }
+        noise = {"family": "uniform_outlier", "proportion": pct / 100.0}
+        presets[f"bike-outliers-{pct:g}"] = ("bike", noise)
     return presets
 
 
@@ -499,6 +456,24 @@ _PRESETS = _preset_registry()
 
 def list_presets() -> list[str]:
     return sorted(_PRESETS)
+
+
+def preset_document(name: str) -> dict:
+    """A fresh config document for a named preset: its ``dataset``,
+    ``noise`` and ``models``; every other key takes its default.
+
+    Synthetic presets draw 5000 fresh samples per replicate; bike presets
+    need a ``dataset.path`` added before ``config_from_dict`` accepts them.
+    """
+    if name not in _PRESETS:
+        raise KeyError(f"unknown preset {name!r}; available: {', '.join(list_presets())}")
+    ds, noise = _PRESETS[name]
+    grid = BIKE_CLF_GRID if ds == "bike" else HC_CLF_GRID
+    return {
+        "dataset": {"name": ds} if ds == "bike" else {"name": ds, "n_samples": 5000},
+        "noise": dict(noise),
+        "models": [{"kind": "clf", "c": c} for c in grid] + [{"kind": "mse"}],
+    }
 
 
 def experiment_preset(
@@ -512,30 +487,15 @@ def experiment_preset(
     master_seed: int = 0,
     train: TrainConfig | None = None,
 ) -> ExperimentConfig:
-    """Build a named experiment; keyword arguments override the defaults.
-
-    Synthetic presets default to 5000 fresh samples per replicate, 10
-    folds, 5 replicates, and the default TrainConfig. Bike presets need
-    ``data_path`` (``n_samples`` subsamples rows per replicate).
+    """``preset_document(name)`` with each given argument set, built by
+    ``config_from_dict``. Bike presets need ``data_path`` (``n_samples``
+    subsamples rows per replicate); synthetic presets reject it.
     """
-    if name not in _PRESETS:
-        raise KeyError(f"unknown preset {name!r}; available: {', '.join(list_presets())}")
-    entry = _PRESETS[name]
-    ds_name = entry["dataset"]
-    if ds_name == "bike":
-        models = _bike_models()
-        dataset = DatasetSpec(
-            name="bike", n_samples=n_samples, path=data_path, schema_path=schema_path
-        )
-    else:
-        models = _hc_models()
-        dataset = DatasetSpec(name=ds_name, n_samples=5000 if n_samples is None else n_samples)
-    return ExperimentConfig(
-        dataset=dataset,
-        noise=entry["noise"],
-        models=models,
-        train=TrainConfig() if train is None else train,
-        folds=10 if folds is None else folds,
-        replicates=5 if replicates is None else replicates,
-        master_seed=master_seed,
-    )
+    doc = preset_document(name)
+    given = {"n_samples": n_samples, "path": data_path, "schema_path": schema_path}
+    doc["dataset"].update((k, v) for k, v in given.items() if v is not None)
+    given = {"folds": folds, "replicates": replicates, "master_seed": master_seed}
+    doc.update((k, v) for k, v in given.items() if v is not None)
+    if train is not None:
+        doc["train"] = asdict(train)
+    return config_from_dict(doc)

@@ -90,27 +90,8 @@ def _clf_grad_of_residual(r, c):
     return -(c * c) * r / (c * c + r * r)
 
 
-def _clf_values(y, y_hat, c):
-    r = np.asarray(y, dtype=float) - np.asarray(y_hat, dtype=float)
-    return _clf_of_residual(r, c)
-
-
-def _mse_values(y, y_hat):
-    r = np.asarray(y, dtype=float) - np.asarray(y_hat, dtype=float)
-    return r * r
-
-
-def _grad_values(y, y_hat, spec: LossSpec):
-    r = np.asarray(y, dtype=float) - np.asarray(y_hat, dtype=float)
-    if spec.kind is LossKind.MSE:
-        return -2.0 * r
-    return _clf_grad_of_residual(r, spec.c)
-
-
-def _loss_values(y, y_hat, spec: LossSpec):
-    if spec.kind is LossKind.MSE:
-        return _mse_values(y, y_hat)
-    return _clf_values(y, y_hat, spec.c)
+def _residual(y, y_hat):
+    return np.asarray(y, dtype=float) - np.asarray(y_hat, dtype=float)
 
 
 def clf_loss(y, y_hat, c: float):
@@ -119,14 +100,15 @@ def clf_loss(y, y_hat, c: float):
         raise ValueError(f"c must be finite and > 0, got {c}")
     _check_finite("y", y)
     _check_finite("y_hat", y_hat)
-    return _as_result(_clf_values(y, y_hat, c))
+    return _as_result(_clf_of_residual(_residual(y, y_hat), c))
 
 
 def mse_loss(y, y_hat):
     """Squared error (y - y_hat)^2, elementwise."""
     _check_finite("y", y)
     _check_finite("y_hat", y_hat)
-    return _as_result(_mse_values(y, y_hat))
+    r = _residual(y, y_hat)
+    return _as_result(r * r)
 
 
 def loss_grad(y, y_hat, spec: LossSpec):
@@ -136,7 +118,10 @@ def loss_grad(y, y_hat, spec: LossSpec):
     """
     _check_finite("y", y)
     _check_finite("y_hat", y_hat)
-    return _as_result(_grad_values(y, y_hat, spec))
+    r = _residual(y, y_hat)
+    if spec.kind is LossKind.MSE:
+        return _as_result(-2.0 * r)
+    return _as_result(_clf_grad_of_residual(r, spec.c))
 
 
 def influence(r_abs, spec: LossSpec):
@@ -151,8 +136,7 @@ def influence(r_abs, spec: LossSpec):
         raise ValueError("r_abs must be nonnegative")
     if spec.kind is LossKind.MSE:
         return _as_result(2.0 * r)
-    c = spec.c
-    return _as_result((c * c) * r / (c * c + r * r))
+    return _as_result(-_clf_grad_of_residual(r, spec.c))
 
 
 def _paired(targets, preds):

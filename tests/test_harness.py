@@ -14,6 +14,7 @@ from cauchybench.harness import (
     experiment_preset,
     kfold_split,
     list_presets,
+    preset_document,
     run_experiment,
     run_replicate,
 )
@@ -310,6 +311,92 @@ class TestPresetsAndConfig:
             path = "b.csv" if name.startswith("bike") else None
             cfg = experiment_preset(name, data_path=path)
             assert config_from_dict(config_to_dict(cfg)) == cfg
+
+    def test_bike_reads_every_row_by_default(self):
+        assert DatasetSpec("bike", path="b.csv").n_samples is None
+        with pytest.raises(ValueError, match="n_samples"):
+            DatasetSpec("hc2")
+
+    def test_synthetic_dataset_takes_no_files(self):
+        for kw in ({"path": "x.csv"}, {"schema_path": "s.json"}):
+            with pytest.raises(ValueError, match="path"):
+                DatasetSpec("hc8", n_samples=10, **kw)
+        for kw in ({"data_path": "x.csv"}, {"schema_path": "s.json"}):
+            with pytest.raises(ValueError, match="path"):
+                experiment_preset("hc2-negative", **kw)
+
+    def test_missing_keys_take_dataclass_defaults(self):
+        doc = {
+            "dataset": {"name": "hc2", "n_samples": 30},
+            "noise": {"family": "none"},
+            "models": [{"kind": "mse"}],
+        }
+        cfg = config_from_dict(doc)
+        default = ExperimentConfig(cfg.dataset, cfg.noise, cfg.models)
+        assert cfg == default
+        assert (cfg.folds, cfg.replicates, cfg.master_seed) == (10, 5, 0)
+        assert cfg.train == TrainConfig() and cfg.net is None
+        doc["train"] = {"epochs": 3}
+        assert config_from_dict(doc).train == TrainConfig(epochs=3)
+
+    def test_clf_model_needs_its_constant(self):
+        doc = config_to_dict(tiny_config())
+        doc["models"][1] = {"kind": "clf"}
+        with pytest.raises(ValueError, match=r"models\[1\].*'c'"):
+            config_from_dict(doc)
+        doc["models"][1] = {"kind": "huber", "c": 1.0}
+        with pytest.raises(ValueError, match="huber"):
+            config_from_dict(doc)
+
+    def test_preset_document_is_the_preset(self):
+        for name in list_presets():
+            doc = preset_document(name)
+            assert set(doc) == {"dataset", "noise", "models"}
+            if name.startswith("bike"):
+                doc["dataset"]["path"] = "b.csv"
+                assert config_from_dict(doc) == experiment_preset(name, data_path="b.csv")
+            else:
+                assert config_from_dict(doc) == experiment_preset(name)
+        # each call hands out a fresh document
+        preset_document("hc2-negative")["dataset"]["n_samples"] = 1
+        assert preset_document("hc2-negative")["dataset"]["n_samples"] == 5000
+        with pytest.raises(KeyError, match="unknown preset"):
+            preset_document("hc3-negative")
+
+    def test_every_field_survives_the_round_trip(self):
+        from dataclasses import fields
+
+        from cauchybench.nets import NetworkConfig
+
+        # a non-default value for every field of every dataclass that
+        # config_to_dict serialises from its fields
+        values = {
+            DatasetSpec: {"name": "bike", "n_samples": 7, "path": "b.csv", "schema_path": "s.json"},
+            NetworkConfig: {"input_dim": 17, "hidden_layers": (3, 2), "output_dim": 2},
+            TrainConfig: {
+                "learning_rate": 0.5, "beta1": 0.5, "beta2": 0.25, "epsilon": 1e-3,
+                "epochs": 3, "batch_size": 5, "seed": 11,
+            },
+        }
+        built = {}
+        for cls, kw in values.items():
+            assert set(kw) == {f.name for f in fields(cls)}, cls.__name__
+            for f in fields(cls):
+                assert kw[f.name] != f.default, f"{cls.__name__}.{f.name}"
+            built[cls] = cls(**kw)
+        cfg = ExperimentConfig(
+            dataset=built[DatasetSpec],
+            noise=NoiseSpec(NoiseFamily.UNIFORM_OUTLIER, proportion=0.1, range_multiplier=9.0, seed=4),
+            models=(LossSpec.clf(3.0), LossSpec.mse()),
+            net=built[NetworkConfig],
+            train=built[TrainConfig],
+            folds=4,
+            replicates=3,
+            master_seed=8,
+        )
+        doc = config_to_dict(cfg)
+        assert doc["net"]["hidden_layers"] == [3, 2]
+        assert config_from_dict(doc) == cfg
 
     def test_net_override_validated(self):
         from cauchybench.nets import NetworkConfig

@@ -301,7 +301,7 @@ class TestTrain:
         # Re-drive the training loop by hand; permuting data rows while
         # mapping the shuffled index stream through the permutation must
         # give the identical final parameters.
-        from cauchybench.losses import _grad_values
+        from cauchybench.losses import loss_grad
         from cauchybench.nets import FeatureScaler, _shuffle_rng
 
         rng = np.random.default_rng(31)
@@ -321,7 +321,7 @@ class TestTrain:
                 for idx in minibatch_indices(30, tc.batch_size, shuffle):
                     mapped = index_map[idx]
                     preds, cache = forward(params, Xs[mapped])
-                    g = _grad_values(yd[mapped], preds, spec)
+                    g = loss_grad(yd[mapped], preds, spec)
                     grads = backward(params, cache, g)
                     for i in range(grads.n_layers):
                         grads.weights[i] /= idx.size

@@ -234,6 +234,87 @@ class TestCli:
         assert cli_main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "r.json")]) == 1
         assert "dataset.n_sample" in capsys.readouterr().err
 
+    def test_flags_override_config_file(self, tmp_path, capsys):
+        cfg = ExperimentConfig(
+            dataset=DatasetSpec(name="hc2", n_samples=400),
+            noise=NoiseSpec(NoiseFamily.NONE),
+            models=(LossSpec.mse(), LossSpec.clf(10.0)),
+            train=TrainConfig(epochs=50, batch_size=32, learning_rate=0.001, seed=0),
+            folds=5,
+            replicates=4,
+            master_seed=1,
+        )
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(config_to_dict(cfg)))
+        out = tmp_path / "r.json"
+        code = cli_main(
+            [
+                "run", "--config", str(cfg_path), "--out", str(out), "--seed", "7",
+                "--n", "40", "--folds", "2", "--replicates", "1", "--epochs", "2",
+                "--batch-size", "8", "--learning-rate", "0.01",
+            ]
+        )
+        assert code == 0
+        echo = load_results(out)["config"]
+        assert echo["master_seed"] == 7
+        assert echo["dataset"]["n_samples"] == 40
+        assert (echo["folds"], echo["replicates"]) == (2, 1)
+        assert echo["train"]["epochs"] == 2
+        assert echo["train"]["batch_size"] == 8
+        assert echo["train"]["learning_rate"] == 0.01
+        capsys.readouterr()
+
+    def test_data_flag_overrides_config_path(self, tmp_path, capsys):
+        from ._surrogate import write_surrogate_bike_csv
+
+        csv = write_surrogate_bike_csv(tmp_path / "b.csv", n_rows=90)
+        doc = {
+            "dataset": {"name": "bike", "path": "elsewhere.csv"},
+            "noise": {"family": "none"},
+            "models": [{"kind": "mse"}],
+            "train": {"epochs": 1},
+            "folds": 2,
+            "replicates": 1,
+        }
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(doc))
+        out = tmp_path / "r.json"
+        assert cli_main(["run", "--config", str(cfg_path), "--data", str(csv), "--out", str(out)]) == 0
+        assert load_results(out)["config"]["dataset"]["path"] == str(csv)
+        capsys.readouterr()
+
+    def test_config_keeps_its_seed_without_the_flag(self, tmp_path, capsys):
+        cfg = ExperimentConfig(
+            dataset=DatasetSpec(name="hc2", n_samples=40),
+            noise=NoiseSpec(NoiseFamily.NONE),
+            models=(LossSpec.mse(),),
+            train=TrainConfig(epochs=1, seed=0),
+            folds=2,
+            replicates=1,
+            master_seed=13,
+        )
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(config_to_dict(cfg)))
+        out = tmp_path / "r.json"
+        assert cli_main(["run", "--config", str(cfg_path), "--out", str(out)]) == 0
+        assert load_results(out)["config"]["master_seed"] == 13
+        capsys.readouterr()
+
+    @pytest.mark.parametrize("flag", ["--data", "--schema"])
+    def test_file_flags_with_synthetic_preset_exit_1(self, tmp_path, capsys, flag):
+        out = tmp_path / "r.json"
+        assert cli_main(["run", "--preset", "hc2-negative", flag, "x", "--out", str(out)]) == 1
+        assert "path" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("doc", [[1], {"dataset": 3}, {"train": None}])
+    def test_override_into_malformed_config_exits_1(self, tmp_path, capsys, doc):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(doc))
+        args = ["run", "--config", str(cfg_path), "--n", "5", "--epochs", "1"]
+        assert cli_main(args + ["--out", str(tmp_path / "r.json")]) == 1
+        assert "invalid config" in capsys.readouterr().err
+
     def test_runtime_failure_exit_2(self, tmp_path, capsys):
         cfg = ExperimentConfig(
             dataset=DatasetSpec(name="hc2", n_samples=40),
