@@ -20,7 +20,6 @@ from .datagen import (
     apply_noise,
     cauchy_noise,
     cauchy_quantile,
-    dataset_from_csv,
     export_csv,
     gaussian_noise,
     inject_additive,
@@ -38,7 +37,6 @@ from .harness import (
     ExperimentResult,
     ScoreTable,
     compare_models,
-    experiment_preset,
     kfold_split,
     list_presets,
     preset_document,

@@ -18,7 +18,7 @@ import os
 import sys
 
 from . import __version__
-from .datagen import NoiseFamily, NoiseSpec, apply_noise, export_csv, make_hc2, make_hc8
+from .datagen import NoiseSpec, apply_noise, export_csv, make_hc2, make_hc8
 from .harness import config_from_dict, list_presets, preset_document, run_experiment
 from .losses import LossSpec
 from .report import format_table, influence_csv, load_results, save_results
@@ -165,14 +165,10 @@ def _cmd_compare(args) -> int:
 
 
 def _cmd_influence(args) -> int:
-    cs = args.c or [1.0]
-    if args.loss == "mse":
-        specs = [LossSpec.mse()]
-    elif args.loss == "clf":
-        specs = [LossSpec.clf(c) for c in cs]
-    else:
-        specs = [LossSpec.mse()] + [LossSpec.clf(c) for c in cs]
     try:
+        specs = [LossSpec.mse()] if args.loss != "clf" else []
+        if args.loss != "mse":
+            specs += [LossSpec.clf(c) for c in args.c or [1.0]]
         text = influence_csv(specs, args.rmax, args.steps)
     except ValueError as err:
         raise UsageError(str(err)) from err
@@ -188,13 +184,8 @@ def _cmd_influence(args) -> int:
 def _cmd_gen(args) -> int:
     maker = make_hc2 if args.dataset == "hc2" else make_hc8
     try:
-        ds = maker(args.n, args.seed)
-        if args.noise == "gaussian":
-            ds = apply_noise(ds, NoiseSpec(NoiseFamily.GAUSSIAN, sigma=args.sigma, seed=args.seed))
-        elif args.noise == "cauchy":
-            ds = apply_noise(
-                ds, NoiseSpec(NoiseFamily.CAUCHY, x0=args.x0, tau=args.tau, seed=args.seed)
-            )
+        noise = NoiseSpec(family=args.noise, sigma=args.sigma, x0=args.x0, tau=args.tau, seed=args.seed)
+        ds = apply_noise(maker(args.n, args.seed), noise)
     except ValueError as err:
         raise UsageError(str(err)) from err
     out = args.out or f"{args.dataset}.csv"

@@ -38,7 +38,6 @@ __all__ = [
     "inject_outliers",
     "apply_noise",
     "export_csv",
-    "dataset_from_csv",
 ]
 
 # Sampling boxes for the handcrafted targets.
@@ -287,8 +286,8 @@ def apply_noise(data: Dataset, spec: NoiseSpec) -> Dataset:
 def export_csv(data: Dataset, path) -> None:
     """Write the dataset as CSV: feature columns then the target column.
 
-    Values use repr-style formatting, so a re-import reproduces them
-    exactly.
+    Values use repr-style formatting, so ``ingest.load_dataset`` with an
+    all-numeric schema reads them back exactly.
     """
     names = data.meta.get("feature_names") or [f"x{i + 1}" for i in range(data.n_features)]
     target = data.meta.get("target_name", "y")
@@ -297,19 +296,3 @@ def export_csv(data: Dataset, path) -> None:
         writer.writerow([*names, target])
         for row, yv in zip(data.X, data.y):
             writer.writerow([repr(float(v)) for v in row] + [repr(float(yv))])
-
-
-def dataset_from_csv(path) -> Dataset:
-    """Read a CSV written by export_csv (last column is the target)."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        rows = [[float(cell) for cell in row] for row in reader]
-    arr = np.asarray(rows, dtype=float)
-    if arr.ndim != 2 or arr.shape[1] != len(header) or arr.shape[1] < 2:
-        raise ValueError(f"malformed dataset CSV {path}")
-    return Dataset(
-        arr[:, :-1],
-        arr[:, -1],
-        meta={"source": str(path), "feature_names": header[:-1], "target_name": header[-1]},
-    )

@@ -48,7 +48,6 @@ __all__ = [
     "run_replicate",
     "run_experiment",
     "compare_models",
-    "experiment_preset",
     "preset_document",
     "list_presets",
     "HC_CLF_GRID",
@@ -112,6 +111,9 @@ class ExperimentConfig:
         labels = [m.label for m in self.models]
         if len(set(labels)) != len(labels):
             raise ValueError("duplicate model specs")
+        for name, spec in (("train", self.train), ("noise", self.noise)):
+            if spec.seed != 0:
+                raise ValueError(f"{name}.seed must be 0: every seed derives from master_seed")
 
     @property
     def model_labels(self) -> list[str]:
@@ -385,7 +387,9 @@ def run_experiment(
 
 def config_to_dict(cfg: ExperimentConfig) -> dict:
     doc = asdict(cfg)
+    del doc["train"]["seed"]  # train and noise seeds derive from master_seed
     doc["noise"] = cfg.noise.describe()
+    del doc["noise"]["seed"]
     doc["models"] = [
         {"kind": m.kind.value, **({"c": m.c} if m.kind is LossKind.CLF else {})}
         for m in cfg.models
@@ -409,11 +413,10 @@ def _fields_of(doc, cls, path: str) -> dict:
 
 def _model_from_dict(doc, path: str) -> LossSpec:
     m = _fields_of(doc, LossSpec, path)
-    if LossKind(m["kind"]) is LossKind.MSE:
-        return LossSpec.mse()
-    if "c" not in m:
-        raise ValueError(f"config {path} is a CLF model without 'c'")
-    return LossSpec.clf(m["c"])
+    is_clf = LossKind(m["kind"]) is LossKind.CLF
+    if is_clf != ("c" in m):
+        raise ValueError(f"config {path}: a CLF model needs 'c' and an MSE model takes none")
+    return LossSpec.clf(m["c"]) if is_clf else LossSpec.mse()
 
 
 def config_from_dict(doc: dict) -> ExperimentConfig:
@@ -474,28 +477,3 @@ def preset_document(name: str) -> dict:
         "noise": dict(noise),
         "models": [{"kind": "clf", "c": c} for c in grid] + [{"kind": "mse"}],
     }
-
-
-def experiment_preset(
-    name: str,
-    *,
-    n_samples: int | None = None,
-    data_path: str | None = None,
-    schema_path: str | None = None,
-    folds: int | None = None,
-    replicates: int | None = None,
-    master_seed: int = 0,
-    train: TrainConfig | None = None,
-) -> ExperimentConfig:
-    """``preset_document(name)`` with each given argument set, built by
-    ``config_from_dict``. Bike presets need ``data_path`` (``n_samples``
-    subsamples rows per replicate); synthetic presets reject it.
-    """
-    doc = preset_document(name)
-    given = {"n_samples": n_samples, "path": data_path, "schema_path": schema_path}
-    doc["dataset"].update((k, v) for k, v in given.items() if v is not None)
-    given = {"folds": folds, "replicates": replicates, "master_seed": master_seed}
-    doc.update((k, v) for k, v in given.items() if v is not None)
-    if train is not None:
-        doc["train"] = asdict(train)
-    return config_from_dict(doc)

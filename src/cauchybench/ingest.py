@@ -33,7 +33,6 @@ __all__ = [
     "encode",
     "load_dataset",
     "schema_from_json",
-    "schema_to_json",
     "SEOUL_BIKE_SCHEMA",
 ]
 
@@ -172,13 +171,11 @@ def load_csv(path, schema) -> Table:
     return Table(columns=columns, n_rows=n_rows)
 
 
-def encode(table: Table, schema, categories: dict[str, list[str]] | None = None) -> Dataset:
+def encode(table: Table, schema) -> Dataset:
     """Turn a typed table into a Dataset.
 
     Numeric features pass through; each categorical feature becomes one
     indicator column per category, categories sorted lexicographically.
-    Passing ``categories`` freezes the encoder: a value outside the
-    frozen list raises instead of growing the feature space.
     """
     schema = list(schema)
     _validate_schema(schema)
@@ -192,15 +189,7 @@ def encode(table: Table, schema, categories: dict[str, list[str]] | None = None)
             feature_names.append(col.name)
         elif col.role == Role.CATEGORICAL:
             values = table.columns[col.name]
-            if categories is not None:
-                cats = list(categories[col.name])
-                unseen = sorted(set(values) - set(cats))
-                if unseen:
-                    raise IngestionError(
-                        f"column {col.name!r}: categories {unseen} not in the frozen encoder"
-                    )
-            else:
-                cats = sorted(set(values))
+            cats = sorted(set(values))
             used_categories[col.name] = cats
             for cat in cats:
                 feature_cols.append(np.array([1.0 if v == cat else 0.0 for v in values]))
@@ -230,7 +219,3 @@ def schema_from_json(path) -> list[ColumnSchema]:
     with open(path) as fh:
         doc = json.load(fh)
     return [ColumnSchema(entry["name"], entry["role"]) for entry in doc]
-
-
-def schema_to_json(schema) -> str:
-    return json.dumps([{"name": c.name, "role": c.role} for c in schema], indent=2)

@@ -47,8 +47,7 @@ class LossSpec:
     def __post_init__(self):
         object.__setattr__(self, "kind", LossKind(self.kind))
         if self.kind is LossKind.CLF:
-            if not np.isfinite(self.c) or self.c <= 0:
-                raise ValueError(f"CLF constant must be finite and > 0, got {self.c}")
+            _check_clf_constant(self.c)
 
     @property
     def label(self) -> str:
@@ -64,6 +63,14 @@ class LossSpec:
     @staticmethod
     def clf(c: float) -> "LossSpec":
         return LossSpec(LossKind.CLF, c)
+
+
+def _check_clf_constant(c) -> None:
+    """c > 0 with c^2 a finite normal float, so the kernels' c * c neither
+    overflows to inf nor underflows to a subnormal or zero."""
+    sq = float(c) * float(c)
+    if not (c > 0 and np.isfinite(sq) and sq >= np.finfo(float).tiny):
+        raise ValueError(f"CLF constant c must be > 0 with c^2 a finite normal float, got {c}")
 
 
 def _check_finite(name, value):
@@ -96,8 +103,7 @@ def _residual(y, y_hat):
 
 def clf_loss(y, y_hat, c: float):
     """Cauchy loss (c^2/2) * ln(1 + ((y - y_hat)/c)^2), elementwise."""
-    if not np.isfinite(c) or c <= 0:
-        raise ValueError(f"c must be finite and > 0, got {c}")
+    _check_clf_constant(c)
     _check_finite("y", y)
     _check_finite("y_hat", y_hat)
     return _as_result(_clf_of_residual(_residual(y, y_hat), c))

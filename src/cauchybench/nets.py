@@ -68,18 +68,17 @@ class TrainingDiverged(RuntimeError):
 class NetworkConfig:
     input_dim: int
     hidden_layers: tuple[int, ...]
-    output_dim: int = 1
 
     def __post_init__(self):
         object.__setattr__(self, "hidden_layers", tuple(int(h) for h in self.hidden_layers))
-        if self.input_dim < 1 or self.output_dim < 1:
-            raise ValueError("input_dim and output_dim must be >= 1")
+        if self.input_dim < 1:
+            raise ValueError("input_dim must be >= 1")
         if not self.hidden_layers or any(h < 1 for h in self.hidden_layers):
             raise ValueError("hidden_layers must be a nonempty sequence of positive ints")
 
     @property
     def layer_sizes(self) -> tuple[int, ...]:
-        return (self.input_dim, *self.hidden_layers, self.output_dim)
+        return (self.input_dim, *self.hidden_layers, 1)
 
 
 @dataclass(frozen=True)
@@ -341,8 +340,6 @@ def train_models(
         raise ValueError("empty training data")
     if X.shape[1] != net.input_dim:
         raise ValueError(f"data has {X.shape[1]} features, network expects {net.input_dim}")
-    if net.output_dim != 1:
-        raise ValueError("training supports scalar outputs only")
     if not losses:
         raise ValueError("at least one loss is required")
 

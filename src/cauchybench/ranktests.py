@@ -1,9 +1,9 @@
 """Rank-based two-sample and k-sample hypothesis tests.
 
-Wilcoxon rank-sum with an exact permutation p-value for small samples
-(the regime the benchmark actually produces: five replicate scores per
-model) and a tie-corrected normal approximation with continuity
-correction otherwise; Kruskal-Wallis with tie correction and a
+Two-sided Wilcoxon rank-sum with an exact permutation p-value for small
+samples (the regime the benchmark actually produces: five replicate
+scores per model) and a tie-corrected normal approximation with
+continuity correction otherwise; Kruskal-Wallis with tie correction and a
 chi-square p-value. Ties get midranks throughout, so the tests are
 invariant under any strictly increasing transform of the data.
 """
@@ -72,22 +72,19 @@ def _normal_sf(z: float) -> float:
     return 0.5 * math.erfc(z / math.sqrt(2.0))
 
 
-def wilcoxon_rank_sum(a, b, alternative: str = "two_sided") -> TestResult:
-    """Mann-Whitney/Wilcoxon rank-sum test on two samples.
+def wilcoxon_rank_sum(a, b) -> TestResult:
+    """Two-sided Mann-Whitney/Wilcoxon rank-sum test on two samples.
 
     The statistic is U for the first sample, built from pooled midranks.
     With n1 + n2 <= EXACT_LIMIT the p-value enumerates every assignment
     of the pooled (possibly tied) values into groups of the observed
     sizes; otherwise it uses the tie-corrected normal approximation with
-    continuity correction. ``alternative`` is one of two_sided / less /
-    greater, where "greater" means the first sample tends larger.
+    continuity correction.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     if a.size == 0 or b.size == 0:
         raise ValueError("both samples must be nonempty")
-    if alternative not in ("two_sided", "less", "greater"):
-        raise ValueError(f"unknown alternative {alternative!r}")
     n1, n2 = a.size, b.size
     total = n1 + n2
     pooled = np.concatenate([a, b])
@@ -106,27 +103,15 @@ def wilcoxon_rank_sum(a, b, alternative: str = "two_sided") -> TestResult:
         for comb in combinations(range(total), n1):
             u_perm = ranks[list(comb)].sum() - base
             count += 1
-            if alternative == "two_sided":
-                hits += abs(u_perm - mu) >= obs_dev - eps
-            elif alternative == "greater":
-                hits += u_perm >= u - eps
-            else:
-                hits += u_perm <= u + eps
+            hits += abs(u_perm - mu) >= obs_dev - eps
         return TestResult(u, hits / count, "exact_permutation", (n1, n2))
 
     tie = _tie_term(pooled)
     var = (n1 * n2 / 12.0) * ((total + 1) - tie / (total * (total - 1)))
     if var <= 0:  # every pooled value identical
         return TestResult(u, 1.0, "normal_approx", (n1, n2))
-    sd = math.sqrt(var)
-    if alternative == "two_sided":
-        z = max(abs(u - mu) - 0.5, 0.0) / sd
-        p = 2.0 * _normal_sf(z)
-    elif alternative == "greater":
-        p = _normal_sf((u - mu - 0.5) / sd)
-    else:
-        p = _normal_sf(-(u - mu + 0.5) / sd)
-    return TestResult(u, min(p, 1.0), "normal_approx", (n1, n2))
+    z = max(abs(u - mu) - 0.5, 0.0) / math.sqrt(var)
+    return TestResult(u, min(2.0 * _normal_sf(z), 1.0), "normal_approx", (n1, n2))
 
 
 def kruskal_wallis(groups) -> TestResult:

@@ -12,7 +12,6 @@ from cauchybench.datagen import (
     apply_noise,
     cauchy_noise,
     cauchy_quantile,
-    dataset_from_csv,
     export_csv,
     gaussian_noise,
     inject_additive,
@@ -23,6 +22,7 @@ from cauchybench.datagen import (
     target_y1,
     target_y2,
 )
+from cauchybench.ingest import ColumnSchema, Role, load_dataset
 
 # Frozen oracle values.
 E_MINUS_1 = 1.7182818284590452
@@ -233,7 +233,8 @@ class TestCsvRoundTrip:
         ds = make_hc8(50, seed=27)
         path = tmp_path / "d.csv"
         export_csv(ds, path)
-        back = dataset_from_csv(path)
+        schema = [ColumnSchema(f"x{i}", Role.NUMERIC) for i in range(1, 9)]
+        back = load_dataset(path, schema + [ColumnSchema("y", Role.TARGET)])
         assert np.array_equal(back.X, ds.X)
         assert np.array_equal(back.y, ds.y)
         assert back.meta["feature_names"] == [f"x{i}" for i in range(1, 9)]

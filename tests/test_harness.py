@@ -5,13 +5,14 @@ import pytest
 
 from cauchybench.datagen import NoiseFamily, NoiseSpec, target_y1
 from cauchybench.harness import (
+    BIKE_CLF_GRID,
+    HC_CLF_GRID,
     DatasetSpec,
     ExperimentConfig,
     SeedLedger,
     compare_models,
     config_from_dict,
     config_to_dict,
-    experiment_preset,
     kfold_split,
     list_presets,
     preset_document,
@@ -24,6 +25,14 @@ from cauchybench.nets import TrainConfig, TrainingDiverged
 from ._surrogate import write_surrogate_bike_csv
 
 TINY_TRAIN = TrainConfig(epochs=2, batch_size=16, seed=0)
+
+
+def preset_config(name, dataset=(), **top):
+    """``preset_document(name)`` with the given dataset and top-level keys set."""
+    doc = preset_document(name)
+    doc["dataset"].update(dataset)
+    doc.update(top)
+    return config_from_dict(doc)
 
 
 def tiny_config(noise=NoiseSpec(NoiseFamily.NONE), models=None, **kw):
@@ -240,7 +249,7 @@ class TestPresetsAndConfig:
         assert len(names) == 23
 
     def test_hc2_preset_shape(self):
-        cfg = experiment_preset("hc2-negative", master_seed=42)
+        cfg = preset_config("hc2-negative", master_seed=42)
         assert len(cfg.models) == 6
         assert cfg.model_labels[-1] == "MSE"
         assert cfg.replicates == 5 and cfg.folds == 10
@@ -248,41 +257,41 @@ class TestPresetsAndConfig:
 
     def test_bike_preset_needs_path(self):
         with pytest.raises(ValueError, match="CSV path"):
-            experiment_preset("bike-outliers-5")
+            preset_config("bike-outliers-5")
 
     def test_bike_preset_models(self, tmp_path):
         path = write_surrogate_bike_csv(tmp_path / "b.csv", n_rows=120)
-        cfg = experiment_preset("bike-outliers-5", data_path=str(path))
+        cfg = preset_config("bike-outliers-5", {"path": str(path)})
         assert len(cfg.models) == 7
         assert cfg.noise.proportion == 0.05
 
     def test_unknown_preset(self):
         with pytest.raises(KeyError, match="unknown preset"):
-            experiment_preset("hc3-negative")
+            preset_document("hc3-negative")
 
     def test_config_round_trip(self, tmp_path):
         path = write_surrogate_bike_csv(tmp_path / "b.csv", n_rows=120)
-        cfg = experiment_preset(
-            "bike-outliers-2.5", data_path=str(path), n_samples=100, replicates=2, folds=3
+        cfg = preset_config(
+            "bike-outliers-2.5", {"path": str(path), "n_samples": 100}, replicates=2, folds=3
         )
         back = config_from_dict(config_to_dict(cfg))
         assert back == cfg
 
     def test_zero_overrides_are_not_defaults(self):
-        for kw, match in (
-            ({"folds": 0}, "folds"),
-            ({"replicates": 0}, "replicates"),
-            ({"n_samples": 0}, "n_samples"),
+        for dataset, top, match in (
+            ({}, {"folds": 0}, "folds"),
+            ({}, {"replicates": 0}, "replicates"),
+            ({"n_samples": 0}, {}, "n_samples"),
         ):
             with pytest.raises(ValueError, match=match):
-                experiment_preset("hc2-negative", **kw)
+                preset_config("hc2-negative", dataset, **top)
 
     def test_bike_subsample_must_be_positive(self):
         with pytest.raises(ValueError, match="n_samples"):
             DatasetSpec(name="bike", path="b.csv", n_samples=0)
         assert DatasetSpec(name="bike", path="b.csv", n_samples=None).n_samples is None
         with pytest.raises(ValueError, match="n_samples"):
-            experiment_preset("bike-negative", data_path="b.csv", n_samples=0)
+            preset_config("bike-negative", {"path": "b.csv", "n_samples": 0})
 
     @pytest.mark.parametrize(
         "level, typo",
@@ -308,8 +317,7 @@ class TestPresetsAndConfig:
 
     def test_every_preset_round_trips_strictly(self):
         for name in list_presets():
-            path = "b.csv" if name.startswith("bike") else None
-            cfg = experiment_preset(name, data_path=path)
+            cfg = preset_config(name, {"path": "b.csv"} if name.startswith("bike") else {})
             assert config_from_dict(config_to_dict(cfg)) == cfg
 
     def test_bike_reads_every_row_by_default(self):
@@ -321,9 +329,9 @@ class TestPresetsAndConfig:
         for kw in ({"path": "x.csv"}, {"schema_path": "s.json"}):
             with pytest.raises(ValueError, match="path"):
                 DatasetSpec("hc8", n_samples=10, **kw)
-        for kw in ({"data_path": "x.csv"}, {"schema_path": "s.json"}):
+        for kw in ({"path": "x.csv"}, {"schema_path": "s.json"}):
             with pytest.raises(ValueError, match="path"):
-                experiment_preset("hc2-negative", **kw)
+                preset_config("hc2-negative", kw)
 
     def test_missing_keys_take_dataclass_defaults(self):
         doc = {
@@ -348,15 +356,34 @@ class TestPresetsAndConfig:
         with pytest.raises(ValueError, match="huber"):
             config_from_dict(doc)
 
+    def test_mse_model_takes_no_constant(self):
+        doc = config_to_dict(tiny_config())
+        assert doc["models"][0] == {"kind": "mse"}
+        doc["models"][0]["c"] = 5.0
+        with pytest.raises(ValueError, match=r"models\[0\].*MSE model takes none"):
+            config_from_dict(doc)
+
+    def test_train_and_noise_seeds_derive_from_master_seed(self):
+        doc = config_to_dict(tiny_config())
+        assert "seed" not in doc["train"] and "seed" not in doc["noise"]
+        for level in ("train", "noise"):
+            doc[level]["seed"] = 0  # older documents hold a zero seed
+            assert config_from_dict(doc) == tiny_config()
+            doc[level]["seed"] = 12345
+            with pytest.raises(ValueError, match=rf"{level}\.seed .*master_seed"):
+                config_from_dict(doc)
+            del doc[level]["seed"]
+
     def test_preset_document_is_the_preset(self):
         for name in list_presets():
             doc = preset_document(name)
             assert set(doc) == {"dataset", "noise", "models"}
-            if name.startswith("bike"):
+            bike = name.startswith("bike")
+            if bike:
                 doc["dataset"]["path"] = "b.csv"
-                assert config_from_dict(doc) == experiment_preset(name, data_path="b.csv")
-            else:
-                assert config_from_dict(doc) == experiment_preset(name)
+            cfg = config_from_dict(doc)
+            assert [m.c for m in cfg.models[:-1]] == list(BIKE_CLF_GRID if bike else HC_CLF_GRID)
+            assert cfg.model_labels[-1] == "MSE"
         # each call hands out a fresh document
         preset_document("hc2-negative")["dataset"]["n_samples"] = 1
         assert preset_document("hc2-negative")["dataset"]["n_samples"] == 5000
@@ -369,24 +396,26 @@ class TestPresetsAndConfig:
         from cauchybench.nets import NetworkConfig
 
         # a non-default value for every field of every dataclass that
-        # config_to_dict serialises from its fields
+        # config_to_dict serialises from its fields; train.seed is not
+        # serialised, since every seed derives from master_seed
         values = {
             DatasetSpec: {"name": "bike", "n_samples": 7, "path": "b.csv", "schema_path": "s.json"},
-            NetworkConfig: {"input_dim": 17, "hidden_layers": (3, 2), "output_dim": 2},
+            NetworkConfig: {"input_dim": 17, "hidden_layers": (3, 2)},
             TrainConfig: {
                 "learning_rate": 0.5, "beta1": 0.5, "beta2": 0.25, "epsilon": 1e-3,
-                "epochs": 3, "batch_size": 5, "seed": 11,
+                "epochs": 3, "batch_size": 5,
             },
         }
         built = {}
         for cls, kw in values.items():
-            assert set(kw) == {f.name for f in fields(cls)}, cls.__name__
-            for f in fields(cls):
-                assert kw[f.name] != f.default, f"{cls.__name__}.{f.name}"
+            assert set(kw) == {f.name for f in fields(cls)} - {"seed"}, cls.__name__
+            for name, value in kw.items():
+                default = next(f.default for f in fields(cls) if f.name == name)
+                assert value != default, f"{cls.__name__}.{name}"
             built[cls] = cls(**kw)
         cfg = ExperimentConfig(
             dataset=built[DatasetSpec],
-            noise=NoiseSpec(NoiseFamily.UNIFORM_OUTLIER, proportion=0.1, range_multiplier=9.0, seed=4),
+            noise=NoiseSpec(NoiseFamily.UNIFORM_OUTLIER, proportion=0.1, range_multiplier=9.0),
             models=(LossSpec.clf(3.0), LossSpec.mse()),
             net=built[NetworkConfig],
             train=built[TrainConfig],

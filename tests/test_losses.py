@@ -49,10 +49,14 @@ class TestClfLoss:
             r = 1e-3 * c
             assert clf_loss(r, 0.0, c) == pytest.approx(r * r / 2, rel=1e-4)
 
-    @pytest.mark.parametrize("bad_c", [0.0, -1.0, math.inf, math.nan])
+    # 1e155 and 1e200 square to inf, 1e-154 and 1e-200 below the smallest
+    # normal float; the kernels' c * c would turn values into NaN
+    @pytest.mark.parametrize("bad_c", [0.0, -1.0, math.inf, math.nan, 1e155, 1e200, 1e-154, 1e-200])
     def test_rejects_bad_c(self, bad_c):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"c\^2 a finite normal float"):
             clf_loss(1.0, 0.0, c=bad_c)
+        with pytest.raises(ValueError, match=r"c\^2 a finite normal float"):
+            LossSpec.clf(bad_c)
 
     def test_rejects_nonfinite_inputs(self):
         with pytest.raises(ValueError):
@@ -186,3 +190,11 @@ class TestLossSpec:
             LossSpec.clf(0.0)
         with pytest.raises(ValueError):
             LossSpec.clf(-3.0)
+
+    @pytest.mark.parametrize("c", [1e154, 1e-153])
+    def test_constants_near_both_ends_accepted(self, c):
+        spec = LossSpec.clf(c)
+        r = np.array([0.0, 1.0])
+        for values in (clf_loss(r, 0.0, c), loss_grad(r, 0.0, spec), influence(r, spec)):
+            assert np.all(np.isfinite(values))
+        assert influence(0.0, spec) == 0.0

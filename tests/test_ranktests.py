@@ -105,13 +105,6 @@ class TestWilcoxonRankSum:
                 brute_force_wrs_p(a, b), abs=1e-12
             )
 
-    def test_one_sided_alternatives(self):
-        a, b = [1.0, 2.0, 3.0], [4.0, 5.0, 6.0]
-        less = wilcoxon_rank_sum(a, b, alternative="less")
-        greater = wilcoxon_rank_sum(a, b, alternative="greater")
-        assert less.p_value == pytest.approx(1 / 20, abs=1e-15)
-        assert greater.p_value == 1.0
-
     def test_normal_approx_used_above_limit(self):
         rng = np.random.default_rng(5)
         res = wilcoxon_rank_sum(rng.normal(size=10), rng.normal(size=10))
@@ -138,8 +131,6 @@ class TestWilcoxonRankSum:
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
             wilcoxon_rank_sum([], [1.0])
-        with pytest.raises(ValueError):
-            wilcoxon_rank_sum([1.0], [2.0], alternative="sideways")
 
 
 class TestKruskalWallis:

@@ -5,13 +5,14 @@ import numpy as np
 import pytest
 
 from cauchybench.cli import cli_main
-from cauchybench.datagen import NoiseFamily, NoiseSpec, dataset_from_csv
+from cauchybench.datagen import NoiseFamily, NoiseSpec
 from cauchybench.harness import (
     DatasetSpec,
     ExperimentConfig,
     config_to_dict,
     run_experiment,
 )
+from cauchybench.ingest import ColumnSchema, Role, load_dataset
 from cauchybench.losses import LossSpec
 from cauchybench.nets import TrainConfig
 from cauchybench.report import (
@@ -23,6 +24,12 @@ from cauchybench.report import (
     save_results,
     series_to_csv,
 )
+
+
+def load_gen_csv(path, n_features):
+    """A `gen` CSV read back through ingest with an all-numeric schema."""
+    schema = [ColumnSchema(f"x{i}", Role.NUMERIC) for i in range(1, n_features + 1)]
+    return load_dataset(path, schema + [ColumnSchema("y", Role.TARGET)])
 
 
 def small_result(noise=NoiseSpec(NoiseFamily.NONE), seed=5):
@@ -200,8 +207,31 @@ class TestCli:
         out = tmp_path / "d.csv"
         assert cli_main(["gen", "--dataset", "hc2", "--n", "30", "--seed", "3",
                          "--out", str(out)]) == 0
-        ds = dataset_from_csv(out)
+        ds = load_gen_csv(out, 2)
         assert len(ds) == 30 and ds.n_features == 2
+
+    def test_gen_gaussian_needs_sigma(self, tmp_path, capsys):
+        out = tmp_path / "d.csv"
+        assert cli_main(["gen", "--dataset", "hc2", "--noise", "gaussian", "--out", str(out)]) == 1
+        assert "sigma" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_gen_cauchy_corrupts_only_the_targets(self, tmp_path, capsys):
+        base = ["gen", "--dataset", "hc8", "--n", "40", "--seed", "5"]
+        clean, noisy = tmp_path / "clean.csv", tmp_path / "noisy.csv"
+        assert cli_main(base + ["--out", str(clean)]) == 0
+        assert cli_main(base + ["--noise", "cauchy", "--tau", "10", "--out", str(noisy)]) == 0
+        a, b = load_gen_csv(clean, 8), load_gen_csv(noisy, 8)
+        assert np.array_equal(a.X, b.X)
+        assert np.all(a.y != b.y)
+        capsys.readouterr()
+
+    @pytest.mark.parametrize("c", ["1e200", "1e-200", "-1", "0"])
+    def test_influence_bad_constant_is_usage_error(self, tmp_path, capsys, c):
+        out = tmp_path / "infl.csv"
+        assert cli_main(["influence", "--loss", "clf", "--c", c, "--out", str(out)]) == 1
+        assert "CLF constant" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_usage_errors_exit_1(self, tmp_path, capsys):
         assert cli_main(["run", "--preset", "definitely-not-real"]) == 1
