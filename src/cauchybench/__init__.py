@@ -79,6 +79,7 @@ from .nets import (
     minibatch_indices,
     predict,
     train,
+    train_folds,
     train_models,
 )
 from .ranktests import TestResult, chi_square_sf, kruskal_wallis, rank_with_ties, wilcoxon_rank_sum

@@ -7,8 +7,9 @@ noise, or by replacing a proportion of them with uniform draws spanning
 a large multiple of the data range (simulated outliers).
 
 Corruption functions follow value semantics: they return a new Dataset
-and never touch their input. Every sampler is deterministic under its
-seed.
+and never touch their input; the new Dataset shares the input's feature
+matrix, since noise only changes targets. Every sampler is deterministic
+under its seed.
 """
 
 from __future__ import annotations
@@ -89,6 +90,19 @@ class NoiseFamily(str, Enum):
     CAUCHY = "cauchy"
     UNIFORM_OUTLIER = "uniform_outlier"
 
+    @property
+    def parameters(self) -> tuple[str, ...]:
+        """The NoiseSpec fields this family reads, besides family and seed."""
+        return _FAMILY_PARAMETERS[self]
+
+
+_FAMILY_PARAMETERS = {
+    NoiseFamily.NONE: (),
+    NoiseFamily.GAUSSIAN: ("sigma",),
+    NoiseFamily.CAUCHY: ("x0", "tau"),
+    NoiseFamily.UNIFORM_OUTLIER: ("proportion", "range_multiplier"),
+}
+
 
 @dataclass(frozen=True)
 class NoiseSpec:
@@ -117,12 +131,7 @@ class NoiseSpec:
 
     def describe(self) -> dict:
         d = {"family": self.family.value, "seed": self.seed}
-        if self.family is NoiseFamily.GAUSSIAN:
-            d["sigma"] = self.sigma
-        elif self.family is NoiseFamily.CAUCHY:
-            d.update(x0=self.x0, tau=self.tau)
-        elif self.family is NoiseFamily.UNIFORM_OUTLIER:
-            d.update(proportion=self.proportion, range_multiplier=self.range_multiplier)
+        d.update((name, getattr(self, name)) for name in self.family.parameters)
         return d
 
 
@@ -234,7 +243,7 @@ def inject_additive(data: Dataset, spec: NoiseSpec) -> Dataset:
         raise ValueError(f"inject_additive expects Gaussian or Cauchy noise, got {spec.family.value}")
     meta = dict(data.meta)
     meta["noise"] = spec.describe()
-    return Dataset(data.X.copy(), data.y + eps, meta)
+    return Dataset(data.X, data.y + eps, meta)
 
 
 def _round_half_away(x: float) -> int:
@@ -271,7 +280,7 @@ def inject_outliers(data: Dataset, proportion: float, range_multiplier: float, s
         "n_corrupted": int(n_corrupt),
         "seed": seed if isinstance(seed, int) else str(seed),
     }
-    return Dataset(data.X.copy(), new_y, meta)
+    return Dataset(data.X, new_y, meta)
 
 
 def apply_noise(data: Dataset, spec: NoiseSpec) -> Dataset:

@@ -11,8 +11,8 @@ The protocol for one experiment cell:
     splitting, so every test fold stays byte-for-byte clean,
   * each candidate loss trains on the SAME corrupted matrix from the
     SAME initialization seed; the loss function is the only difference,
-    and a cell's models train together, in one loop over one minibatch
-    stream (``nets.train_models``),
+    and every (fold, model) pair of a replicate trains together, in one
+    minibatch loop (``nets.train_folds``),
   * fold MAE/RMSE against the clean test fold are averaged into one
     replicate score per model, and replicate scores feed the rank tests.
 
@@ -33,7 +33,7 @@ import numpy as np
 from .datagen import Dataset, NoiseSpec, apply_noise, make_hc2, make_hc8
 from .ingest import SEOUL_BIKE_SCHEMA, load_dataset, schema_from_json
 from .losses import LossKind, LossSpec, mae_score, rmse_score
-from .nets import NetworkConfig, TrainConfig, TrainingDiverged, train_models
+from .nets import NetworkConfig, TrainConfig, TrainingDiverged, train_folds
 from .ranktests import TestResult, kruskal_wallis, wilcoxon_rank_sum
 
 __all__ = [
@@ -214,21 +214,24 @@ def run_replicate(
     clean = _clean_dataset(cfg.dataset, ledger.derive("data", replicate_index), base)
     net = _resolve_net(cfg, clean)
     folds = kfold_split(len(clean), cfg.folds, ledger.derive("folds", replicate_index))
-    scores: dict[str, list[tuple[float, float]]] = {m.label: [] for m in cfg.models}
+    prepared = []
     for fold_idx, (train_idx, test_idx) in enumerate(folds):
         train_clean = clean.take(train_idx)
         test_clean = clean.take(test_idx)
         noise = replace(cfg.noise, seed=ledger.derive_int("noise", replicate_index, fold_idx))
-        corrupted = apply_noise(train_clean, noise)
         tc = replace(cfg.train, seed=ledger.derive_int("train", replicate_index, fold_idx))
-        try:
-            models = train_models(corrupted, net, cfg.models, tc)
-        except TrainingDiverged as err:
-            raise TrainingDiverged(
-                err.epoch,
-                f"model={cfg.models[err.model].label} fold={fold_idx} replicate={replicate_index}",
-                model=err.model,
-            ) from err
+        prepared.append((apply_noise(train_clean, noise), test_clean, tc))
+    try:
+        trained = train_folds([(corrupted, tc) for corrupted, _, tc in prepared], net, cfg.models)
+    except TrainingDiverged as err:
+        raise TrainingDiverged(
+            err.epoch,
+            f"model={cfg.models[err.model].label} fold={err.fold} replicate={replicate_index}",
+            model=err.model,
+            fold=err.fold,
+        ) from err
+    scores: dict[str, list[tuple[float, float]]] = {m.label: [] for m in cfg.models}
+    for fold_idx, ((corrupted, test_clean, tc), models) in enumerate(zip(prepared, trained)):
         for spec, model in zip(cfg.models, models):
             preds = model.predict(test_clean.X)
             scores[spec.label].append(
@@ -421,11 +424,15 @@ def _model_from_dict(doc, path: str) -> LossSpec:
 
 def config_from_dict(doc: dict) -> ExperimentConfig:
     """The inverse of ``config_to_dict``; a missing key takes the dataclass
-    default, and an unknown key at any level is an error naming its dotted
-    path (e.g. ``dataset.n_sample``)."""
+    default, and an unknown key at any level, or a noise parameter its
+    family does not read, is an error naming its dotted path (e.g.
+    ``dataset.n_sample``, ``noise.tau`` with Gaussian noise)."""
     top = dict(_fields_of(doc, ExperimentConfig, ""))
     top["dataset"] = DatasetSpec(**_fields_of(top["dataset"], DatasetSpec, "dataset"))
-    top["noise"] = NoiseSpec(**_fields_of(top["noise"], NoiseSpec, "noise"))
+    noise = top["noise"] = NoiseSpec(**_fields_of(top["noise"], NoiseSpec, "noise"))
+    for key in doc["noise"]:
+        if key not in ("family", "seed", *noise.family.parameters):
+            raise ValueError(f"config key 'noise.{key}' does not apply to {noise.family.value} noise")
     top["models"] = tuple(_model_from_dict(m, f"models[{i}]") for i, m in enumerate(top["models"]))
     if top.get("net") is not None:
         top["net"] = NetworkConfig(**_fields_of(top["net"], NetworkConfig, "net"))

@@ -67,10 +67,14 @@ class LossSpec:
 
 def _check_clf_constant(c) -> None:
     """c > 0 with c^2 a finite normal float, so the kernels' c * c neither
-    overflows to inf nor underflows to a subnormal or zero."""
+    overflows to inf nor underflows to a subnormal or zero, and with c^3
+    finite, so the gradient's c^2 * r cannot overflow for |r| <= c (c up
+    to about 5.6e102)."""
     sq = float(c) * float(c)
-    if not (c > 0 and np.isfinite(sq) and sq >= np.finfo(float).tiny):
-        raise ValueError(f"CLF constant c must be > 0 with c^2 a finite normal float, got {c}")
+    if not (c > 0 and np.isfinite(sq * float(c)) and sq >= np.finfo(float).tiny):
+        raise ValueError(
+            f"CLF constant c must be > 0 with c^2 a finite normal float and c^3 finite, got {c}"
+        )
 
 
 def _check_finite(name, value):

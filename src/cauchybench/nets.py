@@ -4,24 +4,27 @@ ReLU hidden layers, linear scalar output, hand-written backprop, and the
 Adam optimizer with bias correction. Everything is deterministic given
 the seeds carried in the configs; no global RNG state is touched.
 
-``train_models`` trains several losses together: the models share one
-initialization, one shuffle stream and so one minibatch stream, and only
-their loss gradients differ. Their parameters are stacked along a leading
-model axis (weights ``(M, out, in)``, biases ``(M, out)``, all views into
-one flat ``(M, P)`` buffer), so each step is one batched forward and
-backward pass and one fused in-place Adam update for every model at once.
-Each model's result is bit-identical to training it alone; ``train`` is
-the one-model case.
+``train_folds`` trains several losses on several folds together. The
+models of one fold share one initialization, one shuffle stream and so
+one minibatch stream, and only their loss gradients differ; each fold
+keeps its own seed, shuffle stream and feature scaler. Parameters are
+stacked along a leading fold axis and a model axis (weights
+``(F, M, out, in)``, biases ``(F, M, out)``, all views into one flat
+``(F·M, P)`` buffer), so each step is one batched forward and backward
+pass and one fused in-place Adam update for every (fold, model) pair.
+Short last batches are padded and masked, and a fold with one batch
+fewer than its peers sits out the extra step. ``train_models`` is the
+one-fold case and ``train`` the one-model case.
 
-Features are standardized inside ``train`` using statistics of the
-training data it receives (targets are left on their original scale),
-and the fitted scaler travels with the returned model so predictions on
-held-out data see the same transform.
+Features are standardized using statistics of the training data each
+fold receives (targets are left on their original scale), and the fitted
+scaler travels with the returned model so predictions on held-out data
+see the same transform.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -45,6 +48,7 @@ __all__ = [
     "minibatch_indices",
     "train",
     "train_models",
+    "train_folds",
 ]
 
 
@@ -52,12 +56,16 @@ class TrainingDiverged(RuntimeError):
     """Raised when a non-finite training loss appears; carries the epoch.
 
     ``model`` is the index, in the trained loss list, of the model that
-    diverged (None when the error does not come from a trainer).
+    diverged and ``fold`` the index of its fold in the trained fold list
+    (None when the error does not come from a trainer).
     """
 
-    def __init__(self, epoch: int, detail: str = "", model: int | None = None):
+    def __init__(
+        self, epoch: int, detail: str = "", model: int | None = None, fold: int | None = None
+    ):
         self.epoch = epoch
         self.model = model
+        self.fold = fold
         msg = f"training diverged at epoch {epoch}"
         if detail:
             msg += f" ({detail})"
@@ -239,11 +247,17 @@ def backward(params: Parameters, cache: ForwardCache, dloss_dpred) -> Parameters
     return grads
 
 
-def _adam_update(theta, g, m, v, t: int, tc: TrainConfig) -> None:
-    """Bias-corrected Adam step number ``t``, in place on theta, m and v."""
+def _bias_corrections(t: int, tc: TrainConfig) -> tuple[float, float]:
+    # Python float powers: np.power over an array of step numbers can
+    # differ from them in the last bit.
+    return 1.0 - tc.beta1**t, 1.0 - tc.beta2**t
+
+
+def _adam_update(theta, g, m, v, c1, c2, tc: TrainConfig) -> None:
+    """Adam step in place on theta, m and v, with the bias corrections
+    ``c1``, ``c2`` of its step number (floats, or arrays that broadcast
+    against theta)."""
     b1, b2, lr, eps = tc.beta1, tc.beta2, tc.learning_rate, tc.epsilon
-    c1 = 1.0 - b1**t
-    c2 = 1.0 - b2**t
     m *= b1
     m += (1.0 - b1) * g
     v *= b2
@@ -263,7 +277,7 @@ def adam_step(
         m.weights + m.biases,
         v.weights + v.biases,
     ):
-        _adam_update(*arrays, t, tc)
+        _adam_update(*arrays, *_bias_corrections(t, tc), tc)
     return new, AdamState(m=m, v=v, t=t)
 
 
@@ -305,90 +319,164 @@ def _shuffle_rng(seed) -> np.random.Generator:
 
 
 def _stacked_views(flat: np.ndarray, sizes: Sequence[int]):
-    """Per-layer (M, out, in) weight and (M, out) bias views of a flat (M, P) buffer."""
+    """Per-layer (..., out, in) weight and (..., out) bias views of a flat (..., P) buffer."""
+    lead = flat.shape[:-1]
     weights, biases, at = [], [], 0
     for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
-        weights.append(flat[:, at : at + fan_out * fan_in].reshape(-1, fan_out, fan_in))
+        weights.append(flat[..., at : at + fan_out * fan_in].reshape(*lead, fan_out, fan_in))
         at += fan_out * fan_in
-        biases.append(flat[:, at : at + fan_out])
+        biases.append(flat[..., at : at + fan_out])
         at += fan_out
     return weights, biases
 
 
-def train_models(
-    data, net: NetworkConfig, losses: Sequence[LossSpec], tc: TrainConfig
-) -> list[TrainedModel]:
-    """Mini-batch Adam training of ``net`` under each loss in ``losses``.
+def _step_plan(sizes: np.ndarray, batch_size: int) -> list[tuple]:
+    """Per step of an epoch: the columns of the folds' shuffled row orders
+    it takes, the (F, width) mask of real rows (None when no fold is short
+    there), each fold's 1 / batch size as an (F, 1, 1) column, and the
+    folds that take the step (None when all do; the others have no rows
+    left)."""
+    plan = []
+    for lo in range(0, int(sizes.max()), batch_size):
+        count = np.clip(sizes - lo, 0, batch_size)
+        width = int(count.max())
+        valid = None if count.min() == width else np.arange(width) < count[:, None]
+        active = None if count.min() > 0 else np.flatnonzero(count).tolist()
+        plan.append((slice(lo, lo + width), valid, (1.0 / np.maximum(count, 1))[:, None, None], active))
+    return plan
 
-    Every model starts from ``init_params(net, tc.seed)`` and sees the
+
+def train_folds(
+    folds: Sequence[tuple], net: NetworkConfig, losses: Sequence[LossSpec]
+) -> list[list[TrainedModel]]:
+    """Mini-batch Adam training of ``net`` under each loss in ``losses``,
+    on each fold in ``folds``, a sequence of ``(data, tc)`` pairs whose
+    TrainConfigs may differ only in ``seed``.
+
+    A fold's models start from ``init_params(net, tc.seed)`` and see the
     same minibatches: the epoch shuffle uses an independent stream derived
-    from the same seed, so each model is a pure function of (data, net,
-    loss, tc) and does not depend on the other losses in the list. The
-    per-batch gradient is the mean over the batch of per-sample
-    prediction gradients pushed through backprop. Returns one model per
-    loss, in order.
+    from the same seed, and features are standardized with a scaler fitted
+    to that fold's data. The per-batch gradient is the mean over the batch
+    of per-sample prediction gradients pushed through backprop. Returns,
+    per fold, one model per loss, in order.
 
-    Raises TrainingDiverged (carrying the epoch, and the index of the
-    model in ``losses``) at the first step where some model's prediction
-    or batch loss is non-finite; when several models diverge on the same
-    step, the first of them in ``losses`` is named.
+    Step j of an epoch takes batch j of every fold. A batch shorter than
+    its peers is padded with its fold's first row, masked out of the loss
+    and the gradient; a fold with no batch j left keeps its parameters,
+    Adam moments and step counter. So each model equals training its fold
+    alone, bit for bit where the folds' batch layouts agree and to
+    rounding where padding changes the length of a batch sum.
+
+    Raises TrainingDiverged (carrying the epoch, the index of the fold in
+    ``folds`` and of the model in ``losses``) at the first step where some
+    model's prediction or batch loss is non-finite; when several diverge
+    on the same step, the first fold is named, then the first model.
     """
-    X = np.asarray(data.X, dtype=float)
-    y = np.asarray(data.y, dtype=float)
-    n = X.shape[0]
-    if n == 0:
-        raise ValueError("empty training data")
-    if X.shape[1] != net.input_dim:
-        raise ValueError(f"data has {X.shape[1]} features, network expects {net.input_dim}")
+    if not folds:
+        raise ValueError("at least one fold is required")
     if not losses:
         raise ValueError("at least one loss is required")
+    tc = replace(folds[0][1], seed=0)
+    if any(replace(fold_tc, seed=0) != tc for _, fold_tc in folds):
+        raise ValueError("the folds' TrainConfigs may differ only in seed")
+    Xs = [np.asarray(data.X, dtype=float) for data, _ in folds]
+    for X in Xs:
+        if X.shape[0] == 0:
+            raise ValueError("empty training data")
+        if X.shape[1] != net.input_dim:
+            raise ValueError(f"data has {X.shape[1]} features, network expects {net.input_dim}")
 
-    scaler = FeatureScaler.fit(X)
-    Xs = scaler.transform(X)
-    init = init_params(net, tc.seed)
-    row = np.concatenate([a.ravel() for wb in zip(init.weights, init.biases) for a in wb])
-    theta = np.tile(row, (len(losses), 1))
+    ys = [np.asarray(data.y, dtype=float) for data, _ in folds]
+    n_folds, n_models = len(folds), len(losses)
+    sizes = np.array([X.shape[0] for X in Xs])
+    # Rows are standardized as they are gathered, so no scaled copy is kept.
+    scalers = [FeatureScaler.fit(X) for X in Xs]
+    mean = np.stack([s.mean for s in scalers])[:, None, :]
+    scale = np.stack([s.scale for s in scalers])[:, None, :]
+
+    inits = []
+    for _, fold_tc in folds:
+        init = init_params(net, fold_tc.seed)
+        inits.append(np.concatenate([a.ravel() for wb in zip(init.weights, init.biases) for a in wb]))
+    theta = np.repeat(np.stack(inits)[:, None, :], n_models, axis=1)
     grad, m, v = np.empty_like(theta), np.zeros_like(theta), np.zeros_like(theta)
-    # Each model's slice of a view keeps a single model's inner strides, so
-    # batched matmul makes per model the same BLAS call as for one model:
-    # that keeps every model bit-identical to training it alone.
+    # Each (fold, model) slice of a view keeps a single model's inner
+    # strides, so batched matmul makes per pair the same BLAS call as for
+    # one model: that keeps every model bit-identical to training it alone.
     weights, biases = _stacked_views(theta, net.layer_sizes)
     grad_w, grad_b = _stacked_views(grad, net.layer_sizes)
     # Per-model loss constants as (M, 1) columns; MSE rows carry a dummy c.
     is_mse = np.array([[spec.kind is LossKind.MSE] for spec in losses])
     c = np.array([[1.0 if spec.kind is LossKind.MSE else spec.c] for spec in losses])
-    shuffle = _shuffle_rng(tc.seed)
+    shuffles = [_shuffle_rng(fold_tc.seed) for _, fold_tc in folds]
+    plan = _step_plan(sizes, tc.batch_size)
+    # Each fold's shuffled row order; past a fold's end it holds row 0,
+    # the padding row.
+    order = np.zeros((n_folds, len(plan) * tc.batch_size), dtype=np.intp)
+    x_buf = np.empty((n_folds, tc.batch_size, net.input_dim))
+    y_buf = np.empty((n_folds, tc.batch_size))
 
-    t = 0
+    t = [0] * n_folds
     for epoch in range(tc.epochs):
-        for idx in minibatch_indices(n, tc.batch_size, shuffle):
-            xb, yb = Xs[idx], y[idx]
+        for f, shuffle in enumerate(shuffles):
+            order[f, : sizes[f]] = shuffle.permutation(sizes[f])
+        for cols, valid, inv_count, active in plan:
+            xb, yb = x_buf[:, : cols.stop - cols.start], y_buf[:, : cols.stop - cols.start]
+            for f, (X, y) in enumerate(zip(Xs, ys)):
+                np.take(X, order[f, cols], axis=0, out=xb[f])
+                np.take(y, order[f, cols], out=yb[f])
+            xb -= mean
+            xb /= scale
+            xb = xb[:, None]
             with np.errstate(over="ignore", invalid="ignore"):
                 # Overflow here is the divergence signal itself, not an anomaly.
                 pre_acts, acts = _forward(weights, biases, xb)
-                r = yb - pre_acts[-1][..., 0]
+                r = yb[:, None] - pre_acts[-1][..., 0]
                 loss = np.where(is_mse, r * r, _clf_of_residual(r, c))
-                bad = ~np.isfinite(loss.sum(axis=1))
+                if valid is not None:
+                    loss = np.where(valid[:, None], loss, 0.0)
+                bad = ~np.isfinite(loss.sum(axis=-1))
             if bad.any():
-                k = int(np.argmax(bad))
-                finite = np.all(np.isfinite(pre_acts[-1][k]))
+                f, k = divmod(int(np.argmax(bad)), n_models)
+                preds = pre_acts[-1][f, k, :, 0]
+                finite = np.all(np.isfinite(preds if valid is None else preds[valid[f]]))
                 raise TrainingDiverged(
-                    epoch, "non-finite loss" if finite else "non-finite prediction", model=k
+                    epoch, "non-finite loss" if finite else "non-finite prediction", model=k, fold=f
                 )
             g = np.where(is_mse, -2.0 * r, _clf_grad_of_residual(r, c))
+            if valid is not None:
+                g = np.where(valid[:, None], g, 0.0)
             _backward(weights, xb, pre_acts, acts, g, grad_w, grad_b)
-            grad *= 1.0 / idx.size
-            t += 1
-            _adam_update(theta, grad, m, v, t, tc)
+            grad *= inv_count
+            if active is None:
+                t = [s + 1 for s in t]
+                c1, c2 = np.array([_bias_corrections(s, tc) for s in t]).T[..., None, None]
+                _adam_update(theta, grad, m, v, c1, c2, tc)
+            else:
+                for f in active:
+                    t[f] += 1
+                    _adam_update(theta[f], grad[f], m[f], v[f], *_bias_corrections(t[f], tc), tc)
 
     return [
-        TrainedModel(
-            params=Parameters([w[k].copy() for w in weights], [b[k].copy() for b in biases]),
-            scaler=scaler,
-            net=net,
-        )
-        for k in range(len(losses))
+        [
+            TrainedModel(
+                params=Parameters([w[f, k].copy() for w in weights], [b[f, k].copy() for b in biases]),
+                scaler=scalers[f],
+                net=net,
+            )
+            for k in range(n_models)
+        ]
+        for f in range(n_folds)
     ]
+
+
+def train_models(
+    data, net: NetworkConfig, losses: Sequence[LossSpec], tc: TrainConfig
+) -> list[TrainedModel]:
+    """Mini-batch Adam training of ``net`` under each loss in ``losses``:
+    ``train_folds`` with the single fold ``(data, tc)``. Returns one model
+    per loss, in order."""
+    return train_folds([(data, tc)], net, losses)[0]
 
 
 def train(data, net: NetworkConfig, loss: LossSpec, tc: TrainConfig) -> TrainedModel:

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
-from scipy.special import gammaincc
 
 __all__ = [
     "TestResult",
@@ -141,9 +140,21 @@ def kruskal_wallis(groups) -> TestResult:
 
 
 def chi_square_sf(x: float, df: int) -> float:
-    """Chi-square upper-tail probability via the regularized incomplete gamma."""
+    """Chi-square upper-tail probability for an integer df, in closed form.
+
+    With y = x/2 and a = (df mod 2)/2: erfc(sqrt(y)) for odd df (0 for
+    even df), plus the sum over j < df // 2 of exp(-y) y^(j+a) / Gamma(j+a+1).
+    """
     if x < 0:
         raise ValueError("x must be >= 0")
-    if df < 1:
-        raise ValueError("df must be >= 1")
-    return float(gammaincc(df / 2.0, x / 2.0))
+    if df < 1 or df != int(df):
+        raise ValueError("df must be an integer >= 1")
+    df = int(df)
+    y = x / 2.0
+    a = 0.5 * (df % 2)
+    total = math.erfc(math.sqrt(y)) if df % 2 else 0.0
+    term = math.exp(-y) * y**a / math.gamma(a + 1.0)
+    for j in range(df // 2):
+        total += term
+        term *= y / (j + a + 1.0)
+    return min(total, 1.0)

@@ -132,6 +132,19 @@ class TestCauchy:
             cauchy_quantile(0.5, 0.0, -1.0)
 
 
+def test_apply_noise_shares_the_feature_matrix():
+    # Noise only changes targets, so a corrupted copy keeps the same X.
+    ds = make_hc2(50, seed=3)
+    for spec in (
+        NoiseSpec(NoiseFamily.GAUSSIAN, sigma=1.0, seed=1),
+        NoiseSpec(NoiseFamily.CAUCHY, tau=1.0, seed=1),
+        NoiseSpec(NoiseFamily.UNIFORM_OUTLIER, proportion=0.2, seed=1),
+    ):
+        noisy = apply_noise(ds, spec)
+        assert noisy.X is ds.X
+        assert not np.array_equal(noisy.y, ds.y)
+
+
 class TestInjectAdditive:
     def test_inputs_untouched_and_x_shared_values(self):
         ds = make_hc2(200, seed=11)

@@ -1,9 +1,14 @@
 """The public surface: every exported name exists, and the package
-namespace holds only names that some module exports."""
+namespace holds only names that some module exports; importing the
+package loads no scipy."""
 
 import importlib
+import os
 import pkgutil
+import subprocess
+import sys
 import types
+from pathlib import Path
 
 import cauchybench
 
@@ -28,3 +33,13 @@ def test_package_names_come_from_module_all():
         if not name.startswith("_") and not isinstance(value, types.ModuleType)
     }
     assert public - exported == set()
+
+
+def test_import_loads_no_scipy():
+    # scipy is a test and benchmark dependency only: importing scipy.special
+    # once doubled the package's import time and peak memory.
+    code = "import sys, cauchybench; print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"
+    src = str(Path(cauchybench.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"

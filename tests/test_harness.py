@@ -139,6 +139,27 @@ class TestRunReplicate:
         b = run_replicate(cfg, 1)
         assert a != b
 
+    def test_observer_order_and_scores_match_training_each_fold_alone(self):
+        from cauchybench.nets import NetworkConfig, train_models
+
+        seen = []
+        cfg = tiny_config(noise=NoiseSpec(NoiseFamily.GAUSSIAN, sigma=5.0))
+        scores = run_replicate(cfg, 0, observer=seen.append)
+        labels = cfg.model_labels
+        assert [(c.replicate, c.fold, c.model) for c in seen] == [
+            (0, f, m) for f in range(cfg.folds) for m in labels
+        ]
+        # 60 rows in 3 folds: every training fold has 40 rows, so one batch
+        # layout, and the joint loop's scores equal per-fold training exactly.
+        net = NetworkConfig(2, (10,))
+        for fold in range(cfg.folds):
+            cell = seen[fold * len(labels)]
+            models = train_models(cell.train_data, net, cfg.models, cell.train_config)
+            for label, model in zip(labels, models):
+                preds = model.predict(cell.test_data.X)
+                mae = float(np.mean(np.abs(cell.test_data.y - preds)))
+                assert scores[label][fold][0] == mae
+
     def test_divergence_tagged_with_context(self):
         cfg = tiny_config()
         cfg = ExperimentConfig(
@@ -313,6 +334,27 @@ class TestPresetsAndConfig:
         target[typo] = 2
         dotted = f"{level}.{typo}" if level else typo
         with pytest.raises(ValueError, match=rf"unknown config key '{re.escape(dotted)}'"):
+            config_from_dict(doc)
+
+    @pytest.mark.parametrize(
+        "family, params, stray",
+        [
+            ("none", {}, "sigma"),
+            ("gaussian", {"sigma": 1.0}, "tau"),
+            ("gaussian", {"sigma": 1.0}, "proportion"),
+            ("cauchy", {"tau": 1.0}, "sigma"),
+            ("cauchy", {"tau": 1.0}, "range_multiplier"),
+            ("uniform_outlier", {"proportion": 0.1}, "x0"),
+        ],
+    )
+    def test_noise_key_of_another_family_rejected(self, family, params, stray):
+        cfg = tiny_config(noise=NoiseSpec(family, **params))
+        doc = config_to_dict(cfg)
+        assert config_from_dict(doc) == cfg  # describe() output round-trips
+        doc["noise"]["seed"] = 0
+        assert config_from_dict(doc) == cfg
+        doc["noise"][stray] = 0.5
+        with pytest.raises(ValueError, match=rf"'noise\.{stray}' does not apply to {family} noise"):
             config_from_dict(doc)
 
     def test_every_preset_round_trips_strictly(self):

@@ -191,10 +191,30 @@ class TestLossSpec:
         with pytest.raises(ValueError):
             LossSpec.clf(-3.0)
 
-    @pytest.mark.parametrize("c", [1e154, 1e-153])
+    @pytest.mark.parametrize("c", [5e102, 1e-153])
     def test_constants_near_both_ends_accepted(self, c):
         spec = LossSpec.clf(c)
         r = np.array([0.0, 1.0])
         for values in (clf_loss(r, 0.0, c), loss_grad(r, 0.0, spec), influence(r, spec)):
             assert np.all(np.isfinite(values))
         assert influence(0.0, spec) == 0.0
+
+    # c^2 is finite but c^3 is not: the gradient's c^2 * r would overflow
+    # at some |r| <= c, before the influence peak.
+    @pytest.mark.parametrize("c", [5.7e102, 1e120, 1e154])
+    def test_rejects_c_whose_cube_overflows(self, c):
+        with pytest.raises(ValueError, match=r"c\^3 finite"):
+            LossSpec.clf(c)
+        with pytest.raises(ValueError, match=r"c\^3 finite"):
+            clf_loss(1.0, 0.0, c)
+
+    def test_largest_accepted_c_peaks_at_half_c(self):
+        c = float(np.cbrt(np.finfo(float).max))
+        while not np.isfinite(c * c * c):
+            c = float(np.nextafter(c, 0.0))
+        with pytest.raises(ValueError):
+            LossSpec.clf(float(np.nextafter(c, np.inf)))
+        spec = LossSpec.clf(c)
+        half, peak = influence(np.array([0.5 * c, c]), spec)
+        assert peak == pytest.approx(c / 2, rel=1e-15)
+        assert half == pytest.approx(0.4 * c, rel=1e-15)

@@ -1,3 +1,7 @@
+import json
+from dataclasses import replace
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -17,6 +21,7 @@ from cauchybench.nets import (
     minibatch_indices,
     predict,
     train,
+    train_folds,
     train_models,
 )
 
@@ -435,6 +440,118 @@ class TestTrainModels:
             train(noisy_data(d=2), net, LossSpec.mse(), self.TC)
         with pytest.raises(ValueError, match="at least one loss"):
             train_models(noisy_data(), net, (), self.TC)
+
+
+FINGERPRINT_RTOL = json.loads(
+    (Path(__file__).resolve().parent.parent / "benchmarks" / "fingerprint.json").read_text()
+)["rtol"]
+
+
+def assert_close_params(a, b, rtol=FINGERPRINT_RTOL):
+    for x, y in zip(a.weights + a.biases, b.weights + b.biases):
+        assert np.allclose(x, y, rtol=rtol, atol=0.0)
+
+
+class TestTrainFolds:
+    NET = NetworkConfig(3, (6, 5))
+
+    @staticmethod
+    def tc(seed, batch_size=16):
+        return TrainConfig(epochs=3, batch_size=batch_size, learning_rate=0.01, seed=seed)
+
+    def alone(self, folds):
+        return [train_models(data, self.NET, MIXED_SPECS, tc) for data, tc in folds]
+
+    def test_each_fold_equals_training_it_alone(self):
+        # 75 rows at batch 16 in every fold: the same batch layout, so the
+        # joint loop makes each fold's arithmetic exactly that of its own.
+        folds = [(noisy_data(seed=s), self.tc(40 + s)) for s in range(3)]
+        trained = train_folds(folds, self.NET, MIXED_SPECS)
+        assert [len(models) for models in trained] == [len(MIXED_SPECS)] * 3
+        for (data, _), models, want in zip(folds, trained, self.alone(folds)):
+            for got, ref in zip(models, want):
+                assert_same_params(got.params, ref.params)
+                assert np.array_equal(got.scaler.mean, data.X.mean(axis=0))
+                assert got.net == self.NET
+
+    @pytest.mark.parametrize("sizes", [(64, 65), (65, 64)])
+    def test_fold_with_one_batch_more(self, sizes):
+        # At batch 32, 64 rows make 2 batches per epoch and 65 make 3: the
+        # 64-row fold sits out every third step, where the 65-row fold
+        # trains alone on its 1-row batch.
+        folds = [(noisy_data(n=n, seed=n), self.tc(n, batch_size=32)) for n in sizes]
+        trained = train_folds(folds, self.NET, MIXED_SPECS)
+        for models, want in zip(trained, self.alone(folds)):
+            for got, ref in zip(models, want):
+                assert_close_params(got.params, ref.params)
+
+    def test_result_does_not_depend_on_peers(self):
+        folds = [(noisy_data(n=n, seed=s), self.tc(60 + s)) for s, n in enumerate((75, 80, 70, 75))]
+        full = train_folds(folds, self.NET, MIXED_SPECS)
+        backwards = train_folds(folds[::-1], self.NET, MIXED_SPECS)[::-1]
+        subset = train_folds([folds[2], folds[0]], self.NET, MIXED_SPECS)
+        for a, b in zip(full, backwards):  # the same peers: the same batch widths
+            for x, y in zip(a, b):
+                assert_same_params(x.params, y.params)
+        for a, b in zip((full[2], full[0]), subset):
+            for x, y in zip(a, b):
+                assert_close_params(x.params, y.params)
+
+    def test_padding_rows_add_no_loss(self):
+        # A 33-row fold at batch 32 has a 1-row second batch, padded beside
+        # its 64-row peer with copies of the fold's first row. Each copy of
+        # that row's huge target squares to ~1.44e308; unmasked, the padded
+        # batch's MSE sum would overflow and report a divergence.
+        X = np.random.default_rng(0).uniform(-1, 1, size=(33, 1))
+        y = np.zeros(33)
+        y[0] = 1.2e154
+        spiky = Dataset(X, y)
+        peer = Dataset(np.random.default_rng(1).uniform(-1, 1, size=(64, 1)), np.zeros(64))
+        net = NetworkConfig(1, (4,))
+        tc = TrainConfig(epochs=2, batch_size=32, seed=3)
+        alone = train(spiky, net, LossSpec.mse(), tc)
+        joint = train_folds([(spiky, tc), (peer, replace(tc, seed=4))], net, [LossSpec.mse()])
+        assert_close_params(joint[0][0].params, alone.params)
+
+    def test_divergence_names_fold_model_and_epoch(self):
+        data = TestTrainModels.two_huge_targets()
+        tame = Dataset(data.X, np.zeros(len(data)))
+        net = NetworkConfig(1, (4,))
+        tc = TrainConfig(epochs=6, batch_size=16, seed=3)
+        specs = (LossSpec.clf(1.0), LossSpec.mse(), LossSpec.clf(10.0))
+        with pytest.raises(TrainingDiverged) as alone:
+            train_models(data, net, specs, tc)
+        with pytest.raises(TrainingDiverged, match="non-finite loss") as exc:
+            train_folds([(tame, replace(tc, seed=4)), (data, tc)], net, specs)
+        assert (exc.value.fold, exc.value.model, exc.value.epoch) == (1, 1, alone.value.epoch)
+        # Two folds diverge on the same step: the first of them is named.
+        with pytest.raises(TrainingDiverged) as both:
+            train_folds([(tame, replace(tc, seed=4)), (data, tc), (data, tc)], net, specs)
+        assert (both.value.fold, both.value.model) == (1, 1)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("epochs", 4),
+            ("batch_size", 8),
+            ("learning_rate", 0.02),
+            ("beta1", 0.8),
+            ("beta2", 0.99),
+            ("epsilon", 1e-7),
+        ],
+    )
+    def test_train_configs_may_differ_only_in_seed(self, field, value):
+        data = noisy_data()
+        other = replace(self.tc(2), **{field: value})
+        with pytest.raises(ValueError, match="differ only in seed"):
+            train_folds([(data, self.tc(1)), (data, other)], self.NET, MIXED_SPECS)
+
+    def test_input_checks(self):
+        with pytest.raises(ValueError, match="at least one fold"):
+            train_folds([], self.NET, MIXED_SPECS)
+        with pytest.raises(ValueError, match="features"):
+            folds = [(noisy_data(), self.tc(1)), (noisy_data(d=2), self.tc(2))]
+            train_folds(folds, self.NET, MIXED_SPECS)
 
 
 class TestMinibatchIndices:

@@ -237,6 +237,18 @@ class TestChiSquareSf:
         with pytest.raises(ValueError):
             chi_square_sf(1.0, 0)
 
+    def test_rejects_non_integer_df(self):
+        with pytest.raises(ValueError, match="integer"):
+            chi_square_sf(1.0, 2.5)
+
+    def test_matches_regularized_upper_gamma(self):
+        # The closed form against scipy's Q(df/2, x/2), over the df a
+        # Kruskal-Wallis test of up to 8 groups produces.
+        for df in range(1, 8):
+            for x in np.concatenate([[0.0, 1e-9], np.linspace(0.01, 200.0, 400)]):
+                want = special.gammaincc(df / 2.0, x / 2.0)
+                assert chi_square_sf(float(x), df) == pytest.approx(want, rel=1e-12, abs=0.0)
+
 
 class TestResultSerialization:
     def test_to_dict(self):
