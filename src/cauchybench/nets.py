@@ -7,14 +7,22 @@ the seeds carried in the configs; no global RNG state is touched.
 ``train_folds`` trains several losses on several folds together. The
 models of one fold share one initialization, one shuffle stream and so
 one minibatch stream, and only their loss gradients differ; each fold
-keeps its own seed, shuffle stream and feature scaler. Parameters are
-stacked along a leading fold axis and a model axis (weights
-``(F, M, out, in)``, biases ``(F, M, out)``, all views into one flat
-``(F·M, P)`` buffer), so each step is one batched forward and backward
-pass and one fused in-place Adam update for every (fold, model) pair.
-Short last batches are padded and masked, and a fold with one batch
-fewer than its peers sits out the extra step. ``train_models`` is the
-one-fold case and ``train`` the one-model case.
+keeps its own seed, shuffle stream and feature scaler. Parameters live
+in one flat (F, M·P) buffer, F folds by M models of P parameters, laid
+out layer by layer within a fold: a layer's M weight matrices, then its
+M bias vectors. The weights are viewed as (F, M, out, in) and the
+biases as (F, M, out), and layer 1's weights also as (F, M·h, d), so
+the models of a fold, which share the batch, make one layer-1 GEMM.
+Hidden pre-activations, activations and deltas live in reused
+fold-major (F, batch, M, h) buffers (model-major for layers of fewer
+than 4 units, see ``_hidden_rows``): elementwise passes run over
+contiguous rows, and the later layers' products run per (fold, model)
+pair on strided views, with the arithmetic of that model alone. Adam is
+one fused in-place update of the flat buffer. Short last batches are
+padded and masked, and a fold with one batch fewer than its peers sits
+out the extra step. ``train_models`` is the one-fold case and ``train``
+the one-model case; ``forward``, ``backward`` and ``predict`` run the
+same kernels at F = M = 1.
 
 Features are standardized using statistics of the training data each
 fold receives (targets are left on their original scale), and the fitted
@@ -169,28 +177,111 @@ class ForwardCache:
     acts: list[np.ndarray]      # post-ReLU per hidden layer, (n, fan_out)
 
 
-def _forward(weights, biases, x: np.ndarray):
-    """Pre-activations and hidden activations of a batch ``x`` of shape (n, d).
+# Hidden layers narrower than this keep each model's rows contiguous
+# (see _hidden_rows).
+_NARROW = 4
 
-    Parameters may carry a leading model axis, weights (M, out, in) and
-    biases (M, out); ``x`` is then shared by every model and each layer's
-    arrays gain that axis, (M, n, out).
+
+def _merge(a: np.ndarray, axis: int) -> np.ndarray:
+    """The view of ``a`` with axes ``axis`` and ``axis + 1`` merged:
+    (F, M·h, d) for stacked (F, M, h, d) weights, (F, w, M·h) for
+    (F, w, M, h) rows."""
+    return a.reshape(*a.shape[:axis], -1, *a.shape[axis + 2 :], copy=False)
+
+
+def _hidden_rows(n_folds: int, width: int, n_models: int, hidden: Sequence[int]) -> list[np.ndarray]:
+    """One (F, width, M, h) buffer per hidden layer, fold-major: a fold's
+    batch rows each hold all M models' units, so elementwise passes and
+    the layer-1 GEMM see one contiguous (width, M·h) block per fold.
+
+    A layer narrower than ``_NARROW`` is stored model-major instead and
+    viewed transposed, so each model's (width, h) block is contiguous, as
+    when it trains alone. There its products run as GEMV or DOT, whose
+    OpenBLAS kernels take an unrolled path for a contiguous matrix of 1
+    to 3 rows, and numpy sums a contiguous column pairwise but a strided
+    one row by row: a strided block would change the bits.
     """
-    a = x
-    pre_acts, acts = [], []
+    return [
+        np.empty((n_folds, width, n_models, h))
+        if h >= _NARROW
+        else np.empty((n_folds, n_models, width, h)).swapaxes(1, 2)
+        for h in hidden
+    ]
+
+
+def _one_gemm(x: np.ndarray, rows: np.ndarray) -> bool:
+    """Whether layer 1, with batch ``x`` (F, w, d) and rows (F, w, M, h),
+    runs as one (w, d) @ (d, M·h) GEMM per fold over the fold's models,
+    which share the batch. OpenBLAS's GEMM computes each entry of it as
+    for the model alone. With w or d equal to 1 numpy calls GEMV instead,
+    whose result depends on the width of the call, and a narrow layer's
+    rows are model-major: layer 1 then runs per model."""
+    return min(x.shape[1], x.shape[2]) > 1 and rows.shape[3] >= _NARROW
+
+
+def _forward(weights, biases, x, pre_acts, acts) -> np.ndarray:
+    """Forward pass of every (fold, model) pair over its fold's batch.
+
+    ``weights`` (F, M, out, in) and ``biases`` (F, M, out) hold the
+    stacked parameters and ``x`` (F, w, d) the batches. Each hidden
+    layer's pre-activations and ReLU outputs are written into the
+    (F, w, M, h) rows ``pre_acts[i]`` and ``acts[i]``. Returns the output
+    layer's pre-activations, (F, M, w, 1).
+    """
+    a = x[:, None]  # per pair (F, M, w, in); the batch is shared by the fold's models
+    for i, (w, b, z) in enumerate(zip(weights, biases, pre_acts)):
+        if i == 0 and _one_gemm(x, z):
+            np.matmul(x, _merge(w, 1).swapaxes(1, 2), out=_merge(z, 2))
+        else:
+            np.matmul(a, w.swapaxes(-1, -2), out=z.swapaxes(1, 2))
+        z += b[:, None]
+        a = np.maximum(z, 0.0, out=acts[i]).swapaxes(1, 2)
+    out = a @ weights[-1].swapaxes(-1, -2)
+    out += biases[-1][..., None, :]
+    return out
+
+
+def _backward(weights, x, pre_acts, acts, g, deltas, grad_w, grad_b) -> None:
+    """Batch sums of every pair's parameter gradients, written into
+    ``grad_w`` and ``grad_b`` (laid out as the weights and biases).
+
+    ``g`` (F, M, w) is dL/dprediction and the other arrays are those of
+    ``_forward``; ``deltas`` holds one (F, w, M, h) scratch buffer per
+    hidden layer. The ReLU subgradient at exactly 0 is taken as 0.
+    """
     last = len(weights) - 1
-    for i, (w, b) in enumerate(zip(weights, biases)):
-        z = a @ w.swapaxes(-1, -2) + b[..., None, :]
-        pre_acts.append(z)
-        if i < last:
-            a = np.maximum(z, 0.0)
-            acts.append(a)
-    return pre_acts, acts
+    np.matmul(g[..., None, :], acts[-1].swapaxes(1, 2), out=grad_w[last])
+    g[..., None].sum(axis=-2, out=grad_b[last])
+    # The output layer is affine with one unit: the delta it sends back is
+    # the exact product of g and its weights.
+    np.multiply(g.swapaxes(1, 2)[..., None], weights[last].swapaxes(1, 2), out=deltas[-1])
+    for i in range(last - 1, -1, -1):
+        delta = deltas[i]
+        delta *= pre_acts[i] > 0.0
+        np.sum(delta, axis=1, out=grad_b[i])  # over the batch in the order of one model alone
+        if i == 0 and _one_gemm(x, delta):
+            np.matmul(_merge(delta, 2).swapaxes(1, 2), x, out=_merge(grad_w[0], 1))
+        else:
+            a_prev = x[:, None] if i == 0 else acts[i - 1].swapaxes(1, 2)
+            np.matmul(delta.transpose(0, 2, 3, 1), a_prev, out=grad_w[i])
+        if i > 0:
+            np.matmul(delta.swapaxes(1, 2), weights[i], out=deltas[i - 1].swapaxes(1, 2))
+
+
+def _one_model(params: Parameters):
+    """``params`` as the (1, 1, ...) stacks the kernels take."""
+    return [w[None, None] for w in params.weights], [b[None, None] for b in params.biases]
 
 
 def _forward_2d(params: Parameters, x: np.ndarray):
-    pre_acts, acts = _forward(params.weights, params.biases, x)
-    return pre_acts[-1][:, 0], ForwardCache(inputs=x, pre_acts=pre_acts, acts=acts)
+    weights, biases = _one_model(params)
+    hidden = [w.shape[0] for w in params.weights[:-1]]
+    pre_acts, acts = _hidden_rows(1, len(x), 1, hidden), _hidden_rows(1, len(x), 1, hidden)
+    out = _forward(weights, biases, x[None], pre_acts, acts)[0, 0]
+    cache = ForwardCache(
+        inputs=x, pre_acts=[z[0, :, 0] for z in pre_acts] + [out], acts=[a[0, :, 0] for a in acts]
+    )
+    return out[:, 0], cache
 
 
 def forward(params: Parameters, x):
@@ -215,21 +306,6 @@ def predict(params: Parameters, X: np.ndarray) -> np.ndarray:
     return _forward_2d(params, np.asarray(X, dtype=float))[0]
 
 
-def _backward(weights, inputs, pre_acts, acts, g, grad_w, grad_b) -> None:
-    """Sum over the batch of parameter gradients, written into grad_w / grad_b.
-
-    ``g`` is dL/dprediction, (n,) or (M, n) with a model axis. An entry of
-    the output lists that is None is allocated fresh.
-    """
-    delta = g[..., None]  # output layer is affine
-    for i in range(len(weights) - 1, -1, -1):
-        a_prev = inputs if i == 0 else acts[i - 1]
-        grad_w[i] = np.matmul(delta.swapaxes(-1, -2), a_prev, out=grad_w[i])
-        grad_b[i] = delta.sum(axis=-2, out=grad_b[i])
-        if i > 0:
-            delta = (delta @ weights[i]) * (pre_acts[i - 1] > 0.0)
-
-
 def backward(params: Parameters, cache: ForwardCache, dloss_dpred) -> Parameters:
     """Backpropagate dL/dprediction to parameter gradients.
 
@@ -242,8 +318,19 @@ def backward(params: Parameters, cache: ForwardCache, dloss_dpred) -> Parameters
     n = cache.inputs.shape[0]
     if g.shape != (n,):
         raise ValueError(f"dloss_dpred has shape {g.shape}, cache holds {n} samples")
-    grads = Parameters([None] * params.n_layers, [None] * params.n_layers)
-    _backward(params.weights, cache.inputs, cache.pre_acts, cache.acts, g, grads.weights, grads.biases)
+    grads = params.zeros_like()
+    grad_w, grad_b = _one_model(grads)
+    hidden = [w.shape[0] for w in params.weights[:-1]]
+    _backward(
+        _one_model(params)[0],
+        cache.inputs[None],
+        [z[None, :, None] for z in cache.pre_acts[:-1]],
+        [a[None, :, None] for a in cache.acts],
+        g[None, None],
+        _hidden_rows(1, n, 1, hidden),
+        grad_w,
+        grad_b,
+    )
     return grads
 
 
@@ -318,22 +405,25 @@ def _shuffle_rng(seed) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(1,)))
 
 
-def _stacked_views(flat: np.ndarray, sizes: Sequence[int]):
-    """Per-layer (..., out, in) weight and (..., out) bias views of a flat (..., P) buffer."""
-    lead = flat.shape[:-1]
+def _param_views(flat: np.ndarray, sizes: Sequence[int], n_models: int):
+    """Per-layer (F, M, out, in) weight and (F, M, out) bias views of a
+    flat (F, M·P) buffer laid out layer by layer: each layer's M weight
+    matrices, then its M bias vectors."""
+    n_folds = flat.shape[0]
     weights, biases, at = [], [], 0
     for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
-        weights.append(flat[..., at : at + fan_out * fan_in].reshape(*lead, fan_out, fan_in))
-        at += fan_out * fan_in
-        biases.append(flat[..., at : at + fan_out])
-        at += fan_out
+        size = n_models * fan_out * fan_in
+        weights.append(flat[:, at : at + size].reshape(n_folds, n_models, fan_out, fan_in))
+        at += size
+        biases.append(flat[:, at : at + n_models * fan_out].reshape(n_folds, n_models, fan_out))
+        at += n_models * fan_out
     return weights, biases
 
 
 def _step_plan(sizes: np.ndarray, batch_size: int) -> list[tuple]:
     """Per step of an epoch: the columns of the folds' shuffled row orders
     it takes, the (F, width) mask of real rows (None when no fold is short
-    there), each fold's 1 / batch size as an (F, 1, 1) column, and the
+    there), each fold's 1 / batch size as an (F, 1) column, and the
     folds that take the step (None when all do; the others have no rows
     left)."""
     plan = []
@@ -342,7 +432,7 @@ def _step_plan(sizes: np.ndarray, batch_size: int) -> list[tuple]:
         width = int(count.max())
         valid = None if count.min() == width else np.arange(width) < count[:, None]
         active = None if count.min() > 0 else np.flatnonzero(count).tolist()
-        plan.append((slice(lo, lo + width), valid, (1.0 / np.maximum(count, 1))[:, None, None], active))
+        plan.append((slice(lo, lo + width), valid, (1.0 / np.maximum(count, 1))[:, None], active))
     return plan
 
 
@@ -394,17 +484,14 @@ def train_folds(
     mean = np.stack([s.mean for s in scalers])[:, None, :]
     scale = np.stack([s.scale for s in scalers])[:, None, :]
 
-    inits = []
-    for _, fold_tc in folds:
-        init = init_params(net, fold_tc.seed)
-        inits.append(np.concatenate([a.ravel() for wb in zip(init.weights, init.biases) for a in wb]))
-    theta = np.repeat(np.stack(inits)[:, None, :], n_models, axis=1)
+    inits = [init_params(net, fold_tc.seed) for _, fold_tc in folds]
+    theta = np.empty((n_folds, n_models * sum(a.size for a in inits[0].weights + inits[0].biases)))
     grad, m, v = np.empty_like(theta), np.zeros_like(theta), np.zeros_like(theta)
-    # Each (fold, model) slice of a view keeps a single model's inner
-    # strides, so batched matmul makes per pair the same BLAS call as for
-    # one model: that keeps every model bit-identical to training it alone.
-    weights, biases = _stacked_views(theta, net.layer_sizes)
-    grad_w, grad_b = _stacked_views(grad, net.layer_sizes)
+    weights, biases = _param_views(theta, net.layer_sizes, n_models)
+    grad_w, grad_b = _param_views(grad, net.layer_sizes, n_models)
+    for f, init in enumerate(inits):
+        for w, b, w0, b0 in zip(weights, biases, init.weights, init.biases):
+            w[f], b[f] = w0, b0  # every model of the fold starts there
     # Per-model loss constants as (M, 1) columns; MSE rows carry a dummy c.
     is_mse = np.array([[spec.kind is LossKind.MSE] for spec in losses])
     c = np.array([[1.0 if spec.kind is LossKind.MSE else spec.c] for spec in losses])
@@ -415,42 +502,44 @@ def train_folds(
     order = np.zeros((n_folds, len(plan) * tc.batch_size), dtype=np.intp)
     x_buf = np.empty((n_folds, tc.batch_size, net.input_dim))
     y_buf = np.empty((n_folds, tc.batch_size))
+    # Hidden pre-activations, activations and deltas, reused every step.
+    bufs = [_hidden_rows(n_folds, tc.batch_size, n_models, net.hidden_layers) for _ in range(3)]
 
     t = [0] * n_folds
     for epoch in range(tc.epochs):
         for f, shuffle in enumerate(shuffles):
             order[f, : sizes[f]] = shuffle.permutation(sizes[f])
         for cols, valid, inv_count, active in plan:
-            xb, yb = x_buf[:, : cols.stop - cols.start], y_buf[:, : cols.stop - cols.start]
+            width = cols.stop - cols.start
+            xb, yb = x_buf[:, :width], y_buf[:, :width]
             for f, (X, y) in enumerate(zip(Xs, ys)):
                 np.take(X, order[f, cols], axis=0, out=xb[f])
                 np.take(y, order[f, cols], out=yb[f])
             xb -= mean
             xb /= scale
-            xb = xb[:, None]
+            pre_acts, acts, deltas = ([buf[:, :width] for buf in layers] for layers in bufs)
             with np.errstate(over="ignore", invalid="ignore"):
                 # Overflow here is the divergence signal itself, not an anomaly.
-                pre_acts, acts = _forward(weights, biases, xb)
-                r = yb[:, None] - pre_acts[-1][..., 0]
+                preds = _forward(weights, biases, xb, pre_acts, acts)[..., 0]
+                r = yb[:, None] - preds
                 loss = np.where(is_mse, r * r, _clf_of_residual(r, c))
                 if valid is not None:
                     loss = np.where(valid[:, None], loss, 0.0)
                 bad = ~np.isfinite(loss.sum(axis=-1))
             if bad.any():
                 f, k = divmod(int(np.argmax(bad)), n_models)
-                preds = pre_acts[-1][f, k, :, 0]
-                finite = np.all(np.isfinite(preds if valid is None else preds[valid[f]]))
+                finite = np.all(np.isfinite(preds[f, k] if valid is None else preds[f, k, valid[f]]))
                 raise TrainingDiverged(
                     epoch, "non-finite loss" if finite else "non-finite prediction", model=k, fold=f
                 )
             g = np.where(is_mse, -2.0 * r, _clf_grad_of_residual(r, c))
             if valid is not None:
                 g = np.where(valid[:, None], g, 0.0)
-            _backward(weights, xb, pre_acts, acts, g, grad_w, grad_b)
+            _backward(weights, xb, pre_acts, acts, g, deltas, grad_w, grad_b)
             grad *= inv_count
             if active is None:
                 t = [s + 1 for s in t]
-                c1, c2 = np.array([_bias_corrections(s, tc) for s in t]).T[..., None, None]
+                c1, c2 = np.array([_bias_corrections(s, tc) for s in t]).T[..., None]
                 _adam_update(theta, grad, m, v, c1, c2, tc)
             else:
                 for f in active:

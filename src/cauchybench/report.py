@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import io
 import json
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,9 +41,22 @@ class PlotSeries:
 
 
 def save_results(result, path) -> None:
+    """Write a results document (or a result with ``to_dict``) as JSON.
+
+    The document goes to a temporary file beside ``path`` that then
+    replaces it, so a write that fails leaves any earlier file whole.
+    """
     doc = result.to_dict() if hasattr(result, "to_dict") else result
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2)
+    directory, name = os.path.split(os.fspath(path))
+    tmp = os.path.join(directory, f".{name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w") as fh:
+            json.dump(doc, fh, indent=2)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
 
 
 def load_results(path) -> dict:

@@ -4,14 +4,18 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cauchybench.datagen import Dataset
 from cauchybench.losses import LossSpec, clf_loss, mse_loss
 from cauchybench.nets import (
     AdamState,
+    FeatureScaler,
     NetworkConfig,
     Parameters,
     TrainConfig,
+    TrainedModel,
     TrainingDiverged,
     adam_step,
     backward,
@@ -115,6 +119,20 @@ class TestForward:
         p = init_params(NetworkConfig(3, (4,)), 0)
         with pytest.raises(ValueError):
             forward(p, np.ones(5))
+
+    @pytest.mark.parametrize("hidden", [(6,), (5, 4)])
+    def test_trained_model_predict_matches_per_row_oracle(self, hidden):
+        cfg = NetworkConfig(3, hidden)
+        rng = np.random.default_rng(12)
+        X = rng.normal(size=(9, 3)) * 4.0 + 1.0
+        model = TrainedModel(random_params(cfg, 11), FeatureScaler.fit(X), cfg)
+        expected = []
+        for row in X:
+            a = (row - model.scaler.mean) / model.scaler.scale
+            for w, b in zip(model.params.weights[:-1], model.params.biases[:-1]):
+                a = np.maximum(w @ a + b, 0.0)
+            expected.append(model.params.weights[-1][0] @ a + model.params.biases[-1][0])
+        assert np.allclose(model.predict(X), expected, rtol=1e-12, atol=0.0)
 
 
 def fd_param_grad(params, x, y, loss_fn, h=1e-6):
@@ -545,6 +563,60 @@ class TestTrainFolds:
         other = replace(self.tc(2), **{field: value})
         with pytest.raises(ValueError, match="differ only in seed"):
             train_folds([(data, self.tc(1)), (data, other)], self.NET, MIXED_SPECS)
+
+    def test_bike_shaped_folds_equal_training_each_pair_alone(self):
+        # The paper's real-data net and losses: 3 folds of 650 rows at batch
+        # 64, so each epoch ends on a 10-row batch. Layer 1 runs as one GEMM
+        # per fold over all 7 models, which must give each model's bits.
+        net = NetworkConfig(17, (14, 14))
+        specs = [LossSpec.clf(c) for c in (1.0, 10.0, 100.0, 200.0, 1000.0, 1e4)] + [LossSpec.mse()]
+        folds = [
+            (noisy_data(n=650, d=17, seed=70 + s), TrainConfig(epochs=2, batch_size=64, seed=80 + s))
+            for s in range(3)
+        ]
+        trained = train_folds(folds, net, specs)
+        for (data, tc), models in zip(folds, trained):
+            for spec, got in zip(specs, models):
+                assert_same_params(got.params, train(data, net, spec, tc).params)
+
+    @pytest.mark.parametrize("input_dim", [1, 2])
+    @pytest.mark.parametrize("hidden", [(1,), (3,), (2, 5), (5, 1)])
+    def test_narrow_layers_equal_training_each_pair_alone(self, hidden, input_dim):
+        # Products against a layer of 1-3 units run as GEMV or DOT, whose
+        # results depend on how each model's block is strided in memory.
+        net = NetworkConfig(input_dim, hidden)
+        rng = np.random.default_rng(5)
+        folds = []
+        for f in range(2):
+            X = rng.normal(size=(20, input_dim))
+            folds.append((Dataset(X, X.sum(axis=1) + rng.standard_cauchy(20)), self.tc(30 + f, 10)))
+        for (fold, tc), models in zip(folds, train_folds(folds, net, MIXED_SPECS)):
+            for spec, got in zip(MIXED_SPECS, models):
+                assert_same_params(got.params, train(fold, net, spec, tc).params)
+
+    @settings(derandomize=True, database=None, max_examples=25, deadline=None)
+    @given(st.data())
+    def test_each_pair_equals_training_it_alone(self, data):
+        hidden = data.draw(st.lists(st.integers(1, 6), min_size=1, max_size=3), label="hidden")
+        net = NetworkConfig(data.draw(st.integers(1, 3), label="input_dim"), hidden)
+        specs = data.draw(st.lists(st.sampled_from(MIXED_SPECS), min_size=1, max_size=4), label="losses")
+        batch = data.draw(st.integers(1, 12), label="batch_size")
+        n_folds = data.draw(st.integers(1, 3), label="folds")
+        rows = st.integers(1, 3 * batch + 1)
+        if data.draw(st.booleans(), label="equal sizes"):
+            sizes = [data.draw(rows, label="size")] * n_folds
+        else:
+            sizes = data.draw(st.lists(rows, min_size=n_folds, max_size=n_folds), label="sizes")
+        rng = np.random.default_rng(len(sizes))
+        folds = []
+        for f, n in enumerate(sizes):
+            X = rng.normal(size=(n, net.input_dim))
+            folds.append((Dataset(X, X.sum(axis=1) + rng.standard_cauchy(n)), self.tc(90 + f, batch)))
+        # Equal sizes give every fold the batch layout it has alone: the same arithmetic.
+        same = assert_same_params if len(set(sizes)) == 1 else assert_close_params
+        for (fold, tc), models in zip(folds, train_folds(folds, net, specs)):
+            for spec, got in zip(specs, models):
+                same(got.params, train(fold, net, spec, tc).params)
 
     def test_input_checks(self):
         with pytest.raises(ValueError, match="at least one fold"):

@@ -148,6 +148,21 @@ class TestSaveLoadResults:
         doc = load_results(path)
         assert doc == json.loads(json.dumps(result.to_dict()))
 
+    def test_failed_write_leaves_the_earlier_file(self, tmp_path):
+        path = tmp_path / "r.json"
+        save_results(small_result(), path)
+        before = path.read_bytes()
+        # json.dump has written the first keys when it meets the object.
+        with pytest.raises(TypeError, match="not JSON serializable"):
+            save_results({"models": ["MSE"], "meta": object()}, path)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["r.json"]
+
+    def test_first_write_that_fails_leaves_nothing(self, tmp_path):
+        with pytest.raises(TypeError):
+            save_results({"meta": {1, 2}}, tmp_path / "r.json")
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestCli:
     def test_run_preset_shape(self, tmp_path, capsys):
