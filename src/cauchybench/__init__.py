@@ -31,11 +31,8 @@ from .datagen import (
     target_y2,
 )
 from .harness import (
-    ComparisonReport,
     DatasetSpec,
     ExperimentConfig,
-    ExperimentResult,
-    ScoreTable,
     compare_models,
     kfold_split,
     list_presets,

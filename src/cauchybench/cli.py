@@ -124,11 +124,11 @@ def _cmd_run(args) -> int:
         cfg = config_from_dict(doc)
     except (AttributeError, KeyError, TypeError, ValueError) as err:
         raise UsageError(f"invalid config {args.config or args.preset}: {err}") from err
-    result = run_experiment(cfg)
+    doc = run_experiment(cfg)
     out = _out_path(args, "results.json")
-    save_results(result, out)
-    mae = result.comparisons.get("mae")
-    kw_note = f", KW mae p={mae.kruskal.p_value:.4g}" if mae else ""
+    save_results(doc, out)
+    mae = doc["comparisons"].get("mae")
+    kw_note = f", KW mae p={mae['kruskal_wallis']['p_value']:.4g}" if mae else ""
     print(f"wrote {out} ({len(cfg.models)} models x {cfg.replicates} replicates{kw_note})")
     return 0
 
@@ -208,10 +208,7 @@ def cli_main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return _COMMANDS[args.command](args)
-    except UsageError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 1
-    except FileNotFoundError as err:
+    except (UsageError, FileNotFoundError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
     except (ValueError, RuntimeError, OSError) as err:

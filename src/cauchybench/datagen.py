@@ -21,6 +21,8 @@ from typing import Sequence
 
 import numpy as np
 
+from .losses import _check_numbers
+
 __all__ = [
     "Dataset",
     "NoiseFamily",
@@ -118,6 +120,7 @@ class NoiseSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "family", NoiseFamily(self.family))
+        _check_numbers(self, *self.family.parameters, seed=0)
         fam = self.family
         if fam is NoiseFamily.GAUSSIAN and not (self.sigma is not None and self.sigma > 0):
             raise ValueError("Gaussian noise needs sigma > 0")

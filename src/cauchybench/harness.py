@@ -24,25 +24,22 @@ same stream twice, so no two stages can share entropy by accident.
 from __future__ import annotations
 
 import time
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, fields, replace
 from itertools import combinations
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
 from .datagen import Dataset, NoiseSpec, apply_noise, make_hc2, make_hc8
 from .ingest import SEOUL_BIKE_SCHEMA, load_dataset, schema_from_json
-from .losses import LossKind, LossSpec, mae_score, rmse_score
+from .losses import LossKind, LossSpec, _check_numbers, mae_score, rmse_score
 from .nets import NetworkConfig, TrainConfig, TrainingDiverged, train_folds
-from .ranktests import TestResult, kruskal_wallis, wilcoxon_rank_sum
+from .ranktests import kruskal_wallis, wilcoxon_rank_sum
 
 __all__ = [
     "DatasetSpec",
     "ExperimentConfig",
-    "ScoreTable",
-    "ComparisonReport",
     "CellInfo",
-    "ExperimentResult",
     "SeedLedger",
     "kfold_split",
     "run_replicate",
@@ -67,7 +64,7 @@ class DatasetSpec:
     name: "hc2" | "hc8" | "bike". Synthetic sets draw ``n_samples``
     fresh points per replicate and take no files; "bike" loads ``path``
     (schema optional) and uses every row, or, if ``n_samples`` is set,
-    a subsample of that many rows per replicate.
+    a subsample of that many rows per replicate, no more than it holds.
     """
 
     name: str
@@ -76,15 +73,15 @@ class DatasetSpec:
     schema_path: str | None = None
 
     def __post_init__(self):
+        if self.n_samples is not None:
+            _check_numbers(self, n_samples=1)
         if self.name not in ("hc2", "hc8", "bike"):
             raise ValueError(f"unknown dataset {self.name!r}")
         if self.name in _SYNTH_BUILDERS:
-            if self.n_samples is None or self.n_samples < 1:
-                raise ValueError("synthetic datasets need n_samples >= 1")
+            if self.n_samples is None:
+                raise ValueError("synthetic datasets need n_samples")
             if self.path is not None or self.schema_path is not None:
                 raise ValueError(f"the synthetic dataset {self.name!r} takes no path or schema_path")
-        elif self.n_samples is not None and self.n_samples < 1:
-            raise ValueError("a bike subsample needs n_samples >= 1")
         elif not self.path:
             raise ValueError("the bike dataset needs a CSV path")
 
@@ -102,14 +99,10 @@ class ExperimentConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "models", tuple(self.models))
-        if self.folds < 2:
-            raise ValueError("folds must be >= 2")
-        if self.replicates < 1:
-            raise ValueError("replicates must be >= 1")
+        _check_numbers(self, folds=2, replicates=1, master_seed=0)
         if not self.models:
             raise ValueError("at least one model is required")
-        labels = [m.label for m in self.models]
-        if len(set(labels)) != len(labels):
+        if len(set(self.model_labels)) != len(self.models):
             raise ValueError("duplicate model specs")
         for name, spec in (("train", self.train), ("noise", self.noise)):
             if spec.seed != 0:
@@ -170,6 +163,8 @@ def _load_base(spec: DatasetSpec) -> Dataset | None:
 def _clean_dataset(spec: DatasetSpec, seed, base: Dataset | None) -> Dataset:
     if spec.name in _SYNTH_BUILDERS:
         return _SYNTH_BUILDERS[spec.name](spec.n_samples, seed)
+    if spec.n_samples is not None and spec.n_samples > len(base):
+        raise ValueError(f"n_samples={spec.n_samples} exceeds the {len(base)} rows of {spec.path}")
     if spec.n_samples is not None and spec.n_samples < len(base):
         idx = np.random.default_rng(seed).choice(len(base), size=spec.n_samples, replace=False)
         return base.take(np.sort(idx))
@@ -206,8 +201,9 @@ def run_replicate(
     ledger: SeedLedger | None = None,
     base: Dataset | None = None,
     observer: Callable[[CellInfo], None] | None = None,
-) -> dict[str, list[tuple[float, float]]]:
-    """One full cross-validation pass; returns per-model [(mae, rmse)] fold scores."""
+) -> dict[str, list[dict[str, float]]]:
+    """One full cross-validation pass; returns each model's fold scores,
+    [{"mae": ..., "rmse": ...}] in fold order, as in ``cell_scores``."""
     ledger = ledger if ledger is not None else SeedLedger(cfg.master_seed)
     if base is None:
         base = _load_base(cfg.dataset)
@@ -230,12 +226,12 @@ def run_replicate(
             model=err.model,
             fold=err.fold,
         ) from err
-    scores: dict[str, list[tuple[float, float]]] = {m.label: [] for m in cfg.models}
+    scores: dict[str, list[dict[str, float]]] = {m.label: [] for m in cfg.models}
     for fold_idx, ((corrupted, test_clean, tc), models) in enumerate(zip(prepared, trained)):
         for spec, model in zip(cfg.models, models):
             preds = model.predict(test_clean.X)
             scores[spec.label].append(
-                (mae_score(test_clean.y, preds), rmse_score(test_clean.y, preds))
+                {"mae": mae_score(test_clean.y, preds), "rmse": rmse_score(test_clean.y, preds)}
             )
             if observer is not None:
                 observer(
@@ -251,111 +247,33 @@ def run_replicate(
     return scores
 
 
-@dataclass
-class ScoreTable:
-    """Replicate-level scores per model, plus their mean/std summaries."""
-
-    models: list[str]
-    scores: dict[str, dict[str, np.ndarray]]  # scores[model]["mae"|"rmse"], shape (replicates,)
-
-    def replicate_scores(self, model: str, metric: str) -> np.ndarray:
-        return self.scores[model][metric]
-
-    def mean(self, model: str, metric: str) -> float:
-        return float(np.mean(self.scores[model][metric]))
-
-    def std(self, model: str, metric: str) -> float:
-        # Population std: a single replicate reports 0, not NaN.
-        return float(np.std(self.scores[model][metric]))
-
-    def to_dict(self) -> dict:
-        return {
-            "models": self.models,
-            "replicate_scores": {
-                m: {k: v.tolist() for k, v in self.scores[m].items()} for m in self.models
-            },
-            "aggregate": {
-                m: {
-                    metric: {"mean": self.mean(m, metric), "std": self.std(m, metric)}
-                    for metric in ("mae", "rmse")
-                }
-                for m in self.models
-            },
-        }
-
-    @staticmethod
-    def from_replicates(models: Sequence[str], per_replicate: list[dict]) -> "ScoreTable":
-        scores = {}
-        for m in models:
-            mae = np.array([np.mean([s[0] for s in rep[m]]) for rep in per_replicate])
-            rmse = np.array([np.mean([s[1] for s in rep[m]]) for rep in per_replicate])
-            scores[m] = {"mae": mae, "rmse": rmse}
-        return ScoreTable(models=list(models), scores=scores)
-
-
-@dataclass
-class ComparisonReport:
-    metric: str
-    kruskal: TestResult
-    pairwise: list[tuple[str, str, TestResult]]
-
-    def pair(self, a: str, b: str) -> TestResult:
-        for m1, m2, res in self.pairwise:
-            if {m1, m2} == {a, b}:
-                return res
-        raise KeyError(f"no pairwise result for ({a}, {b})")
-
-    def to_dict(self) -> dict:
-        return {
-            "metric": self.metric,
-            "kruskal_wallis": self.kruskal.to_dict(),
-            "pairwise": [
-                {"model_a": a, "model_b": b, **res.to_dict()} for a, b, res in self.pairwise
-            ],
-        }
-
-
-def compare_models(table: ScoreTable, metric: str) -> ComparisonReport:
-    """Omnibus Kruskal-Wallis plus every pairwise Wilcoxon rank-sum test."""
+def compare_models(replicate_scores: dict[str, dict[str, list[float]]], metric: str) -> dict:
+    """Omnibus Kruskal-Wallis plus every pairwise Wilcoxon rank-sum test:
+    from a results document's ``replicate_scores`` (model -> metric -> one
+    score per replicate), its ``comparisons[metric]`` entry."""
     if metric not in ("mae", "rmse"):
         raise ValueError(f"unknown metric {metric!r}")
-    if len(table.models) < 2:
+    models = list(replicate_scores)
+    if len(models) < 2:
         raise ValueError("need at least two models to compare")
-    lengths = {table.scores[m][metric].size for m in table.models}
-    if len(lengths) != 1:
+    groups = [np.asarray(replicate_scores[m][metric], dtype=float) for m in models]
+    if len({g.size for g in groups}) != 1:
         raise ValueError("models have mismatched replicate counts")
-    groups = [table.scores[m][metric] for m in table.models]
-    kw = kruskal_wallis(groups)
-    pairwise = [
-        (a, b, wilcoxon_rank_sum(table.scores[a][metric], table.scores[b][metric]))
-        for a, b in combinations(table.models, 2)
-    ]
-    return ComparisonReport(metric=metric, kruskal=kw, pairwise=pairwise)
+    return {
+        "metric": metric,
+        "kruskal_wallis": kruskal_wallis(groups).to_dict(),
+        "pairwise": [
+            {"model_a": a, "model_b": b, **wilcoxon_rank_sum(ga, gb).to_dict()}
+            for (a, ga), (b, gb) in combinations(zip(models, groups), 2)
+        ],
+    }
 
 
-@dataclass
-class ExperimentResult:
-    config: ExperimentConfig
-    table: ScoreTable
-    cell_scores: dict[str, list[list[dict]]]  # [model][replicate][fold] -> {"mae","rmse"}
-    comparisons: dict[str, ComparisonReport]
-    meta: dict = field(default_factory=dict)
-
-    def to_dict(self) -> dict:
-        return {
-            "schema": "cauchybench-results-v1",
-            "config": config_to_dict(self.config),
-            **self.table.to_dict(),
-            "cell_scores": self.cell_scores,
-            "comparisons": {k: v.to_dict() for k, v in self.comparisons.items()},
-            "meta": self.meta,
-        }
-
-
-def run_experiment(
-    cfg: ExperimentConfig, observer: Callable[[CellInfo], None] | None = None
-) -> ExperimentResult:
-    """Execute every replicate, aggregate scores, and attach comparisons."""
+def run_experiment(cfg: ExperimentConfig, observer: Callable[[CellInfo], None] | None = None) -> dict:
+    """Execute every replicate and return the results document: the
+    config, per-replicate scores (each the mean over folds) with their
+    mean and population std, every fold's scores, and the rank-test
+    comparisons of two or more models."""
     started = time.time()
     ledger = SeedLedger(cfg.master_seed)
     base = _load_base(cfg.dataset)
@@ -364,24 +282,28 @@ def run_experiment(
         for r in range(cfg.replicates)
     ]
     labels = cfg.model_labels
-    table = ScoreTable.from_replicates(labels, per_replicate)
-    cells = {
-        m: [[{"mae": s[0], "rmse": s[1]} for s in rep[m]] for rep in per_replicate]
+    cells = {m: [rep[m] for rep in per_replicate] for m in labels}
+    scores = {
+        m: {k: [float(np.mean([c[k] for c in rep])) for rep in cells[m]] for k in ("mae", "rmse")}
         for m in labels
     }
-    comparisons = (
-        {metric: compare_models(table, metric) for metric in ("mae", "rmse")}
-        if len(labels) >= 2
-        else {}
-    )
-    meta = {
-        "wall_clock_s": round(time.time() - started, 3),
-        "seed_streams_issued": len(ledger.issued),
-        "fresh_sample_per_replicate": cfg.dataset.name in _SYNTH_BUILDERS,
+    return {
+        "schema": "cauchybench-results-v1",
+        "config": config_to_dict(cfg),
+        "models": labels,
+        "replicate_scores": scores,
+        "aggregate": {
+            m: {k: {"mean": float(np.mean(v)), "std": float(np.std(v))} for k, v in scores[m].items()}
+            for m in labels
+        },
+        "cell_scores": cells,
+        "comparisons": {k: compare_models(scores, k) for k in ("mae", "rmse") if len(labels) > 1},
+        "meta": {
+            "wall_clock_s": round(time.time() - started, 3),
+            "seed_streams_issued": len(ledger.issued),
+            "fresh_sample_per_replicate": cfg.dataset.name in _SYNTH_BUILDERS,
+        },
     }
-    return ExperimentResult(
-        config=cfg, table=table, cell_scores=cells, comparisons=comparisons, meta=meta
-    )
 
 
 # ---------------------------------------------------------------------------

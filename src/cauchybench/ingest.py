@@ -215,7 +215,13 @@ def load_dataset(path, schema=SEOUL_BIKE_SCHEMA) -> Dataset:
 
 
 def schema_from_json(path) -> list[ColumnSchema]:
-    """Sidecar format: a JSON list of {"name": ..., "role": ...} objects."""
+    """Sidecar format: a JSON list of {"name": <string>, "role": ...} objects."""
     with open(path) as fh:
         doc = json.load(fh)
+    if not isinstance(doc, list):
+        raise IngestionError(f"{path}: a schema must be a JSON list of {{name, role}} objects")
+    for i, entry in enumerate(doc):
+        keys_ok = isinstance(entry, dict) and set(entry) == {"name", "role"}
+        if not (keys_ok and isinstance(entry["name"], str)):
+            raise IngestionError(f"{path}: entry {i} is not {{name: <string>, role}}: {entry!r}")
     return [ColumnSchema(entry["name"], entry["role"]) for entry in doc]

@@ -15,6 +15,7 @@ and are pure; batch aggregation (the mean) is the trainer's job.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from enum import Enum
 
@@ -47,6 +48,7 @@ class LossSpec:
     def __post_init__(self):
         object.__setattr__(self, "kind", LossKind(self.kind))
         if self.kind is LossKind.CLF:
+            _check_numbers(self, "c")
             _check_clf_constant(self.c)
 
     @property
@@ -75,6 +77,28 @@ def _check_clf_constant(c) -> None:
         raise ValueError(
             f"CLF constant c must be > 0 with c^2 a finite normal float and c^3 finite, got {c}"
         )
+
+
+def _as_int(name: str, value, minimum: int) -> int:
+    """``value`` as an int >= ``minimum``. An integral float (JSON ``5.0``)
+    passes; a bool, a string, None or a fractional float does not."""
+    whole = isinstance(value, numbers.Integral) or (isinstance(value, float) and value.is_integer())
+    if isinstance(value, bool) or not whole or value < minimum:
+        raise ValueError(f"{name} must be an integer >= {minimum}, got {value!r}")
+    return int(value)
+
+
+def _check_numbers(obj, *reals: str, **int_minimums: int) -> None:
+    """Type checks for the numeric fields of a frozen config dataclass, so
+    a JSON value of the wrong type fails naming its field, not inside a
+    run: each of ``reals`` is a number (not a bool, a string or None), and
+    each of ``int_minimums`` passes ``_as_int`` and is stored as an int."""
+    for name in reals:
+        value = getattr(obj, name)
+        if isinstance(value, bool) or not isinstance(value, numbers.Real):
+            raise ValueError(f"{name} must be a number, got {value!r}")
+    for name, minimum in int_minimums.items():
+        object.__setattr__(obj, name, _as_int(name, getattr(obj, name), minimum))
 
 
 def _check_finite(name, value):

@@ -37,7 +37,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .losses import LossKind, LossSpec, _clf_grad_of_residual, _clf_of_residual
+from .losses import LossKind, LossSpec, _as_int, _check_numbers
+from .losses import _clf_grad_of_residual, _clf_of_residual
 
 __all__ = [
     "NetworkConfig",
@@ -86,11 +87,11 @@ class NetworkConfig:
     hidden_layers: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "hidden_layers", tuple(int(h) for h in self.hidden_layers))
-        if self.input_dim < 1:
-            raise ValueError("input_dim must be >= 1")
-        if not self.hidden_layers or any(h < 1 for h in self.hidden_layers):
+        layers = tuple(_as_int(f"hidden_layers[{i}]", h, 1) for i, h in enumerate(self.hidden_layers))
+        if not layers:
             raise ValueError("hidden_layers must be a nonempty sequence of positive ints")
+        object.__setattr__(self, "hidden_layers", layers)
+        _check_numbers(self, input_dim=1)
 
     @property
     def layer_sizes(self) -> tuple[int, ...]:
@@ -108,14 +109,13 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
+        _check_numbers(self, "learning_rate", "beta1", "beta2", "epsilon", epochs=0, batch_size=1, seed=0)
         if self.learning_rate <= 0:
             raise ValueError("learning_rate must be > 0")
         if not (0 < self.beta1 < 1 and 0 < self.beta2 < 1):
             raise ValueError("beta1 and beta2 must lie in (0, 1)")
         if self.epsilon <= 0:
             raise ValueError("epsilon must be > 0")
-        if self.epochs < 0 or self.batch_size < 1:
-            raise ValueError("epochs must be >= 0 and batch_size >= 1")
 
 
 @dataclass

@@ -11,7 +11,7 @@ invariant under any strictly increasing transform of the data.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from itertools import combinations
 
 import numpy as np
@@ -39,12 +39,7 @@ class TestResult:
     n_per_group: tuple[int, ...]
 
     def to_dict(self) -> dict:
-        return {
-            "statistic": self.statistic,
-            "p_value": self.p_value,
-            "method": self.method,
-            "n_per_group": list(self.n_per_group),
-        }
+        return {**asdict(self), "n_per_group": list(self.n_per_group)}
 
 
 def rank_with_ties(values) -> np.ndarray:

@@ -40,13 +40,12 @@ class PlotSeries:
             raise ValueError("series vectors must have equal lengths")
 
 
-def save_results(result, path) -> None:
-    """Write a results document (or a result with ``to_dict``) as JSON.
+def save_results(doc: dict, path) -> None:
+    """Write a results document as JSON.
 
     The document goes to a temporary file beside ``path`` that then
     replaces it, so a write that fails leaves any earlier file whole.
     """
-    doc = result.to_dict() if hasattr(result, "to_dict") else result
     directory, name = os.path.split(os.fspath(path))
     tmp = os.path.join(directory, f".{name}.{os.getpid()}.tmp")
     try:
@@ -67,8 +66,8 @@ def load_results(path) -> dict:
 def format_table(results: dict, metric: str, fmt: str = "text") -> str:
     """One row per model, "mean (std)" to three decimals, minimum flagged.
 
-    ``results`` is a results document (dict) as produced by
-    ExperimentResult.to_dict(); no score is recomputed.
+    ``results`` is a results document as ``run_experiment`` returns it;
+    no score is recomputed.
     """
     metric = metric.lower()
     if metric not in ("mae", "rmse"):
@@ -106,10 +105,10 @@ _SWEEP_AXES = {
 }
 
 
-def emit_plot_series(results_list, metric: str, sweep_axis: str) -> list[PlotSeries]:
+def emit_plot_series(docs: list[dict], metric: str, sweep_axis: str) -> list[PlotSeries]:
     """Score-versus-noise-level series, one per model, from sweep results.
 
-    ``results_list`` holds results documents that differ only in the
+    ``docs`` holds results documents that differ only in the
     swept noise parameter; ``sweep_axis`` is sigma, tau, or proportion.
     A clean-data (family "none") result contributes the point x = 0.
     """
@@ -119,7 +118,6 @@ def emit_plot_series(results_list, metric: str, sweep_axis: str) -> list[PlotSer
     metric = metric.lower()
     if metric not in ("mae", "rmse"):
         raise ValueError(f"unknown metric {metric!r}")
-    docs = [r.to_dict() if hasattr(r, "to_dict") else r for r in results_list]
     if not docs:
         raise ValueError("no results supplied")
 
@@ -134,23 +132,19 @@ def emit_plot_series(results_list, metric: str, sweep_axis: str) -> list[PlotSer
         elif noise["family"] == family:
             x = float(noise[param])
         else:
-            raise ValueError(
-                f"mixed sweep axes: expected {family} noise, found {noise['family']}"
-            )
+            raise ValueError(f"mixed sweep axes: expected {family} noise, found {noise['family']}")
         points.append((x, doc["aggregate"]))
     points.sort(key=lambda t: t[0])
 
-    series = []
-    for m in models:
-        series.append(
-            PlotSeries(
-                label=m,
-                x=[x for x, _ in points],
-                y=[agg[m][metric]["mean"] for _, agg in points],
-                y_err=[agg[m][metric]["std"] for _, agg in points],
-            )
+    return [
+        PlotSeries(
+            label=m,
+            x=[x for x, _ in points],
+            y=[agg[m][metric]["mean"] for _, agg in points],
+            y_err=[agg[m][metric]["std"] for _, agg in points],
         )
-    return series
+        for m in models
+    ]
 
 
 def series_to_csv(series: list[PlotSeries]) -> str:

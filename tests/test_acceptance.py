@@ -194,10 +194,10 @@ def test_c5_harness_contracts():
             assert ref.train_config.seed == other.train_config.seed
 
     rerun = run_experiment(cfg)
-    for m in result.table.models:
+    for m in result["models"]:
         for metric in ("mae", "rmse"):
             assert np.array_equal(
-                result.table.replicate_scores(m, metric), rerun.table.replicate_scores(m, metric)
+                result["replicate_scores"][m][metric], rerun["replicate_scores"][m][metric]
             )
     assert run_replicate(cfg, 0) == run_replicate(cfg, 0)
     elapsed = time.time() - started
@@ -207,6 +207,18 @@ def test_c5_harness_contracts():
 
 # --------------------------------------------------------------------------
 # 6-9. Desk-scale reproductions (training-heavy; marked slow).
+
+
+def _mae_means(doc):
+    return {m: doc["aggregate"][m]["mae"]["mean"] for m in doc["models"]}
+
+
+def _pair_p(comparison, a, b):
+    """Raw p of the pairwise test of models ``a`` and ``b``."""
+    for entry in comparison["pairwise"]:
+        if {entry["model_a"], entry["model_b"]} == {a, b}:
+            return entry["p_value"]
+    raise KeyError(f"no pairwise result for ({a}, {b})")
 
 
 @pytest.mark.slow
@@ -222,9 +234,9 @@ def test_c6_hc2_negative_control():
         master_seed=42,
     )
     result = run_experiment(cfg)
-    means = {m: result.table.mean(m, "mae") for m in result.table.models}
+    means = _mae_means(result)
     spread = max(means.values()) / min(means.values())
-    kw_p = result.comparisons["mae"].kruskal.p_value
+    kw_p = result["comparisons"]["mae"]["kruskal_wallis"]["p_value"]
     elapsed = time.time() - started
     assert spread <= 1.25, f"means not within 25%: {means}"
     assert kw_p >= 0.05, f"KW rejected on the negative control (p={kw_p:.4f})"
@@ -245,12 +257,12 @@ def test_c7_hc2_cauchy_noise(tau):
         master_seed=7,
     )
     result = run_experiment(cfg)
-    means = {m: result.table.mean(m, "mae") for m in result.table.models}
-    report = result.comparisons["mae"]
-    for model in result.table.models:
+    means = _mae_means(result)
+    report = result["comparisons"]["mae"]
+    for model in result["models"]:
         if model == "MSE":
             continue
-        p = report.pair(model, "MSE").p_value
+        p = _pair_p(report, model, "MSE")
         assert means[model] < means["MSE"], f"{model} did not beat MSE at tau={tau}: {means}"
         assert p < 0.05, f"{model} vs MSE not significant at tau={tau} (p={p:.4f})"
     ok(7, f"tau={tau:g}: every CLF model beats MSE, all pairwise exact p < 0.05")
@@ -268,7 +280,7 @@ def test_c8_hc2_gaussian_sigma50_mse_wins():
         master_seed=7,
     )
     result = run_experiment(cfg)
-    means = {m: result.table.mean(m, "mae") for m in result.table.models}
+    means = _mae_means(result)
     best = min(means, key=means.get)
     assert best == "MSE", f"expected MSE lowest at sigma=50, got {best}: {means}"
     ok(8, "sigma=50: MSE attains the lowest MAE mean of all six models")
@@ -298,14 +310,14 @@ def _bike_outlier_battery(path, n_samples, epochs, seed):
             master_seed=seed,
         )
         result = run_experiment(cfg)
-        means = {m: result.table.mean(m, "mae") for m in result.table.models}
+        means = _mae_means(result)
         mse_means.append(means["MSE"])
         if prop > 0.0:
-            report = result.comparisons["mae"]
+            report = result["comparisons"]["mae"]
             winners = [
                 m
                 for m in ("CLF_1", "CLF_10", "CLF_100")
-                if means[m] < means["MSE"] and report.pair(m, "MSE").p_value < 0.05
+                if means[m] < means["MSE"] and _pair_p(report, m, "MSE") < 0.05
             ]
             assert winners, f"no CLF with c<=100 significantly beats MSE at {prop:.1%}: {means}"
     rho = _spearman(proportions, mse_means)

@@ -21,7 +21,7 @@ def test_cell_scores_match_fingerprint():
     stored = json.loads(FINGERPRINT.read_text())
     rtol = stored["rtol"]
     want = stored["cell_scores"]
-    got = run_experiment(config_from_dict(stored["config"])).cell_scores
+    got = run_experiment(config_from_dict(stored["config"]))["cell_scores"]
     assert sorted(got) == sorted(want)
     for model, replicates in want.items():
         assert [len(rep) for rep in got[model]] == [len(rep) for rep in replicates]

@@ -1,4 +1,5 @@
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -158,7 +159,7 @@ class TestRunReplicate:
             for label, model in zip(labels, models):
                 preds = model.predict(cell.test_data.X)
                 mae = float(np.mean(np.abs(cell.test_data.y - preds)))
-                assert scores[label][fold][0] == mae
+                assert scores[label][fold]["mae"] == mae
 
     def test_divergence_tagged_with_context(self):
         cfg = tiny_config()
@@ -175,90 +176,111 @@ class TestRunReplicate:
             run_replicate(cfg, 0)
 
 
+def pair(comparison, a, b):
+    """The pairwise entry of models ``a`` and ``b`` in a ``comparisons[metric]`` entry."""
+    for entry in comparison["pairwise"]:
+        if {entry["model_a"], entry["model_b"]} == {a, b}:
+            return entry
+    raise KeyError(f"no pairwise result for ({a}, {b})")
+
+
 class TestRunExperiment:
     def test_single_replicate_std_zero(self):
         cfg = tiny_config(replicates=1, folds=2)
-        result = run_experiment(cfg)
+        doc = run_experiment(cfg)
         for m in cfg.model_labels:
-            assert result.table.std(m, "mae") == 0.0
-            assert result.table.replicate_scores(m, "mae").size == 1
+            assert doc["aggregate"][m]["mae"]["std"] == 0.0
+            assert len(doc["replicate_scores"][m]["mae"]) == 1
 
     def test_seed_changes_scores_not_shape(self):
-        r1 = run_experiment(tiny_config(master_seed=1))
-        r2 = run_experiment(tiny_config(master_seed=2))
-        assert r1.table.models == r2.table.models
-        assert r1.table.mean("MSE", "mae") != r2.table.mean("MSE", "mae")
+        d1 = run_experiment(tiny_config(master_seed=1))
+        d2 = run_experiment(tiny_config(master_seed=2))
+        assert d1["models"] == d2["models"]
+        assert d1["aggregate"]["MSE"]["mae"]["mean"] != d2["aggregate"]["MSE"]["mae"]["mean"]
 
     def test_aggregate_mean_matches_raw(self):
-        result = run_experiment(tiny_config())
-        for m in result.table.models:
-            raw = result.table.replicate_scores(m, "rmse")
-            assert result.table.mean(m, "rmse") == pytest.approx(float(np.mean(raw)), abs=1e-12)
+        doc = run_experiment(tiny_config())
+        for m in doc["models"]:
+            raw = doc["replicate_scores"][m]["rmse"]
+            assert doc["aggregate"][m]["rmse"]["mean"] == pytest.approx(float(np.mean(raw)), abs=1e-12)
 
     def test_replicate_score_is_fold_average(self):
-        result = run_experiment(tiny_config())
-        for m in result.table.models:
-            for r, rep_cells in enumerate(result.cell_scores[m]):
+        doc = run_experiment(tiny_config())
+        for m in doc["models"]:
+            for r, rep_cells in enumerate(doc["cell_scores"][m]):
                 fold_maes = [c["mae"] for c in rep_cells]
-                assert result.table.replicate_scores(m, "mae")[r] == pytest.approx(
+                assert doc["replicate_scores"][m]["mae"][r] == pytest.approx(
                     float(np.mean(fold_maes)), abs=1e-12
                 )
 
     def test_result_document_shape(self):
-        result = run_experiment(tiny_config())
-        doc = result.to_dict()
+        doc = run_experiment(tiny_config())
         assert doc["schema"] == "cauchybench-results-v1"
         assert set(doc["replicate_scores"]) == {"MSE", "CLF_1"}
         assert doc["meta"]["seed_streams_issued"] == 2 * (2 + 2 * 3)  # per replicate: data, folds, 2x(noise, train)
         assert doc["comparisons"]["mae"]["pairwise"]
         assert doc["config"]["folds"] == 3
 
+    def test_document_key_order(self):
+        doc = run_experiment(tiny_config())
+        assert list(doc) == [
+            "schema",
+            "config",
+            "models",
+            "replicate_scores",
+            "aggregate",
+            "cell_scores",
+            "comparisons",
+            "meta",
+        ]
+        assert list(doc["comparisons"]) == ["mae", "rmse"]
+        assert list(doc["comparisons"]["mae"]) == ["metric", "kruskal_wallis", "pairwise"]
+
     def test_experiment_determinism(self):
-        a = run_experiment(tiny_config()).to_dict()
-        b = run_experiment(tiny_config()).to_dict()
+        a = run_experiment(tiny_config())
+        b = run_experiment(tiny_config())
         a["meta"].pop("wall_clock_s")
         b["meta"].pop("wall_clock_s")
         assert a == b
 
 
 class TestCompareModels:
-    def make_table(self, vectors):
-        from cauchybench.harness import ScoreTable
-
-        models = list(vectors)
-        return ScoreTable(
-            models=models,
-            scores={m: {"mae": np.asarray(v, dtype=float), "rmse": np.asarray(v, dtype=float)} for m, v in vectors.items()},
-        )
+    def make_scores(self, vectors):
+        """A ``replicate_scores`` entry with the same vector for both metrics."""
+        return {m: {"mae": list(v), "rmse": list(v)} for m, v in vectors.items()}
 
     def test_identical_vectors_p_one(self):
-        table = self.make_table({"A": [1, 2, 3, 4, 5], "B": [1, 2, 3, 4, 5]})
-        report = compare_models(table, "mae")
-        assert report.pair("A", "B").p_value == 1.0
+        scores = self.make_scores({"A": [1, 2, 3, 4, 5], "B": [1, 2, 3, 4, 5]})
+        comparison = compare_models(scores, "mae")
+        assert pair(comparison, "A", "B")["p_value"] == 1.0
 
     def test_disjoint_ranges_exact_p(self):
-        table = self.make_table(
+        scores = self.make_scores(
             {"A": [0.40, 0.41, 0.42, 0.43, 0.44], "B": [2.0, 2.1, 2.2, 2.3, 2.4]}
         )
-        report = compare_models(table, "mae")
-        assert report.pair("A", "B").p_value == pytest.approx(2 / 252, abs=1e-15)
-        assert report.pair("A", "B").method == "exact_permutation"
+        comparison = compare_models(scores, "mae")
+        assert pair(comparison, "A", "B")["p_value"] == pytest.approx(2 / 252, abs=1e-15)
+        assert pair(comparison, "A", "B")["method"] == "exact_permutation"
 
     def test_pair_count_is_m_choose_2(self):
-        table = self.make_table({f"M{i}": np.arange(5) + i for i in range(6)})
-        report = compare_models(table, "mae")
-        assert len(report.pairwise) == 15
-        assert report.kruskal.n_per_group == (5,) * 6
+        scores = self.make_scores({f"M{i}": np.arange(5) + i for i in range(6)})
+        comparison = compare_models(scores, "mae")
+        assert len(comparison["pairwise"]) == 15
+        assert comparison["kruskal_wallis"]["n_per_group"] == [5] * 6
 
     def test_mismatched_replicates_rejected(self):
-        table = self.make_table({"A": [1, 2, 3], "B": [1, 2]})
+        scores = self.make_scores({"A": [1, 2, 3], "B": [1, 2]})
         with pytest.raises(ValueError, match="mismatched"):
-            compare_models(table, "mae")
+            compare_models(scores, "mae")
+
+    def test_one_model_rejected(self):
+        with pytest.raises(ValueError, match="two models"):
+            compare_models(self.make_scores({"A": [1, 2, 3]}), "mae")
 
     def test_unknown_metric(self):
-        table = self.make_table({"A": [1, 2], "B": [3, 4]})
+        scores = self.make_scores({"A": [1, 2], "B": [3, 4]})
         with pytest.raises(ValueError):
-            compare_models(table, "r2")
+            compare_models(scores, "r2")
 
 
 class TestPresetsAndConfig:
@@ -478,6 +500,22 @@ class TestPresetsAndConfig:
 
 
 class TestBikeExperiment:
+    def test_subsample_larger_than_the_file_rejected(self, tmp_path):
+        path = write_surrogate_bike_csv(tmp_path / "b.csv", n_rows=100)
+        cfg = ExperimentConfig(
+            dataset=DatasetSpec(name="bike", n_samples=101, path=str(path)),
+            noise=NoiseSpec(NoiseFamily.NONE),
+            models=(LossSpec.mse(),),
+            train=TrainConfig(epochs=1, batch_size=32, seed=0),
+            folds=2,
+            replicates=1,
+        )
+        with pytest.raises(ValueError, match=r"n_samples=101 exceeds the 100 rows"):
+            run_experiment(cfg)
+        every_row = replace(cfg, dataset=DatasetSpec(name="bike", n_samples=100, path=str(path)))
+        doc = run_experiment(every_row)
+        assert doc["config"]["dataset"]["n_samples"] == 100
+
     def test_subsampled_bike_run(self, tmp_path):
         path = write_surrogate_bike_csv(tmp_path / "b.csv", n_rows=600)
         cfg = ExperimentConfig(
@@ -490,8 +528,8 @@ class TestBikeExperiment:
             master_seed=9,
         )
         seen = []
-        result = run_experiment(cfg, observer=seen.append)
-        assert result.table.replicate_scores("MSE", "mae").shape == (2,)
+        doc = run_experiment(cfg, observer=seen.append)
+        assert len(doc["replicate_scores"]["MSE"]["mae"]) == 2
         # the net resolved to the bigger two-hidden-layer architecture
         assert seen[0].train_data.n_features == 17
         corrupted_rows = int(np.sum(seen[0].train_data.y > np.max(seen[0].test_data.y) * 2))

@@ -134,6 +134,22 @@ class TestSchemaJson:
         back = schema_from_json(p)
         assert back == SMALL_SCHEMA
 
+    @pytest.mark.parametrize(
+        "doc, where",
+        [
+            ({"name": "Count", "role": "target"}, "JSON list"),
+            ([{"name": "Temperature", "role": "numeric_feature"}, {"role": "target"}], "entry 1"),
+            ([{"name": "Count", "role": "target", "unit": "n"}], "entry 0"),
+            ([{"name": 3, "role": "target"}], "entry 0"),
+            ([{"name": "Count", "role": "target"}, "Season"], "entry 1"),
+        ],
+    )
+    def test_malformed_sidecar_names_the_entry(self, tmp_path, doc, where):
+        p = tmp_path / "schema.json"
+        p.write_text(json.dumps(doc))
+        with pytest.raises(IngestionError, match=where):
+            schema_from_json(p)
+
 
 class TestBikeFile:
     def test_surrogate_loads_with_default_schema(self, tmp_path):

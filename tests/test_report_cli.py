@@ -9,9 +9,11 @@ from cauchybench.datagen import NoiseFamily, NoiseSpec
 from cauchybench.harness import (
     DatasetSpec,
     ExperimentConfig,
+    config_from_dict,
     config_to_dict,
     run_experiment,
 )
+from cauchybench.nets import NetworkConfig
 from cauchybench.ingest import ColumnSchema, Role, load_dataset
 from cauchybench.losses import LossSpec
 from cauchybench.nets import TrainConfig
@@ -47,7 +49,7 @@ def small_result(noise=NoiseSpec(NoiseFamily.NONE), seed=5):
 
 class TestFormatTable:
     def test_text_table_flags_minimum(self):
-        doc = small_result().to_dict()
+        doc = small_result()
         text = format_table(doc, "mae")
         assert "MSE" in text and "CLF_1" in text
         assert text.count(" *") == 1
@@ -56,7 +58,7 @@ class TestFormatTable:
         assert len(flagged) == 1 and flagged[0].startswith(best)
 
     def test_round_trip_to_printed_precision(self):
-        doc = small_result().to_dict()
+        doc = small_result()
         text = format_table(doc, "rmse", fmt="csv")
         for line in text.strip().splitlines()[1:]:
             model, mean, std, _ = line.split(",")
@@ -64,11 +66,11 @@ class TestFormatTable:
             assert float(std) == pytest.approx(doc["aggregate"][model]["rmse"]["std"], abs=5e-4)
 
     def test_pure_function_of_document(self):
-        doc = small_result().to_dict()
+        doc = small_result()
         assert format_table(doc, "mae") == format_table(json.loads(json.dumps(doc)), "mae")
 
     def test_bad_metric_or_format(self):
-        doc = small_result().to_dict()
+        doc = small_result()
         with pytest.raises(ValueError):
             format_table(doc, "nope")
         with pytest.raises(ValueError):
@@ -84,7 +86,7 @@ class TestEmitPlotSeries:
                 if sigma is None
                 else NoiseSpec(NoiseFamily.GAUSSIAN, sigma=sigma)
             )
-            docs.append(small_result(noise=noise).to_dict())
+            docs.append(small_result(noise=noise))
         return docs
 
     def test_series_shapes_and_order(self):
@@ -96,7 +98,7 @@ class TestEmitPlotSeries:
             assert len(s.y) == 3 and len(s.y_err) == 3
 
     def test_single_point_sweep(self):
-        docs = [small_result().to_dict()]
+        docs = [small_result()]
         series = emit_plot_series(docs, "mae", "tau")
         assert all(len(s.x) == 1 for s in series)
 
@@ -142,11 +144,10 @@ class TestInfluenceCsv:
 
 class TestSaveLoadResults:
     def test_round_trip(self, tmp_path):
-        result = small_result()
+        doc = small_result()
         path = tmp_path / "r.json"
-        save_results(result, path)
-        doc = load_results(path)
-        assert doc == json.loads(json.dumps(result.to_dict()))
+        save_results(doc, path)
+        assert load_results(path) == json.loads(json.dumps(doc))
 
     def test_failed_write_leaves_the_earlier_file(self, tmp_path):
         path = tmp_path / "r.json"
@@ -373,3 +374,93 @@ class TestCli:
         cfg_path.write_text(json.dumps(config_to_dict(cfg)))
         assert cli_main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "r.json")]) == 2
         assert "diverged" in capsys.readouterr().err
+
+
+def typed_config_doc():
+    """A small config document with every numeric field present."""
+    return config_to_dict(
+        ExperimentConfig(
+            dataset=DatasetSpec(name="hc2", n_samples=40),
+            noise=NoiseSpec(NoiseFamily.GAUSSIAN, sigma=1.0),
+            models=(LossSpec.mse(), LossSpec.clf(10.0)),
+            net=NetworkConfig(2, (4,)),
+            train=TrainConfig(epochs=1, batch_size=16, seed=0),
+            folds=2,
+            replicates=1,
+            master_seed=7,
+        )
+    )
+
+
+def set_key(doc, dotted, value):
+    *parents, last = dotted.replace("[1]", ".1").split(".")
+    for key in parents:
+        doc = doc[int(key)] if key.isdigit() else doc[key]
+    doc[last] = value
+
+
+class TestConfigNumberTypes:
+    CASES = [
+        ("train.epochs", 2.5),
+        ("train.epochs", True),
+        ("train.epochs", "2"),
+        ("train.batch_size", 16.5),
+        ("replicates", 1.5),
+        ("replicates", False),
+        ("dataset.n_samples", 40.5),
+        ("net.input_dim", 2.5),
+        ("master_seed", 7.5),
+        ("folds", 2.5),
+        ("net.hidden_layers", "12"),
+        ("net.hidden_layers", [10.7]),
+        ("net.hidden_layers", [True]),
+        ("models[1].c", True),
+        ("models[1].c", "10"),
+        ("train.learning_rate", "0.01"),
+        ("train.beta1", False),
+        ("noise.sigma", True),
+        ("noise.sigma", "1"),
+    ]
+
+    @pytest.mark.parametrize("key, value", CASES)
+    def test_wrong_type_fails_in_config_from_dict_and_exits_1(self, tmp_path, capsys, key, value):
+        doc = typed_config_doc()
+        set_key(doc, key, value)
+        field = key.split(".")[-1]
+        with pytest.raises(ValueError, match=field):
+            config_from_dict(doc)
+        cfg_path, out = tmp_path / "cfg.json", tmp_path / "r.json"
+        cfg_path.write_text(json.dumps(doc))
+        assert cli_main(["run", "--config", str(cfg_path), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: invalid config") and field in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    def test_integral_floats_are_stored_as_ints(self):
+        doc = typed_config_doc()
+        for key in ("train.epochs", "train.batch_size", "replicates", "dataset.n_samples",
+                    "net.input_dim", "master_seed", "folds"):
+            set_key(doc, key, 2.0)
+        doc["net"]["hidden_layers"] = [4.0]
+        cfg = config_from_dict(doc)
+        ints = (cfg.train.epochs, cfg.train.batch_size, cfg.replicates, cfg.dataset.n_samples,
+                cfg.net.input_dim, cfg.master_seed, cfg.folds, *cfg.net.hidden_layers)
+        assert ints == (2, 2, 2, 2, 2, 2, 2, 4)
+        assert all(type(v) is int for v in ints)
+
+    def test_malformed_schema_sidecar_prints_an_error(self, tmp_path, capsys):
+        from ._surrogate import write_surrogate_bike_csv
+
+        csv = write_surrogate_bike_csv(tmp_path / "b.csv", n_rows=60)
+        schema = tmp_path / "schema.json"
+        out = tmp_path / "r.json"
+        args = ["run", "--preset", "bike-negative", "--data", str(csv), "--schema", str(schema),
+                "--out", str(out)]
+        for doc, where in (([{"name": "Date", "role": "dropped"}, {"role": "target"}], "entry 1"),
+                           ({"Date": "dropped"}, "JSON list")):
+            schema.write_text(json.dumps(doc))
+            assert cli_main(args) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and where in err
+            assert not out.exists()
