@@ -138,7 +138,7 @@ def _load_results_arg(path) -> dict:
         raise UsageError(f"no such results file: {path}")
     try:
         return load_results(path)
-    except json.JSONDecodeError as err:
+    except ValueError as err:  # malformed JSON, or JSON that is no results document
         raise UsageError(f"malformed results file {path}: {err}") from err
 
 

@@ -14,7 +14,9 @@ The protocol for one experiment cell:
     and every (fold, model) pair of a replicate trains together, in one
     minibatch loop (``nets.train_folds``),
   * fold MAE/RMSE against the clean test fold are averaged into one
-    replicate score per model, and replicate scores feed the rank tests.
+    replicate score per model, and replicate scores feed the rank tests;
+    replicates share nothing but the master seed, so they run in forked
+    worker processes, one per usable CPU at most.
 
 All randomness flows through seed streams derived from the master seed
 and a (purpose, replicate, fold) key; the ledger refuses to issue the
@@ -23,8 +25,10 @@ same stream twice, so no two stages can share entropy by accident.
 
 from __future__ import annotations
 
+import os
 import time
 from dataclasses import asdict, dataclass, fields, replace
+from functools import partial
 from itertools import combinations
 from typing import Callable
 
@@ -35,6 +39,7 @@ from .ingest import SEOUL_BIKE_SCHEMA, load_dataset, schema_from_json
 from .losses import LossKind, LossSpec, _check_numbers, mae_score, rmse_score
 from .nets import NetworkConfig, TrainConfig, TrainingDiverged, train_folds
 from .ranktests import kruskal_wallis, wilcoxon_rank_sum
+from .report import RESULTS_SCHEMA
 
 __all__ = [
     "DatasetSpec",
@@ -75,6 +80,9 @@ class DatasetSpec:
     def __post_init__(self):
         if self.n_samples is not None:
             _check_numbers(self, n_samples=1)
+        for name in ("path", "schema_path"):
+            if not isinstance(getattr(self, name), (str, type(None))):
+                raise ValueError(f"{name} must be a string or null, got {getattr(self, name)!r}")
         if self.name not in ("hc2", "hc8", "bike"):
             raise ValueError(f"unknown dataset {self.name!r}")
         if self.name in _SYNTH_BUILDERS:
@@ -133,6 +141,12 @@ class SeedLedger:
     def derive_int(self, purpose: str, *indices: int) -> int:
         a, b = self.derive(purpose, *indices).generate_state(2)
         return (int(a) << 32) | int(b)
+
+    def merge(self, keys: set[tuple[int, ...]]) -> None:
+        """Record streams another ledger of the same master seed issued."""
+        if twice := keys & self.issued:
+            raise RuntimeError(f"seed stream {min(twice)} requested twice")
+        self.issued |= keys
 
 
 def kfold_split(n: int, k: int, seed) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -269,18 +283,55 @@ def compare_models(replicate_scores: dict[str, dict[str, list[float]]], metric: 
     }
 
 
+def _replicate_job(cfg: ExperimentConfig, base: Dataset | None, collect: bool, r: int):
+    """One replicate on a ledger of its own: its scores, the seed streams
+    it issued and, if ``collect``, the cells an observer would have seen."""
+    ledger, cells = SeedLedger(cfg.master_seed), []
+    scores = run_replicate(cfg, r, ledger=ledger, base=base, observer=cells.append if collect else None)
+    return scores, ledger.issued, cells
+
+
+def _merge(job_output, ledger: SeedLedger, observer) -> dict[str, list[dict[str, float]]]:
+    """One replicate's job output taken in: its seed streams into
+    ``ledger`` and its cells to ``observer``; returns its scores."""
+    scores, issued, cells = job_output
+    ledger.merge(issued)
+    for cell in cells:
+        observer(cell)
+    return scores
+
+
+def _usable_cpus() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def run_experiment(cfg: ExperimentConfig, observer: Callable[[CellInfo], None] | None = None) -> dict:
     """Execute every replicate and return the results document: the
     config, per-replicate scores (each the mean over folds) with their
     mean and population std, every fold's scores, and the rank-test
-    comparisons of two or more models."""
+    comparisons of two or more models.
+
+    Replicates run in up to min(replicates, usable CPUs) forked worker
+    processes, each on a seed ledger of its own; the scores are the same
+    bits as a serial run. ``observer`` runs in this process, on each
+    replicate's cells in (fold, model) order once that replicate is back.
+    """
     started = time.time()
     ledger = SeedLedger(cfg.master_seed)
-    base = _load_base(cfg.dataset)
-    per_replicate = [
-        run_replicate(cfg, r, ledger=ledger, base=base, observer=observer)
-        for r in range(cfg.replicates)
-    ]
+    job = partial(_replicate_job, cfg, _load_base(cfg.dataset), observer is not None)
+    workers = min(cfg.replicates, _usable_cpus())
+    if workers > 1:
+        import multiprocessing  # here, so that importing the package does not pay for it
+
+        # fork, not spawn: a spawned worker imports numpy and the package
+        # again, which costs more than a small experiment's second core saves
+        with multiprocessing.get_context("fork").Pool(workers) as pool:
+            outputs = pool.imap(job, range(cfg.replicates))
+            per_replicate = [_merge(out, ledger, observer) for out in outputs]
+    else:
+        per_replicate = [_merge(out, ledger, observer) for out in map(job, range(cfg.replicates))]
     labels = cfg.model_labels
     cells = {m: [rep[m] for rep in per_replicate] for m in labels}
     scores = {
@@ -288,7 +339,7 @@ def run_experiment(cfg: ExperimentConfig, observer: Callable[[CellInfo], None] |
         for m in labels
     }
     return {
-        "schema": "cauchybench-results-v1",
+        "schema": RESULTS_SCHEMA,
         "config": config_to_dict(cfg),
         "models": labels,
         "replicate_scores": scores,

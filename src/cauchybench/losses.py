@@ -15,6 +15,7 @@ and are pure; batch aggregation (the mean) is the trainer's job.
 
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import dataclass
 from enum import Enum
@@ -48,8 +49,8 @@ class LossSpec:
     def __post_init__(self):
         object.__setattr__(self, "kind", LossKind(self.kind))
         if self.kind is LossKind.CLF:
-            _check_numbers(self, "c")
-            _check_clf_constant(self.c)
+            _check_real("c", self.c)
+            _check_clf_constant(self.c)  # rejects a non-finite c with its own reason
 
     @property
     def label(self) -> str:
@@ -88,15 +89,22 @@ def _as_int(name: str, value, minimum: int) -> int:
     return int(value)
 
 
+def _check_real(name: str, value) -> None:
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+
+
 def _check_numbers(obj, *reals: str, **int_minimums: int) -> None:
     """Type checks for the numeric fields of a frozen config dataclass, so
     a JSON value of the wrong type fails naming its field, not inside a
-    run: each of ``reals`` is a number (not a bool, a string or None), and
-    each of ``int_minimums`` passes ``_as_int`` and is stored as an int."""
+    run: each of ``reals`` is a finite number (not NaN, an infinity, a
+    bool, a string or None), and each of ``int_minimums`` passes
+    ``_as_int`` and is stored as an int."""
     for name in reals:
         value = getattr(obj, name)
-        if isinstance(value, bool) or not isinstance(value, numbers.Real):
-            raise ValueError(f"{name} must be a number, got {value!r}")
+        _check_real(name, value)
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value!r}")
     for name, minimum in int_minimums.items():
         object.__setattr__(obj, name, _as_int(name, getattr(obj, name), minimum))
 

@@ -73,12 +73,18 @@ class TrainingDiverged(RuntimeError):
         self, epoch: int, detail: str = "", model: int | None = None, fold: int | None = None
     ):
         self.epoch = epoch
+        self.detail = detail
         self.model = model
         self.fold = fold
         msg = f"training diverged at epoch {epoch}"
         if detail:
             msg += f" ({detail})"
         super().__init__(msg)
+
+    def __reduce__(self):
+        # rebuilt from the fields, not from ``args`` (the formatted message),
+        # so the error crosses a process boundary unchanged
+        return type(self), (self.epoch, self.detail, self.model, self.fold)
 
 
 @dataclass(frozen=True)

@@ -17,6 +17,8 @@ import numpy as np
 
 from .losses import LossSpec, influence
 
+RESULTS_SCHEMA = "cauchybench-results-v1"
+
 __all__ = [
     "PlotSeries",
     "save_results",
@@ -59,8 +61,17 @@ def save_results(doc: dict, path) -> None:
 
 
 def load_results(path) -> dict:
+    """A results document read back; JSON of any other shape is a ValueError."""
     with open(path) as fh:
-        return json.load(fh)
+        doc = json.load(fh)
+    if not (
+        isinstance(doc, dict)
+        and doc.get("schema") == RESULTS_SCHEMA
+        and isinstance(doc.get("models"), list)
+        and all(isinstance(doc.get(key), dict) for key in ("aggregate", "comparisons"))
+    ):
+        raise ValueError("not a cauchybench results document")
+    return doc
 
 
 def format_table(results: dict, metric: str, fmt: str = "text") -> str:

@@ -1,6 +1,6 @@
 """The public surface: every exported name exists, and the package
 namespace holds only names that some module exports; importing the
-package loads no scipy."""
+package loads no scipy and no process pool."""
 
 import importlib
 import os
@@ -43,3 +43,13 @@ def test_import_loads_no_scipy():
     env = {**os.environ, "PYTHONPATH": src}
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+def test_import_loads_no_process_pool():
+    # run_experiment imports multiprocessing only where it starts its pool,
+    # so `cauchybench --version` does not pay for it.
+    code = "import sys, cauchybench; print('multiprocessing.pool' in sys.modules)"
+    src = str(Path(cauchybench.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"

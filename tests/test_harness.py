@@ -90,6 +90,15 @@ class TestSeedLedger:
     def test_deterministic_across_instances(self):
         assert SeedLedger(3).derive_int("folds", 2) == SeedLedger(3).derive_int("folds", 2)
 
+    def test_merge_refuses_a_stream_issued_twice(self):
+        ledger, other = SeedLedger(7), SeedLedger(7)
+        ledger.derive("data", 0)
+        other.derive("data", 1)
+        ledger.merge(other.issued)
+        assert ledger.issued == {(0, 0), (0, 1)}
+        with pytest.raises(RuntimeError, match=r"seed stream \(0, 1\) requested twice"):
+            ledger.merge(other.issued)
+
 
 class TestRunReplicate:
     def test_clean_noise_means_clean_everywhere(self):
@@ -242,6 +251,77 @@ class TestRunExperiment:
         a["meta"].pop("wall_clock_s")
         b["meta"].pop("wall_clock_s")
         assert a == b
+
+
+def cpus(monkeypatch, n):
+    """Make ``n`` CPUs usable by this process, as the harness counts them."""
+    monkeypatch.setattr("os.sched_getaffinity", lambda pid: set(range(n)), raising=False)
+
+
+def cell_keys(cells):
+    return [(c.replicate, c.fold, c.model) for c in cells]
+
+
+class TestReplicatePool:
+    """run_experiment trains replicates in forked workers; every result
+    equals the serial loop over ``run_replicate`` on one ledger."""
+
+    CFG = tiny_config(noise=NoiseSpec(NoiseFamily.GAUSSIAN, sigma=5.0), replicates=3, master_seed=8)
+
+    def serial(self):
+        ledger, seen = SeedLedger(self.CFG.master_seed), []
+        reps = [run_replicate(self.CFG, r, ledger=ledger, observer=seen.append) for r in range(3)]
+        return reps, ledger, seen
+
+    def test_pooled_run_equals_a_serial_loop(self, monkeypatch):
+        cpus(monkeypatch, 2)
+        doc = run_experiment(self.CFG)
+        reps, ledger, _ = self.serial()
+        for m in self.CFG.model_labels:
+            assert doc["cell_scores"][m] == [rep[m] for rep in reps]
+        assert doc["meta"]["seed_streams_issued"] == len(ledger.issued) == 3 * (2 + 2 * 3)
+
+    def test_observer_sees_cells_in_serial_order(self, monkeypatch):
+        cpus(monkeypatch, 2)
+        seen = []
+        run_experiment(self.CFG, observer=seen.append)
+        _, _, want = self.serial()
+        assert cell_keys(seen) == cell_keys(want) == [
+            (r, f, m) for r in range(3) for f in range(3) for m in self.CFG.model_labels
+        ]
+        for got, ref in zip(seen, want):
+            assert np.array_equal(got.train_data.X, ref.train_data.X)
+            assert np.array_equal(got.train_data.y, ref.train_data.y)
+            assert np.array_equal(got.test_data.y, ref.test_data.y)
+            assert got.train_config == ref.train_config
+        for first, other in zip(seen[::2], seen[1::2]):  # two models per fold
+            assert np.array_equal(first.train_data.y, other.train_data.y)
+            assert first.train_config.seed == other.train_config.seed
+
+    def test_one_cpu_forks_nothing_and_gives_the_same_document(self, monkeypatch):
+        cpus(monkeypatch, 2)
+        pooled = run_experiment(self.CFG)
+
+        def no_fork():
+            raise AssertionError("a process was forked")
+
+        cpus(monkeypatch, 1)
+        monkeypatch.setattr("os.fork", no_fork)
+        seen = []
+        alone = run_experiment(self.CFG, observer=seen.append)
+        pooled["meta"].pop("wall_clock_s")
+        alone["meta"].pop("wall_clock_s")
+        assert alone == pooled
+        assert cell_keys(seen) == cell_keys(self.serial()[2])
+
+    def test_divergence_in_a_worker_names_its_cell_once(self, monkeypatch):
+        cpus(monkeypatch, 2)
+        cfg = replace(self.CFG, replicates=2, train=TrainConfig(epochs=3, learning_rate=1e80))
+        with pytest.raises(TrainingDiverged) as exc:
+            run_experiment(cfg)
+        assert re.search(r"model=MSE fold=0 replicate=0\)$", str(exc.value))
+        assert str(exc.value).count("model=") == 1
+        assert str(exc.value).count("training diverged at epoch") == 1
 
 
 class TestCompareModels:

@@ -312,6 +312,15 @@ class TestTrain:
         assert isinstance(exc.value.epoch, int)
         assert 0 <= exc.value.epoch < 5
 
+    def test_divergence_survives_a_pickle_round_trip(self):
+        import pickle
+
+        err = TrainingDiverged(3, "model=MSE fold=1 replicate=2", model=0, fold=1)
+        back = pickle.loads(pickle.dumps(err))
+        assert type(back) is TrainingDiverged
+        assert str(back) == str(err) == "training diverged at epoch 3 (model=MSE fold=1 replicate=2)"
+        assert (back.epoch, back.detail, back.model, back.fold) == (3, err.detail, 0, 1)
+
     def test_standardization_uses_training_stats(self):
         rng = np.random.default_rng(9)
         X = rng.normal(loc=50.0, scale=5.0, size=(40, 2))

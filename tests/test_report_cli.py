@@ -208,6 +208,16 @@ class TestCli:
         text = capsys.readouterr().out
         assert "Kruskal-Wallis" in text and "CLF_1" in text
 
+    @pytest.mark.parametrize("command", ["table", "compare"])
+    @pytest.mark.parametrize("content", ["{}", "[1]"])
+    def test_json_that_is_no_results_document_exits_1(self, tmp_path, capsys, command, content):
+        path = tmp_path / "r.json"
+        path.write_text(content)
+        assert cli_main([command, str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "not a cauchybench results document" in err
+        assert "Traceback" not in err
+
     def test_influence_command_peak_row(self, tmp_path):
         out = tmp_path / "infl.csv"
         code = cli_main(
@@ -436,6 +446,45 @@ class TestConfigNumberTypes:
         assert err.startswith("error: invalid config") and field in err
         assert "Traceback" not in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("key, value", [
+        ("noise.x0", float("nan")),
+        ("noise.x0", float("inf")),
+        ("noise.tau", float("inf")),
+        ("noise.sigma", float("nan")),
+        ("noise.sigma", float("inf")),
+        ("train.learning_rate", float("inf")),
+        ("train.learning_rate", float("nan")),
+        ("train.epsilon", float("inf")),
+        ("train.epsilon", float("nan")),
+    ])
+    def test_non_finite_real_fails_naming_its_field_and_exits_1(self, tmp_path, capsys, key, value):
+        doc = typed_config_doc()
+        if key in ("noise.x0", "noise.tau"):
+            doc["noise"] = {"family": "cauchy", "x0": 0.0, "tau": 1.0}
+        set_key(doc, key, value)
+        field = key.split(".")[-1]
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            config_from_dict(doc)
+        cfg_path, out = tmp_path / "cfg.json", tmp_path / "r.json"
+        cfg_path.write_text(json.dumps(doc))  # written as NaN / Infinity, which json reads back
+        assert cli_main(["run", "--config", str(cfg_path), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: invalid config") and f"{field} must be finite" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("field, value", [("path", 5), ("schema_path", 5), ("schema_path", ["s.json"])])
+    def test_dataset_paths_must_be_strings(self, tmp_path, capsys, field, value):
+        doc = typed_config_doc()
+        doc["dataset"] = {"name": "bike", "path": "b.csv", field: value}
+        with pytest.raises(ValueError, match=f"{field} must be a string or null"):
+            config_from_dict(doc)
+        cfg_path, out = tmp_path / "cfg.json", tmp_path / "r.json"
+        cfg_path.write_text(json.dumps(doc))
+        assert cli_main(["run", "--config", str(cfg_path), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: invalid config") and field in err
+        assert "Traceback" not in err
 
     def test_integral_floats_are_stored_as_ints(self):
         doc = typed_config_doc()
