@@ -21,7 +21,7 @@ from cauchybench import (
     mae_score,
     make_hc2,
     rmse_score,
-    train_models,
+    train_folds,
 )
 
 clean_train = make_hc2(2000, seed=0)
@@ -37,7 +37,7 @@ tc = TrainConfig(epochs=150, batch_size=32, learning_rate=0.001, seed=7)
 print(f"\n{'loss':>10} {'train-data MAE':>15} {'clean test MAE':>15} {'clean test RMSE':>16}")
 specs = (LossSpec.mse(), LossSpec.clf(1.0), LossSpec.clf(10.0))
 # One loop trains all three: they share the init seed and minibatch stream.
-for spec, model in zip(specs, train_models(noisy_train, net, specs, tc)):
+for spec, model in zip(specs, train_folds([(noisy_train, tc)], net, specs)[0]):
     on_train = mae_score(noisy_train.y, model.predict(noisy_train.X))
     on_test = mae_score(test.y, model.predict(test.X))
     rmse = rmse_score(test.y, model.predict(test.X))

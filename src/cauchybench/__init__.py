@@ -45,8 +45,6 @@ from .ingest import (
     ColumnSchema,
     IngestionError,
     Role,
-    encode,
-    load_csv,
     load_dataset,
     schema_from_json,
 )
@@ -73,11 +71,9 @@ from .nets import (
     forward,
     init_adam_state,
     init_params,
-    minibatch_indices,
     predict,
     train,
     train_folds,
-    train_models,
 )
 from .ranktests import TestResult, chi_square_sf, kruskal_wallis, rank_with_ties, wilcoxon_rank_sum
 from .report import (

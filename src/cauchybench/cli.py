@@ -18,7 +18,7 @@ import os
 import sys
 
 from . import __version__
-from .datagen import NoiseSpec, apply_noise, export_csv, make_hc2, make_hc8
+from .datagen import apply_noise, export_csv, make_hc2, make_hc8, noise_spec
 from .harness import config_from_dict, list_presets, preset_document, run_experiment
 from .losses import LossSpec
 from .report import format_table, influence_csv, load_results, save_results
@@ -87,7 +87,7 @@ def _build_parser() -> _Parser:
     gen.add_argument("--noise", choices=["none", "gaussian", "cauchy"], default="none")
     gen.add_argument("--sigma", type=float, help="Gaussian noise std")
     gen.add_argument("--tau", type=float, help="Cauchy noise scale")
-    gen.add_argument("--x0", type=float, default=0.0, help="Cauchy location")
+    gen.add_argument("--x0", type=float, help="Cauchy location (default 0)")
     return p
 
 
@@ -184,7 +184,8 @@ def _cmd_influence(args) -> int:
 def _cmd_gen(args) -> int:
     maker = make_hc2 if args.dataset == "hc2" else make_hc8
     try:
-        noise = NoiseSpec(family=args.noise, sigma=args.sigma, x0=args.x0, tau=args.tau, seed=args.seed)
+        given = {k: getattr(args, k) for k in ("sigma", "x0", "tau") if getattr(args, k) is not None}
+        noise = noise_spec({"family": args.noise, "seed": args.seed, **given}, "--{}")
         ds = apply_noise(maker(args.n, args.seed), noise)
     except ValueError as err:
         raise UsageError(str(err)) from err

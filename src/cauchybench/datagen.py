@@ -27,6 +27,7 @@ __all__ = [
     "Dataset",
     "NoiseFamily",
     "NoiseSpec",
+    "noise_spec",
     "HC2_RANGES",
     "HC8_RANGES",
     "sample_inputs",
@@ -136,6 +137,16 @@ class NoiseSpec:
         d = {"family": self.family.value, "seed": self.seed}
         d.update((name, getattr(self, name)) for name in self.family.parameters)
         return d
+
+
+def noise_spec(given: dict, key_name: str) -> NoiseSpec:
+    """The NoiseSpec of the fields in ``given``. A noise parameter that its
+    family does not read is an error, naming it as ``key_name.format(key)``."""
+    spec = NoiseSpec(**given)
+    for key in given:
+        if key not in ("family", "seed", *spec.family.parameters):
+            raise ValueError(f"{key_name.format(key)} does not apply to {spec.family.value} noise")
+    return spec
 
 
 def sample_inputs(ranges: Sequence[tuple[float, float]], n: int, seed) -> np.ndarray:

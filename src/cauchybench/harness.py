@@ -34,7 +34,7 @@ from typing import Callable
 
 import numpy as np
 
-from .datagen import Dataset, NoiseSpec, apply_noise, make_hc2, make_hc8
+from .datagen import Dataset, NoiseSpec, apply_noise, make_hc2, make_hc8, noise_spec
 from .ingest import SEOUL_BIKE_SCHEMA, load_dataset, schema_from_json
 from .losses import LossKind, LossSpec, _check_numbers, mae_score, rmse_score
 from .nets import NetworkConfig, TrainConfig, TrainingDiverged, train_folds
@@ -234,9 +234,10 @@ def run_replicate(
     try:
         trained = train_folds([(corrupted, tc) for corrupted, _, tc in prepared], net, cfg.models)
     except TrainingDiverged as err:
+        label = cfg.models[err.model].label
         raise TrainingDiverged(
             err.epoch,
-            f"model={cfg.models[err.model].label} fold={err.fold} replicate={replicate_index}",
+            f"{err.detail}; model={label} fold={err.fold} replicate={replicate_index}",
             model=err.model,
             fold=err.fold,
         ) from err
@@ -402,10 +403,7 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
     ``dataset.n_sample``, ``noise.tau`` with Gaussian noise)."""
     top = dict(_fields_of(doc, ExperimentConfig, ""))
     top["dataset"] = DatasetSpec(**_fields_of(top["dataset"], DatasetSpec, "dataset"))
-    noise = top["noise"] = NoiseSpec(**_fields_of(top["noise"], NoiseSpec, "noise"))
-    for key in doc["noise"]:
-        if key not in ("family", "seed", *noise.family.parameters):
-            raise ValueError(f"config key 'noise.{key}' does not apply to {noise.family.value} noise")
+    top["noise"] = noise_spec(_fields_of(top["noise"], NoiseSpec, "noise"), "config key 'noise.{}'")
     top["models"] = tuple(_model_from_dict(m, f"models[{i}]") for i, m in enumerate(top["models"]))
     if top.get("net") is not None:
         top["net"] = NetworkConfig(**_fields_of(top["net"], NetworkConfig, "net"))

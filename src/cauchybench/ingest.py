@@ -27,10 +27,7 @@ from .datagen import Dataset
 __all__ = [
     "Role",
     "ColumnSchema",
-    "Table",
     "IngestionError",
-    "load_csv",
-    "encode",
     "load_dataset",
     "schema_from_json",
     "SEOUL_BIKE_SCHEMA",
@@ -93,14 +90,6 @@ SEOUL_BIKE_SCHEMA: tuple[ColumnSchema, ...] = (
 )
 
 
-@dataclass
-class Table:
-    """Typed columns in schema order: floats for numeric/target, str otherwise."""
-
-    columns: dict[str, list]
-    n_rows: int
-
-
 def _normalize(name: str) -> str:
     """Strip a parenthesized unit suffix and surrounding whitespace."""
     return name.split("(")[0].strip()
@@ -114,15 +103,18 @@ def _read_text(path: Path) -> str:
         return raw.decode("cp1252")
 
 
-def load_csv(path, schema) -> Table:
-    """Parse a CSV into typed columns, reordered to match the schema.
+def load_dataset(path, schema=SEOUL_BIKE_SCHEMA) -> Dataset:
+    """Parse a CSV and encode it as a Dataset whose meta records the source path.
 
     Header matching is order-insensitive and ignores unit suffixes. Any
     numeric cell that fails to parse raises IngestionError naming its
-    1-based data row and column.
+    1-based data row and column. Numeric features pass through; each
+    categorical feature becomes one indicator column per category,
+    categories sorted lexicographically.
     """
     schema = list(schema)
     _validate_schema(schema)
+    source = str(path)
     path = Path(path)
     if not path.exists():
         raise IngestionError(f"no such file: {path}")
@@ -145,9 +137,9 @@ def load_csv(path, schema) -> Table:
     if extra:
         raise IngestionError(f"{path}: columns not covered by the schema: {extra}")
 
+    # Typed columns: floats for numeric features and the target, str otherwise.
     numeric_roles = (Role.NUMERIC, Role.TARGET)
     columns: dict[str, list] = {c.name: [] for c in schema}
-    n_rows = 0
     for row_num, row in enumerate(reader, start=1):
         if not row:
             continue
@@ -165,37 +157,26 @@ def load_csv(path, schema) -> Table:
                     ) from None
             else:
                 columns[col.name].append(cell)
-        n_rows += 1
-    if n_rows == 0:
+    target_name = next(c.name for c in schema if c.role == Role.TARGET)
+    if not columns[target_name]:
         raise IngestionError(f"{path} has a header but no data rows")
-    return Table(columns=columns, n_rows=n_rows)
 
-
-def encode(table: Table, schema) -> Dataset:
-    """Turn a typed table into a Dataset.
-
-    Numeric features pass through; each categorical feature becomes one
-    indicator column per category, categories sorted lexicographically.
-    """
-    schema = list(schema)
-    _validate_schema(schema)
     feature_cols: list[np.ndarray] = []
     feature_names: list[str] = []
     used_categories: dict[str, list[str]] = {}
-    target_name = next(c.name for c in schema if c.role == Role.TARGET)
     for col in schema:
         if col.role == Role.NUMERIC:
-            feature_cols.append(np.asarray(table.columns[col.name], dtype=float))
+            feature_cols.append(np.asarray(columns[col.name], dtype=float))
             feature_names.append(col.name)
         elif col.role == Role.CATEGORICAL:
-            values = table.columns[col.name]
+            values = columns[col.name]
             cats = sorted(set(values))
             used_categories[col.name] = cats
             for cat in cats:
                 feature_cols.append(np.array([1.0 if v == cat else 0.0 for v in values]))
                 feature_names.append(f"{col.name}={cat}")
     X = np.column_stack(feature_cols)
-    y = np.asarray(table.columns[target_name], dtype=float)
+    y = np.asarray(columns[target_name], dtype=float)
     return Dataset(
         X,
         y,
@@ -203,15 +184,9 @@ def encode(table: Table, schema) -> Dataset:
             "feature_names": feature_names,
             "target_name": target_name,
             "categories": used_categories,
+            "source": source,
         },
     )
-
-
-def load_dataset(path, schema=SEOUL_BIKE_SCHEMA) -> Dataset:
-    """load_csv followed by encode, recording the source path."""
-    ds = encode(load_csv(path, schema), schema)
-    ds.meta["source"] = str(path)
-    return ds
 
 
 def schema_from_json(path) -> list[ColumnSchema]:

@@ -20,9 +20,9 @@ contiguous rows, and the later layers' products run per (fold, model)
 pair on strided views, with the arithmetic of that model alone. Adam is
 one fused in-place update of the flat buffer. Short last batches are
 padded and masked, and a fold with one batch fewer than its peers sits
-out the extra step. ``train_models`` is the one-fold case and ``train``
-the one-model case; ``forward``, ``backward`` and ``predict`` run the
-same kernels at F = M = 1.
+out the extra step. ``train`` is the one-fold, one-model case;
+``forward``, ``backward`` and ``predict`` run the same kernels at
+F = M = 1.
 
 Features are standardized using statistics of the training data each
 fold receives (targets are left on their original scale), and the fitted
@@ -54,9 +54,7 @@ __all__ = [
     "predict",
     "adam_step",
     "init_adam_state",
-    "minibatch_indices",
     "train",
-    "train_models",
     "train_folds",
 ]
 
@@ -141,15 +139,6 @@ class Parameters:
         return Parameters(
             [np.zeros_like(w) for w in self.weights],
             [np.zeros_like(b) for b in self.biases],
-        )
-
-    @property
-    def n_layers(self) -> int:
-        return len(self.weights)
-
-    def allclose(self, other: "Parameters", **kw) -> bool:
-        return all(np.allclose(a, b, **kw) for a, b in zip(self.weights, other.weights)) and all(
-            np.allclose(a, b, **kw) for a, b in zip(self.biases, other.biases)
         )
 
 
@@ -394,16 +383,9 @@ class FeatureScaler:
 class TrainedModel:
     params: Parameters
     scaler: FeatureScaler
-    net: NetworkConfig
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         return predict(self.params, self.scaler.transform(X))
-
-
-def minibatch_indices(n: int, batch_size: int, rng: np.random.Generator) -> list[np.ndarray]:
-    """One epoch's shuffled batch index arrays (last batch may be short)."""
-    order = rng.permutation(n)
-    return [order[i : i + batch_size] for i in range(0, n, batch_size)]
 
 
 def _shuffle_rng(seed) -> np.random.Generator:
@@ -557,7 +539,6 @@ def train_folds(
             TrainedModel(
                 params=Parameters([w[f, k].copy() for w in weights], [b[f, k].copy() for b in biases]),
                 scaler=scalers[f],
-                net=net,
             )
             for k in range(n_models)
         ]
@@ -565,24 +546,7 @@ def train_folds(
     ]
 
 
-def train_models(
-    data, net: NetworkConfig, losses: Sequence[LossSpec], tc: TrainConfig
-) -> list[TrainedModel]:
-    """Mini-batch Adam training of ``net`` under each loss in ``losses``:
-    ``train_folds`` with the single fold ``(data, tc)``. Returns one model
-    per loss, in order."""
-    return train_folds([(data, tc)], net, losses)[0]
-
-
 def train(data, net: NetworkConfig, loss: LossSpec, tc: TrainConfig) -> TrainedModel:
-    """Mini-batch Adam training of ``net`` under ``loss``: ``train_models``
-    with a single loss.
-
-    Initialization is exactly ``init_params(net, tc.seed)``; the epoch
-    shuffle uses an independent stream derived from the same seed, so the
-    whole run is a pure function of (data, net, loss, tc).
-
-    Raises TrainingDiverged (carrying the epoch index) if a non-finite
-    prediction or batch loss shows up.
-    """
-    return train_models(data, net, (loss,), tc)[0]
+    """``train_folds`` with the single fold ``(data, tc)`` and the single
+    loss ``loss``: a pure function of (data, net, loss, tc)."""
+    return train_folds([(data, tc)], net, (loss,))[0][0]

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
-from itertools import combinations
 
 import numpy as np
 
@@ -25,7 +24,7 @@ __all__ = [
     "EXACT_LIMIT",
 ]
 
-# Exact enumeration cap: total sample size whose C(n, n1) stays <= 924.
+# Largest total sample size that gets the exact permutation p-value.
 EXACT_LIMIT = 12
 
 
@@ -70,10 +69,11 @@ def wilcoxon_rank_sum(a, b) -> TestResult:
     """Two-sided Mann-Whitney/Wilcoxon rank-sum test on two samples.
 
     The statistic is U for the first sample, built from pooled midranks.
-    With n1 + n2 <= EXACT_LIMIT the p-value enumerates every assignment
-    of the pooled (possibly tied) values into groups of the observed
-    sizes; otherwise it uses the tie-corrected normal approximation with
-    continuity correction.
+    With n1 + n2 <= EXACT_LIMIT the p-value is the share of all
+    assignments of the pooled (possibly tied) values into groups of the
+    observed sizes whose U lies at least as far from its mean, counted by
+    rank sum; otherwise it uses the tie-corrected normal approximation
+    with continuity correction.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -88,17 +88,18 @@ def wilcoxon_rank_sum(a, b) -> TestResult:
     mu = n1 * n2 / 2.0
 
     if total <= EXACT_LIMIT:
-        # Ranks are multiples of 0.5, so comparisons only need a hair of slack.
-        eps = 1e-9
-        obs_dev = abs(u - mu)
-        hits = 0
-        count = 0
-        base = n1 * (n1 + 1) / 2.0
-        for comb in combinations(range(total), n1):
-            u_perm = ranks[list(comb)].sum() - base
-            count += 1
-            hits += abs(u_perm - mu) >= obs_dev - eps
-        return TestResult(u, hits / count, "exact_permutation", (n1, n2))
+        # counts[k, s]: the k-subsets of the pooled values whose doubled
+        # midranks (integers) sum to s. The in-place add reads its right
+        # side whole before writing, so each value joins a subset once.
+        doubled = (2.0 * ranks).astype(int)
+        counts = np.zeros((n1 + 1, total * (total + 1) + 1), dtype=np.int64)
+        counts[0, 0] = 1
+        for d in doubled:
+            counts[1:, d:] += counts[:-1, :-d]
+        # U = mu where the doubled rank sum is n1 * (total + 1)
+        dev = np.abs(np.arange(counts.shape[1]) - n1 * (total + 1))
+        hits = int(counts[n1, dev >= dev[doubled[:n1].sum()]].sum())
+        return TestResult(u, hits / math.comb(total, n1), "exact_permutation", (n1, n2))
 
     tie = _tie_term(pooled)
     var = (n1 * n2 / 12.0) * ((total + 1) - tie / (total * (total - 1)))

@@ -176,8 +176,8 @@ def influence_csv(specs: list[LossSpec], rmax: float, steps_per_unit: int) -> st
     residual (spacing 1/steps_per_unit), so integer residuals land on
     grid points exactly.
     """
-    if rmax <= 0 or steps_per_unit < 1:
-        raise ValueError("need rmax > 0 and steps_per_unit >= 1")
+    if not 0 < rmax < np.inf or steps_per_unit < 1:  # NaN fails both comparisons
+        raise ValueError("need a finite rmax > 0 and steps_per_unit >= 1")
     n = int(round(rmax * steps_per_unit))
     grid = np.arange(n + 1) / steps_per_unit
     out = io.StringIO()

@@ -1,6 +1,7 @@
 """The public surface: every exported name exists, and the package
 namespace holds only names that some module exports; importing the
-package loads no scipy and no process pool."""
+package loads no scipy and no process pool; the benchmark's traced run
+finds every function it wraps or replays."""
 
 import importlib
 import os
@@ -9,6 +10,8 @@ import subprocess
 import sys
 import types
 from pathlib import Path
+
+import pytest
 
 import cauchybench
 
@@ -53,3 +56,19 @@ def test_import_loads_no_process_pool():
     env = {**os.environ, "PYTHONPATH": src}
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "False"
+
+
+@pytest.mark.parametrize("workload", ["hc2-cauchy", "hc8-gaussian-pair"])
+def test_benchmark_trace_hooks_resolve(workload):
+    # benchmarks/traced.py wraps and replays package functions by name, so
+    # deleting one of them breaks `benchmarks/run.py --trace 1`.
+    root = Path(__file__).resolve().parents[1]
+    code = (
+        "import traced, workloads\n"
+        f"cfg = workloads.config({workload!r}, 11)\n"
+        "traced.install(traced.Tracer(cfg))\n"
+        "traced.replay(cfg, repeats=1, calls=1)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(root / "src"), str(root / "benchmarks")])}
+    out = subprocess.run([sys.executable, "-c", code], cwd=root, env=env, capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr[-2000:]

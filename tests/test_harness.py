@@ -150,7 +150,7 @@ class TestRunReplicate:
         assert a != b
 
     def test_observer_order_and_scores_match_training_each_fold_alone(self):
-        from cauchybench.nets import NetworkConfig, train_models
+        from cauchybench.nets import NetworkConfig, train_folds
 
         seen = []
         cfg = tiny_config(noise=NoiseSpec(NoiseFamily.GAUSSIAN, sigma=5.0))
@@ -164,7 +164,7 @@ class TestRunReplicate:
         net = NetworkConfig(2, (10,))
         for fold in range(cfg.folds):
             cell = seen[fold * len(labels)]
-            models = train_models(cell.train_data, net, cfg.models, cell.train_config)
+            models = train_folds([(cell.train_data, cell.train_config)], net, cfg.models)[0]
             for label, model in zip(labels, models):
                 preds = model.predict(cell.test_data.X)
                 mae = float(np.mean(np.abs(cell.test_data.y - preds)))
@@ -320,6 +320,8 @@ class TestReplicatePool:
         with pytest.raises(TrainingDiverged) as exc:
             run_experiment(cfg)
         assert re.search(r"model=MSE fold=0 replicate=0\)$", str(exc.value))
+        # the trainer's reason crosses the pool too
+        assert re.search(r"\(non-finite (loss|prediction); model=", str(exc.value))
         assert str(exc.value).count("model=") == 1
         assert str(exc.value).count("training diverged at epoch") == 1
 

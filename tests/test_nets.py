@@ -22,11 +22,9 @@ from cauchybench.nets import (
     forward,
     init_adam_state,
     init_params,
-    minibatch_indices,
     predict,
     train,
     train_folds,
-    train_models,
 )
 
 
@@ -36,6 +34,23 @@ def random_params(cfg, seed, keep_away_from_kinks=False):
     weights = [rng.normal(size=(o, i)) for i, o in zip(sizes[:-1], sizes[1:])]
     biases = [rng.normal(size=o) for o in sizes[1:]]
     return Parameters(weights, biases)
+
+
+def assert_same_params(a, b):
+    assert len(a.weights) == len(b.weights)
+    for x, y in zip(a.weights + a.biases, b.weights + b.biases):
+        assert np.array_equal(x, y)
+
+
+FINGERPRINT_RTOL = json.loads(
+    (Path(__file__).resolve().parent.parent / "benchmarks" / "fingerprint.json").read_text()
+)["rtol"]
+
+
+def assert_close_params(a, b, rtol=FINGERPRINT_RTOL, atol=0.0):
+    assert len(a.weights) == len(b.weights)
+    for x, y in zip(a.weights + a.biases, b.weights + b.biases):
+        assert np.allclose(x, y, rtol=rtol, atol=atol)
 
 
 class TestInitParams:
@@ -125,7 +140,7 @@ class TestForward:
         cfg = NetworkConfig(3, hidden)
         rng = np.random.default_rng(12)
         X = rng.normal(size=(9, 3)) * 4.0 + 1.0
-        model = TrainedModel(random_params(cfg, 11), FeatureScaler.fit(X), cfg)
+        model = TrainedModel(random_params(cfg, 11), FeatureScaler.fit(X))
         expected = []
         for row in X:
             a = (row - model.scaler.mean) / model.scaler.scale
@@ -233,7 +248,7 @@ class TestAdam:
         p = random_params(cfg, 7)
         state = init_adam_state(p)
         newp, newstate = adam_step(p, p.zeros_like(), state, TrainConfig())
-        assert newp.allclose(p, atol=0)
+        assert_same_params(newp, p)
         assert newstate.t == 1
 
     def test_first_step_is_signed_learning_rate(self):
@@ -263,7 +278,7 @@ class TestAdam:
             q, state = adam_step(q, g2, state, tc)
             return q
 
-        assert run().allclose(run(), atol=0)
+        assert_same_params(run(), run())
 
     def test_state_v_nonnegative(self):
         cfg = NetworkConfig(2, (3,))
@@ -284,7 +299,7 @@ class TestTrain:
         tc = TrainConfig(epochs=0, seed=21)
         model = train(data, net, LossSpec.mse(), tc)
         expected = init_params(net, 21)
-        assert model.params.allclose(expected, atol=0)
+        assert_same_params(model.params, expected)
 
     @pytest.mark.parametrize("spec", [LossSpec.mse(), LossSpec.clf(1.0)], ids=["mse", "clf1"])
     def test_constant_target_converges(self, spec):
@@ -301,7 +316,7 @@ class TestTrain:
         tc = TrainConfig(epochs=5, seed=77)
         a = train(data, net, LossSpec.clf(2.0), tc)
         b = train(data, net, LossSpec.clf(2.0), tc)
-        assert a.params.allclose(b.params, atol=0)
+        assert_same_params(a.params, b.params)
 
     def test_divergence_raises_with_epoch(self):
         data = constant_target_data()
@@ -350,12 +365,13 @@ class TestTrain:
             state = init_adam_state(params)
             shuffle = _shuffle_rng(tc.seed)
             for _ in range(tc.epochs):
-                for idx in minibatch_indices(30, tc.batch_size, shuffle):
+                order = shuffle.permutation(30)
+                for idx in (order[i : i + tc.batch_size] for i in range(0, 30, tc.batch_size)):
                     mapped = index_map[idx]
                     preds, cache = forward(params, Xs[mapped])
                     g = loss_grad(yd[mapped], preds, spec)
                     grads = backward(params, cache, g)
-                    for i in range(grads.n_layers):
+                    for i in range(len(grads.weights)):
                         grads.weights[i] /= idx.size
                         grads.biases[i] /= idx.size
                     params, state = adam_step(params, grads, state, tc)
@@ -364,18 +380,12 @@ class TestTrain:
         identity = np.arange(30)
         baseline = manual_train(X, y, identity)
         # Library train() agrees with the hand loop (oracle for the loop itself).
-        assert train(Dataset(X, y), net, spec, tc).params.allclose(baseline, atol=0)
+        assert_close_params(train(Dataset(X, y), net, spec, tc).params, baseline)
 
         perm = np.random.default_rng(77).permutation(30)
         inverse = np.argsort(perm)
         permuted = manual_train(X[perm], y[perm], inverse)
-        assert baseline.allclose(permuted, atol=1e-12)
-
-
-def assert_same_params(a, b):
-    assert len(a.weights) == len(b.weights)
-    for x, y in zip(a.weights + a.biases, b.weights + b.biases):
-        assert np.array_equal(x, y)
+        assert_close_params(baseline, permuted, rtol=1e-5, atol=1e-12)
 
 
 MIXED_SPECS = (
@@ -399,17 +409,16 @@ class TestTrainModels:
 
     def test_each_model_equals_training_it_alone(self):
         data = noisy_data()
-        models = train_models(data, self.NET, MIXED_SPECS, self.TC)
+        models = train_folds([(data, self.TC)], self.NET, MIXED_SPECS)[0]
         assert len(models) == len(MIXED_SPECS)
         for spec, model in zip(MIXED_SPECS, models):
             assert_same_params(model.params, train(data, self.NET, spec, self.TC).params)
-            assert model.net == self.NET
 
     def test_result_does_not_depend_on_peers(self):
         data = noisy_data(seed=1)
-        full = train_models(data, self.NET, MIXED_SPECS, self.TC)
-        backwards = train_models(data, self.NET, MIXED_SPECS[::-1], self.TC)[::-1]
-        subset = train_models(data, self.NET, (MIXED_SPECS[3], MIXED_SPECS[0]), self.TC)
+        full = train_folds([(data, self.TC)], self.NET, MIXED_SPECS)[0]
+        backwards = train_folds([(data, self.TC)], self.NET, MIXED_SPECS[::-1])[0][::-1]
+        subset = train_folds([(data, self.TC)], self.NET, (MIXED_SPECS[3], MIXED_SPECS[0]))[0]
         for a, b in zip(full, backwards):
             assert_same_params(a.params, b.params)
         assert_same_params(full[3].params, subset[0].params)
@@ -433,15 +442,13 @@ class TestTrainModels:
         # Oracle: MSE diverges in the first epoch whose shuffle puts both
         # huge targets into one batch.
         shuffle = _shuffle_rng(tc.seed)
-        epochs = [
-            any({5, 40} <= set(b.tolist()) for b in minibatch_indices(64, 16, shuffle))
-            for _ in range(tc.epochs)
-        ]
+        orders = [shuffle.permutation(64) for _ in range(tc.epochs)]
+        epochs = [any({5, 40} <= set(order[i : i + 16]) for i in range(0, 64, 16)) for order in orders]
         expected = epochs.index(True)
         assert expected > 0
         specs = (LossSpec.clf(1.0), LossSpec.mse(), LossSpec.clf(10.0))
         with pytest.raises(TrainingDiverged, match="non-finite loss") as exc:
-            train_models(data, net, specs, tc)
+            train_folds([(data, tc)], net, specs)
         assert exc.value.model == 1
         assert exc.value.epoch == expected
         with pytest.raises(TrainingDiverged) as alone:
@@ -453,30 +460,21 @@ class TestTrainModels:
     def test_same_step_divergence_names_first_in_order(self):
         data = self.two_huge_targets()
         specs = (LossSpec.clf(1.0), LossSpec.mse(), LossSpec.clf(10.0), LossSpec.mse())
+        tc = TrainConfig(epochs=6, batch_size=16, seed=3)
         with pytest.raises(TrainingDiverged) as exc:
-            train_models(data, NetworkConfig(1, (4,)), specs, TrainConfig(epochs=6, batch_size=16, seed=3))
+            train_folds([(data, tc)], NetworkConfig(1, (4,)), specs)
         assert exc.value.model == 1
 
     def test_input_checks(self):
         net = NetworkConfig(3, (4,))
         with pytest.raises(ValueError, match="empty"):
-            train_models(Dataset(np.zeros((0, 3)), np.zeros(0)), net, MIXED_SPECS, self.TC)
+            train_folds([(Dataset(np.zeros((0, 3)), np.zeros(0)), self.TC)], net, MIXED_SPECS)
         with pytest.raises(ValueError, match="features"):
-            train_models(noisy_data(d=2), net, MIXED_SPECS, self.TC)
+            train_folds([(noisy_data(d=2), self.TC)], net, MIXED_SPECS)
         with pytest.raises(ValueError, match="features"):
             train(noisy_data(d=2), net, LossSpec.mse(), self.TC)
         with pytest.raises(ValueError, match="at least one loss"):
-            train_models(noisy_data(), net, (), self.TC)
-
-
-FINGERPRINT_RTOL = json.loads(
-    (Path(__file__).resolve().parent.parent / "benchmarks" / "fingerprint.json").read_text()
-)["rtol"]
-
-
-def assert_close_params(a, b, rtol=FINGERPRINT_RTOL):
-    for x, y in zip(a.weights + a.biases, b.weights + b.biases):
-        assert np.allclose(x, y, rtol=rtol, atol=0.0)
+            train_folds([(noisy_data(), self.TC)], net, ())
 
 
 class TestTrainFolds:
@@ -487,7 +485,7 @@ class TestTrainFolds:
         return TrainConfig(epochs=3, batch_size=batch_size, learning_rate=0.01, seed=seed)
 
     def alone(self, folds):
-        return [train_models(data, self.NET, MIXED_SPECS, tc) for data, tc in folds]
+        return [train_folds([fold], self.NET, MIXED_SPECS)[0] for fold in folds]
 
     def test_each_fold_equals_training_it_alone(self):
         # 75 rows at batch 16 in every fold: the same batch layout, so the
@@ -499,7 +497,6 @@ class TestTrainFolds:
             for got, ref in zip(models, want):
                 assert_same_params(got.params, ref.params)
                 assert np.array_equal(got.scaler.mean, data.X.mean(axis=0))
-                assert got.net == self.NET
 
     @pytest.mark.parametrize("sizes", [(64, 65), (65, 64)])
     def test_fold_with_one_batch_more(self, sizes):
@@ -547,7 +544,7 @@ class TestTrainFolds:
         tc = TrainConfig(epochs=6, batch_size=16, seed=3)
         specs = (LossSpec.clf(1.0), LossSpec.mse(), LossSpec.clf(10.0))
         with pytest.raises(TrainingDiverged) as alone:
-            train_models(data, net, specs, tc)
+            train_folds([(data, tc)], net, specs)
         with pytest.raises(TrainingDiverged, match="non-finite loss") as exc:
             train_folds([(tame, replace(tc, seed=4)), (data, tc)], net, specs)
         assert (exc.value.fold, exc.value.model, exc.value.epoch) == (1, 1, alone.value.epoch)
@@ -636,12 +633,6 @@ class TestTrainFolds:
 
 
 class TestMinibatchIndices:
-    def test_partition(self):
-        rng = np.random.default_rng(0)
-        batches = minibatch_indices(25, 8, rng)
-        assert [len(b) for b in batches] == [8, 8, 8, 1]
-        assert sorted(np.concatenate(batches).tolist()) == list(range(25))
-
     def test_train_config_validation(self):
         with pytest.raises(ValueError):
             TrainConfig(learning_rate=0.0)

@@ -6,6 +6,7 @@ import pytest
 from scipy import integrate, special
 
 from cauchybench.ranktests import (
+    EXACT_LIMIT,
     TestResult,
     chi_square_sf,
     kruskal_wallis,
@@ -104,6 +105,16 @@ class TestWilcoxonRankSum:
             assert wilcoxon_rank_sum(a, b).p_value == pytest.approx(
                 brute_force_wrs_p(a, b), abs=1e-12
             )
+
+    def test_exact_p_equals_enumeration_at_every_split(self):
+        # Every (n1, n2) that takes the exact path, without and with ties.
+        rng = np.random.default_rng(11)
+        draws = (rng.normal, lambda size: rng.integers(0, 4, size=size).astype(float))
+        for total in range(2, EXACT_LIMIT + 1):
+            for n1 in range(1, total):
+                for draw in draws:
+                    a, b = draw(size=n1), draw(size=total - n1)
+                    assert wilcoxon_rank_sum(a, b).p_value == brute_force_wrs_p(a, b)
 
     def test_normal_approx_used_above_limit(self):
         rng = np.random.default_rng(5)

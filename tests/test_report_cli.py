@@ -138,8 +138,9 @@ class TestInfluenceCsv:
             assert clf_v == pytest.approx(4.0 * r / (4.0 + r * r), abs=1e-12)
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            influence_csv([LossSpec.mse()], rmax=0.0, steps_per_unit=5)
+        for rmax in (0.0, float("inf"), float("nan")):
+            with pytest.raises(ValueError, match="finite rmax"):
+                influence_csv([LossSpec.mse()], rmax=rmax, steps_per_unit=5)
 
 
 class TestSaveLoadResults:
@@ -251,6 +252,29 @@ class TestCli:
         assert np.array_equal(a.X, b.X)
         assert np.all(a.y != b.y)
         capsys.readouterr()
+
+    @pytest.mark.parametrize(
+        "noise, flags",
+        [
+            ("none", ["--sigma", "2"]),
+            ("cauchy", ["--tau", "1", "--sigma", "2"]),
+            ("gaussian", ["--sigma", "2", "--tau", "1"]),
+            ("gaussian", ["--sigma", "2", "--x0", "1"]),
+        ],
+    )
+    def test_gen_rejects_a_flag_its_noise_does_not_read(self, tmp_path, capsys, noise, flags):
+        out = tmp_path / "d.csv"
+        args = ["gen", "--dataset", "hc2", "--n", "10", "--noise", noise, *flags, "--out", str(out)]
+        assert cli_main(args) == 1
+        assert capsys.readouterr().err == f"error: {flags[-2]} does not apply to {noise} noise\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("rmax", ["inf", "nan"])
+    def test_influence_non_finite_rmax_is_usage_error(self, tmp_path, capsys, rmax):
+        out = tmp_path / "infl.csv"
+        assert cli_main(["influence", "--rmax", rmax, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "error: need a finite rmax > 0 and steps_per_unit >= 1\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize("c", ["1e200", "1e-200", "-1", "0"])
     def test_influence_bad_constant_is_usage_error(self, tmp_path, capsys, c):
@@ -383,7 +407,8 @@ class TestCli:
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(config_to_dict(cfg)))
         assert cli_main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "r.json")]) == 2
-        assert "diverged" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "diverged" in err and "non-finite" in err
 
 
 def typed_config_doc():
