@@ -37,7 +37,9 @@ tc = TrainConfig(epochs=150, batch_size=32, learning_rate=0.001, seed=7)
 print(f"\n{'loss':>10} {'train-data MAE':>15} {'clean test MAE':>15} {'clean test RMSE':>16}")
 specs = (LossSpec.mse(), LossSpec.clf(1.0), LossSpec.clf(10.0))
 # One loop trains all three: they share the init seed and minibatch stream.
-for spec, model in zip(specs, train_folds([(noisy_train, tc)], net, specs)[0]):
+# The one fold is every row of the noisy sample: (rows of X, targets, config).
+fold = (np.arange(len(noisy_train)), noisy_train.y, tc)
+for spec, model in zip(specs, train_folds(noisy_train.X, [fold], net, specs)[0]):
     on_train = mae_score(noisy_train.y, model.predict(noisy_train.X))
     on_test = mae_score(test.y, model.predict(test.X))
     rmse = rmse_score(test.y, model.predict(test.X))

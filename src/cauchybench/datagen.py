@@ -84,7 +84,7 @@ class Dataset:
     def take(self, indices) -> "Dataset":
         """Row subset as a new Dataset (copies, meta shared shallowly)."""
         idx = np.asarray(indices)
-        return Dataset(self.X[idx].copy(), self.y[idx].copy(), dict(self.meta))
+        return Dataset(self.X[idx], self.y[idx], dict(self.meta))  # fancy indexing copies
 
 
 class NoiseFamily(str, Enum):

@@ -12,7 +12,9 @@ The protocol for one experiment cell:
   * each candidate loss trains on the SAME corrupted matrix from the
     SAME initialization seed; the loss function is the only difference,
     and every (fold, model) pair of a replicate trains together, in one
-    minibatch loop (``nets.train_folds``),
+    minibatch loop (``nets.train_folds``) that reads each fold's rows
+    from the replicate's one clean feature matrix (noise touches only
+    targets, so no fold's features are copied for training),
   * fold MAE/RMSE against the clean test fold are averaged into one
     replicate score per model, and replicate scores feed the rank tests;
     replicates share nothing but the master seed, so they run in forked
@@ -224,15 +226,18 @@ def run_replicate(
     clean = _clean_dataset(cfg.dataset, ledger.derive("data", replicate_index), base)
     net = _resolve_net(cfg, clean)
     folds = kfold_split(len(clean), cfg.folds, ledger.derive("folds", replicate_index))
-    prepared = []
+    # The trainer reads the folds' features from ``clean.X``: of each
+    # corrupted training fold only the targets are kept, and the whole
+    # Dataset only when an observer will be shown it.
+    train_rows, prepared = [], []
     for fold_idx, (train_idx, test_idx) in enumerate(folds):
-        train_clean = clean.take(train_idx)
-        test_clean = clean.take(test_idx)
         noise = replace(cfg.noise, seed=ledger.derive_int("noise", replicate_index, fold_idx))
         tc = replace(cfg.train, seed=ledger.derive_int("train", replicate_index, fold_idx))
-        prepared.append((apply_noise(train_clean, noise), test_clean, tc))
+        corrupted = apply_noise(clean.take(train_idx), noise)
+        train_rows.append((train_idx, corrupted.y, tc))
+        prepared.append((corrupted if observer is not None else None, clean.take(test_idx), tc))
     try:
-        trained = train_folds([(corrupted, tc) for corrupted, _, tc in prepared], net, cfg.models)
+        trained = train_folds(clean.X, train_rows, net, cfg.models)
     except TrainingDiverged as err:
         label = cfg.models[err.model].label
         raise TrainingDiverged(
@@ -242,7 +247,7 @@ def run_replicate(
             fold=err.fold,
         ) from err
     scores: dict[str, list[dict[str, float]]] = {m.label: [] for m in cfg.models}
-    for fold_idx, ((corrupted, test_clean, tc), models) in enumerate(zip(prepared, trained)):
+    for fold_idx, ((train_data, test_clean, tc), models) in enumerate(zip(prepared, trained)):
         for spec, model in zip(cfg.models, models):
             preds = model.predict(test_clean.X)
             scores[spec.label].append(
@@ -254,7 +259,7 @@ def run_replicate(
                         replicate=replicate_index,
                         fold=fold_idx,
                         model=spec.label,
-                        train_data=corrupted,
+                        train_data=train_data,
                         test_data=test_clean,
                         train_config=tc,
                     )

@@ -5,24 +5,29 @@ Adam optimizer with bias correction. Everything is deterministic given
 the seeds carried in the configs; no global RNG state is touched.
 
 ``train_folds`` trains several losses on several folds together. The
-models of one fold share one initialization, one shuffle stream and so
-one minibatch stream, and only their loss gradients differ; each fold
-keeps its own seed, shuffle stream and feature scaler. Parameters live
-in one flat (F, M·P) buffer, F folds by M models of P parameters, laid
-out layer by layer within a fold: a layer's M weight matrices, then its
-M bias vectors. The weights are viewed as (F, M, out, in) and the
-biases as (F, M, out), and layer 1's weights also as (F, M·h, d), so
-the models of a fold, which share the batch, make one layer-1 GEMM.
-Hidden pre-activations, activations and deltas live in reused
-fold-major (F, batch, M, h) buffers (model-major for layers of fewer
-than 4 units, see ``_hidden_rows``): elementwise passes run over
-contiguous rows, and the later layers' products run per (fold, model)
-pair on strided views, with the arithmetic of that model alone. Adam is
-one fused in-place update of the flat buffer. Short last batches are
-padded and masked, and a fold with one batch fewer than its peers sits
-out the extra step. ``train`` is the one-fold, one-model case;
-``forward``, ``backward`` and ``predict`` run the same kernels at
-F = M = 1.
+folds are row subsets of one shared feature matrix, each with its own
+targets, so no fold's features are copied: every step gathers all
+folds' batches from the shared matrix in one ``np.take``. The models of
+one fold share one initialization, one shuffle stream and so one
+minibatch stream, and only their loss gradients differ; each fold keeps
+its own seed, shuffle stream and feature scaler. Parameters live in one
+flat (F, M·P) buffer, F folds by M models of P parameters, laid out
+layer by layer within a fold: a layer's M weight matrices, then its M
+bias vectors. The weights are viewed as (F, M, out, in) and the biases
+as (F, M, out), and layer 1's weights also as (F, M·h, d), so the
+models of a fold, which share the batch, make one layer-1 GEMM. Hidden
+pre-activations, activations and deltas live in reused fold-major
+(F, batch, M, h) buffers (model-major for layers of fewer than 4 units,
+see ``_hidden_rows``): elementwise passes run over contiguous rows, and
+the later layers' products run per (fold, model) pair on strided views,
+with the arithmetic of that model alone. Behind a fold-major last
+hidden layer, the output layer's delta is one GEMM per fold against its
+weights laid out block-diagonally (see ``_backward``). Adam is one fused
+in-place update of the flat buffer.
+Short last batches are padded and masked, and a fold with one batch
+fewer than its peers sits out the extra step. ``train`` is the
+one-fold, one-model case; ``forward``, ``backward`` and ``predict`` run
+the same kernels at F = M = 1.
 
 Features are standardized using statistics of the training data each
 fold receives (targets are left on their original scale), and the fitted
@@ -236,20 +241,35 @@ def _forward(weights, biases, x, pre_acts, acts) -> np.ndarray:
     return out
 
 
-def _backward(weights, x, pre_acts, acts, g, deltas, grad_w, grad_b) -> None:
+def _backward(weights, x, pre_acts, acts, g, deltas, grad_w, grad_b, blocks=None) -> None:
     """Batch sums of every pair's parameter gradients, written into
     ``grad_w`` and ``grad_b`` (laid out as the weights and biases).
 
     ``g`` (F, M, w) is dL/dprediction and the other arrays are those of
     ``_forward``; ``deltas`` holds one (F, w, M, h) scratch buffer per
-    hidden layer. The ReLU subgradient at exactly 0 is taken as 0.
+    hidden layer. ``blocks``, zeros of shape (F, M, M, h) for the last
+    hidden layer's width h, is reused scratch for the output layer's
+    block-diagonal weights (allocated here when None). The ReLU
+    subgradient at exactly 0 is taken as 0.
     """
     last = len(weights) - 1
     np.matmul(g[..., None, :], acts[-1].swapaxes(1, 2), out=grad_w[last])
     g[..., None].sum(axis=-2, out=grad_b[last])
     # The output layer is affine with one unit: the delta it sends back is
-    # the exact product of g and its weights.
-    np.multiply(g.swapaxes(1, 2)[..., None], weights[last].swapaxes(1, 2), out=deltas[-1])
+    # the exact product of g and its weights. With the last hidden layer
+    # fold-major, that is one (w, M) @ (M, M·h) GEMM per fold against the
+    # output weights placed on a block diagonal. Each entry sums one
+    # product and exact zeros (g is finite here), so it is the same value;
+    # only a zero product may come out +0 where the broadcast gives -0,
+    # which no parameter sees (Adam's moments are never -0).
+    n_folds, n_models, _, h = weights[last].shape
+    if h >= _NARROW:
+        if blocks is None:
+            blocks = np.zeros((n_folds, n_models, n_models, h))
+        np.copyto(blocks.reshape(n_folds, -1, h)[:, :: n_models + 1], weights[last][:, :, 0])
+        np.matmul(g.swapaxes(1, 2), _merge(blocks, 2), out=_merge(deltas[-1], 2))
+    else:
+        np.multiply(g.swapaxes(1, 2)[..., None], weights[last].swapaxes(1, 2), out=deltas[-1])
     for i in range(last - 1, -1, -1):
         delta = deltas[i]
         delta *= pre_acts[i] > 0.0
@@ -425,25 +445,35 @@ def _step_plan(sizes: np.ndarray, batch_size: int) -> list[tuple]:
 
 
 def train_folds(
-    folds: Sequence[tuple], net: NetworkConfig, losses: Sequence[LossSpec]
+    X, folds: Sequence[tuple], net: NetworkConfig, losses: Sequence[LossSpec]
 ) -> list[list[TrainedModel]]:
     """Mini-batch Adam training of ``net`` under each loss in ``losses``,
-    on each fold in ``folds``, a sequence of ``(data, tc)`` pairs whose
-    TrainConfigs may differ only in ``seed``.
+    on each fold in ``folds``. ``X`` (n, d) is the feature matrix the
+    folds share, and each fold is a ``(rows, y, tc)`` triple: the indices
+    of its training rows in ``X``, their targets in that order, and a
+    TrainConfig that may differ from the other folds' only in ``seed``.
+    Only the indices are per fold; no fold's features are copied.
 
     A fold's models start from ``init_params(net, tc.seed)`` and see the
     same minibatches: the epoch shuffle uses an independent stream derived
     from the same seed, and features are standardized with a scaler fitted
-    to that fold's data. The per-batch gradient is the mean over the batch
+    to that fold's rows. The per-batch gradient is the mean over the batch
     of per-sample prediction gradients pushed through backprop. Returns,
     per fold, one model per loss, in order.
 
-    Step j of an epoch takes batch j of every fold. A batch shorter than
-    its peers is padded with its fold's first row, masked out of the loss
-    and the gradient; a fold with no batch j left keeps its parameters,
-    Adam moments and step counter. So each model equals training its fold
-    alone, bit for bit where the folds' batch layouts agree and to
-    rounding where padding changes the length of a batch sum.
+    Once per epoch, each fold's shuffled order is composed with its rows
+    and its targets are gathered in that order; each step then gathers
+    every fold's batch from ``X`` in one ``np.take``. Step j of an epoch
+    takes batch j of every fold. A batch shorter than its peers is padded
+    with its fold's first row, masked out of the loss and the gradient; a
+    fold with no batch j left keeps its parameters, Adam moments and step
+    counter. So each model equals training its fold alone (the same rows
+    as a matrix of their own), bit for bit where the folds' batch layouts
+    agree and to rounding where padding changes the length of a batch
+    sum. When the last hidden layer has at least 4 units, the output
+    layer's delta is one GEMM per fold against its weights laid out
+    block-diagonally, which leaves every parameter's bits as the
+    broadcast product g·W does.
 
     Raises TrainingDiverged (carrying the epoch, the index of the fold in
     ``folds`` and of the model in ``losses``) at the first step where some
@@ -454,25 +484,34 @@ def train_folds(
         raise ValueError("at least one fold is required")
     if not losses:
         raise ValueError("at least one loss is required")
-    tc = replace(folds[0][1], seed=0)
-    if any(replace(fold_tc, seed=0) != tc for _, fold_tc in folds):
+    tc = replace(folds[0][2], seed=0)
+    if any(replace(fold_tc, seed=0) != tc for *_, fold_tc in folds):
         raise ValueError("the folds' TrainConfigs may differ only in seed")
-    Xs = [np.asarray(data.X, dtype=float) for data, _ in folds]
-    for X in Xs:
-        if X.shape[0] == 0:
+    X = np.asarray(X, dtype=float)
+    if X.ndim != 2:
+        raise ValueError(f"X must be an (n, d) matrix, got shape {X.shape}")
+    if X.shape[1] != net.input_dim:
+        raise ValueError(f"data has {X.shape[1]} features, network expects {net.input_dim}")
+    rows, ys = [], []
+    for fold_rows, fold_y, _ in folds:
+        idx, y = np.asarray(fold_rows), np.asarray(fold_y, dtype=float)
+        if idx.size == 0:
             raise ValueError("empty training data")
-        if X.shape[1] != net.input_dim:
-            raise ValueError(f"data has {X.shape[1]} features, network expects {net.input_dim}")
+        if idx.ndim != 1 or idx.dtype.kind not in "iu" or idx.min() < 0 or idx.max() >= len(X):
+            raise ValueError(f"a fold's rows must be indices into the {len(X)} rows of X")
+        if y.shape != idx.shape:
+            raise ValueError(f"a fold has {idx.size} rows but {y.size} targets")
+        rows.append(idx)
+        ys.append(y)
 
-    ys = [np.asarray(data.y, dtype=float) for data, _ in folds]
     n_folds, n_models = len(folds), len(losses)
-    sizes = np.array([X.shape[0] for X in Xs])
+    sizes = np.array([idx.size for idx in rows])
     # Rows are standardized as they are gathered, so no scaled copy is kept.
-    scalers = [FeatureScaler.fit(X) for X in Xs]
+    scalers = [FeatureScaler.fit(X[idx]) for idx in rows]
     mean = np.stack([s.mean for s in scalers])[:, None, :]
     scale = np.stack([s.scale for s in scalers])[:, None, :]
 
-    inits = [init_params(net, fold_tc.seed) for _, fold_tc in folds]
+    inits = [init_params(net, fold_tc.seed) for *_, fold_tc in folds]
     theta = np.empty((n_folds, n_models * sum(a.size for a in inits[0].weights + inits[0].biases)))
     grad, m, v = np.empty_like(theta), np.zeros_like(theta), np.zeros_like(theta)
     weights, biases = _param_views(theta, net.layer_sizes, n_models)
@@ -483,26 +522,30 @@ def train_folds(
     # Per-model loss constants as (M, 1) columns; MSE rows carry a dummy c.
     is_mse = np.array([[spec.kind is LossKind.MSE] for spec in losses])
     c = np.array([[1.0 if spec.kind is LossKind.MSE else spec.c] for spec in losses])
-    shuffles = [_shuffle_rng(fold_tc.seed) for _, fold_tc in folds]
+    shuffles = [_shuffle_rng(fold_tc.seed) for *_, fold_tc in folds]
     plan = _step_plan(sizes, tc.batch_size)
-    # Each fold's shuffled row order; past a fold's end it holds row 0,
-    # the padding row.
-    order = np.zeros((n_folds, len(plan) * tc.batch_size), dtype=np.intp)
+    # Each fold's rows of X in this epoch's order and their targets; past
+    # a fold's end, its first row, the padding row.
+    order = np.empty((n_folds, len(plan) * tc.batch_size), dtype=np.intp)
+    y_order = np.empty(order.shape)
+    for f, (idx, y) in enumerate(zip(rows, ys)):
+        order[f, sizes[f] :], y_order[f, sizes[f] :] = idx[0], y[0]
     x_buf = np.empty((n_folds, tc.batch_size, net.input_dim))
-    y_buf = np.empty((n_folds, tc.batch_size))
-    # Hidden pre-activations, activations and deltas, reused every step.
+    # Hidden pre-activations, activations and deltas, reused every step,
+    # and the output layer's block-diagonal weights (see _backward).
     bufs = [_hidden_rows(n_folds, tc.batch_size, n_models, net.hidden_layers) for _ in range(3)]
+    blocks = np.zeros((n_folds, n_models, n_models, net.hidden_layers[-1]))
 
     t = [0] * n_folds
     for epoch in range(tc.epochs):
-        for f, shuffle in enumerate(shuffles):
-            order[f, : sizes[f]] = shuffle.permutation(sizes[f])
+        for f, (shuffle, idx, y) in enumerate(zip(shuffles, rows, ys)):
+            perm = shuffle.permutation(sizes[f])
+            order[f, : sizes[f]], y_order[f, : sizes[f]] = idx[perm], y[perm]
         for cols, valid, inv_count, active in plan:
             width = cols.stop - cols.start
-            xb, yb = x_buf[:, :width], y_buf[:, :width]
-            for f, (X, y) in enumerate(zip(Xs, ys)):
-                np.take(X, order[f, cols], axis=0, out=xb[f])
-                np.take(y, order[f, cols], out=yb[f])
+            xb, yb = x_buf[:, :width], y_order[:, cols]
+            # every index was checked against X above, so "clip" never clips
+            np.take(X, order[:, cols], axis=0, out=xb, mode="clip")
             xb -= mean
             xb /= scale
             pre_acts, acts, deltas = ([buf[:, :width] for buf in layers] for layers in bufs)
@@ -523,7 +566,7 @@ def train_folds(
             g = np.where(is_mse, -2.0 * r, _clf_grad_of_residual(r, c))
             if valid is not None:
                 g = np.where(valid[:, None], g, 0.0)
-            _backward(weights, xb, pre_acts, acts, g, deltas, grad_w, grad_b)
+            _backward(weights, xb, pre_acts, acts, g, deltas, grad_w, grad_b, blocks)
             grad *= inv_count
             if active is None:
                 t = [s + 1 for s in t]
@@ -547,6 +590,6 @@ def train_folds(
 
 
 def train(data, net: NetworkConfig, loss: LossSpec, tc: TrainConfig) -> TrainedModel:
-    """``train_folds`` with the single fold ``(data, tc)`` and the single
-    loss ``loss``: a pure function of (data, net, loss, tc)."""
-    return train_folds([(data, tc)], net, (loss,))[0][0]
+    """``train_folds`` with the single fold of every row of ``data`` and
+    the single loss ``loss``: a pure function of (data, net, loss, tc)."""
+    return train_folds(data.X, [(np.arange(len(data.y)), data.y, tc)], net, (loss,))[0][0]

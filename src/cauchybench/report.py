@@ -18,6 +18,7 @@ import numpy as np
 from .losses import LossSpec, influence
 
 RESULTS_SCHEMA = "cauchybench-results-v1"
+MAX_GRID_POINTS = 10**6  # influence_csv writes one CSV line per point
 
 __all__ = [
     "PlotSeries",
@@ -174,11 +175,17 @@ def influence_csv(specs: list[LossSpec], rmax: float, steps_per_unit: int) -> st
 
     The grid runs from 0 to rmax with ``steps_per_unit`` points per unit
     residual (spacing 1/steps_per_unit), so integer residuals land on
-    grid points exactly.
+    grid points exactly. A grid of more than ``MAX_GRID_POINTS`` points,
+    or denser than that per unit, is refused before anything is allocated.
     """
     if not 0 < rmax < np.inf or steps_per_unit < 1:  # NaN fails both comparisons
         raise ValueError("need a finite rmax > 0 and steps_per_unit >= 1")
-    n = int(round(rmax * steps_per_unit))
+    # n + 1 points for n = round(rmax * steps_per_unit); a steps_per_unit
+    # above the cap is refused first, so the product never overflows
+    cap = MAX_GRID_POINTS
+    if steps_per_unit > cap or round(min(rmax * steps_per_unit, cap)) >= cap:
+        raise ValueError(f"the grid may hold at most {cap} points; lower rmax or steps_per_unit")
+    n = round(rmax * steps_per_unit)
     grid = np.arange(n + 1) / steps_per_unit
     out = io.StringIO()
     out.write("r," + ",".join(s.label for s in specs) + "\n")

@@ -164,11 +164,43 @@ class TestRunReplicate:
         net = NetworkConfig(2, (10,))
         for fold in range(cfg.folds):
             cell = seen[fold * len(labels)]
-            models = train_folds([(cell.train_data, cell.train_config)], net, cfg.models)[0]
+            data = cell.train_data
+            fold_rows = [(np.arange(len(data)), data.y, cell.train_config)]
+            models = train_folds(data.X, fold_rows, net, cfg.models)[0]
             for label, model in zip(labels, models):
                 preds = model.predict(cell.test_data.X)
                 mae = float(np.mean(np.abs(cell.test_data.y - preds)))
                 assert scores[label][fold]["mae"] == mae
+
+    @pytest.mark.parametrize(
+        "noise",
+        [
+            NoiseSpec(NoiseFamily.GAUSSIAN, sigma=5.0),
+            NoiseSpec(NoiseFamily.UNIFORM_OUTLIER, proportion=0.1, range_multiplier=9.0),
+        ],
+    )
+    def test_observed_train_data_is_the_noisy_copy_of_the_clean_rows(self, noise):
+        # The trainer reads each fold's features from the replicate's one
+        # clean matrix; what an observer is shown must still be the fold's
+        # corrupted copy, byte for byte, as built from the seed ledger.
+        from cauchybench.datagen import apply_noise
+        from cauchybench.harness import _clean_dataset
+
+        cfg = tiny_config(noise=noise)
+        seen = []
+        run_replicate(cfg, 1, observer=seen.append)
+        ledger = SeedLedger(cfg.master_seed)
+        clean = _clean_dataset(cfg.dataset, ledger.derive("data", 1), None)
+        folds = kfold_split(len(clean), cfg.folds, ledger.derive("folds", 1))
+        for fold, (train_idx, _) in enumerate(folds):
+            spec = replace(noise, seed=ledger.derive_int("noise", 1, fold))
+            want = apply_noise(clean.take(train_idx), spec)
+            cells = [c for c in seen if c.fold == fold]
+            assert len(cells) == len(cfg.models)
+            for cell in cells:
+                assert cell.train_data.X.tobytes() == want.X.tobytes()
+                assert cell.train_data.y.tobytes() == want.y.tobytes()
+                assert cell.train_data.meta == want.meta
 
     def test_divergence_tagged_with_context(self):
         cfg = tiny_config()

@@ -53,6 +53,14 @@ def assert_close_params(a, b, rtol=FINGERPRINT_RTOL, atol=0.0):
         assert np.allclose(x, y, rtol=rtol, atol=atol)
 
 
+def shared(folds):
+    """``train_folds``'s (X, folds) for ``(data, tc)`` folds: the datasets'
+    features stacked into one matrix, each fold as (its rows there, y, tc)."""
+    X = np.concatenate([data.X for data, _ in folds])
+    ends = np.cumsum([len(data) for data, _ in folds])
+    return X, [(np.arange(end - len(data), end), data.y, tc) for (data, tc), end in zip(folds, ends)]
+
+
 class TestInitParams:
     def test_deterministic(self):
         cfg = NetworkConfig(3, (7,))
@@ -409,16 +417,16 @@ class TestTrainModels:
 
     def test_each_model_equals_training_it_alone(self):
         data = noisy_data()
-        models = train_folds([(data, self.TC)], self.NET, MIXED_SPECS)[0]
+        models = train_folds(*shared([(data, self.TC)]), self.NET, MIXED_SPECS)[0]
         assert len(models) == len(MIXED_SPECS)
         for spec, model in zip(MIXED_SPECS, models):
             assert_same_params(model.params, train(data, self.NET, spec, self.TC).params)
 
     def test_result_does_not_depend_on_peers(self):
         data = noisy_data(seed=1)
-        full = train_folds([(data, self.TC)], self.NET, MIXED_SPECS)[0]
-        backwards = train_folds([(data, self.TC)], self.NET, MIXED_SPECS[::-1])[0][::-1]
-        subset = train_folds([(data, self.TC)], self.NET, (MIXED_SPECS[3], MIXED_SPECS[0]))[0]
+        full = train_folds(*shared([(data, self.TC)]), self.NET, MIXED_SPECS)[0]
+        backwards = train_folds(*shared([(data, self.TC)]), self.NET, MIXED_SPECS[::-1])[0][::-1]
+        subset = train_folds(*shared([(data, self.TC)]), self.NET, (MIXED_SPECS[3], MIXED_SPECS[0]))[0]
         for a, b in zip(full, backwards):
             assert_same_params(a.params, b.params)
         assert_same_params(full[3].params, subset[0].params)
@@ -448,7 +456,7 @@ class TestTrainModels:
         assert expected > 0
         specs = (LossSpec.clf(1.0), LossSpec.mse(), LossSpec.clf(10.0))
         with pytest.raises(TrainingDiverged, match="non-finite loss") as exc:
-            train_folds([(data, tc)], net, specs)
+            train_folds(*shared([(data, tc)]), net, specs)
         assert exc.value.model == 1
         assert exc.value.epoch == expected
         with pytest.raises(TrainingDiverged) as alone:
@@ -462,19 +470,19 @@ class TestTrainModels:
         specs = (LossSpec.clf(1.0), LossSpec.mse(), LossSpec.clf(10.0), LossSpec.mse())
         tc = TrainConfig(epochs=6, batch_size=16, seed=3)
         with pytest.raises(TrainingDiverged) as exc:
-            train_folds([(data, tc)], NetworkConfig(1, (4,)), specs)
+            train_folds(*shared([(data, tc)]), NetworkConfig(1, (4,)), specs)
         assert exc.value.model == 1
 
     def test_input_checks(self):
         net = NetworkConfig(3, (4,))
         with pytest.raises(ValueError, match="empty"):
-            train_folds([(Dataset(np.zeros((0, 3)), np.zeros(0)), self.TC)], net, MIXED_SPECS)
+            train_folds(np.zeros((0, 3)), [(np.arange(0), np.zeros(0), self.TC)], net, MIXED_SPECS)
         with pytest.raises(ValueError, match="features"):
-            train_folds([(noisy_data(d=2), self.TC)], net, MIXED_SPECS)
+            train_folds(*shared([(noisy_data(d=2), self.TC)]), net, MIXED_SPECS)
         with pytest.raises(ValueError, match="features"):
             train(noisy_data(d=2), net, LossSpec.mse(), self.TC)
         with pytest.raises(ValueError, match="at least one loss"):
-            train_folds([(noisy_data(), self.TC)], net, ())
+            train_folds(*shared([(noisy_data(), self.TC)]), net, ())
 
 
 class TestTrainFolds:
@@ -485,13 +493,13 @@ class TestTrainFolds:
         return TrainConfig(epochs=3, batch_size=batch_size, learning_rate=0.01, seed=seed)
 
     def alone(self, folds):
-        return [train_folds([fold], self.NET, MIXED_SPECS)[0] for fold in folds]
+        return [train_folds(*shared([fold]), self.NET, MIXED_SPECS)[0] for fold in folds]
 
     def test_each_fold_equals_training_it_alone(self):
         # 75 rows at batch 16 in every fold: the same batch layout, so the
         # joint loop makes each fold's arithmetic exactly that of its own.
         folds = [(noisy_data(seed=s), self.tc(40 + s)) for s in range(3)]
-        trained = train_folds(folds, self.NET, MIXED_SPECS)
+        trained = train_folds(*shared(folds), self.NET, MIXED_SPECS)
         assert [len(models) for models in trained] == [len(MIXED_SPECS)] * 3
         for (data, _), models, want in zip(folds, trained, self.alone(folds)):
             for got, ref in zip(models, want):
@@ -504,16 +512,16 @@ class TestTrainFolds:
         # 64-row fold sits out every third step, where the 65-row fold
         # trains alone on its 1-row batch.
         folds = [(noisy_data(n=n, seed=n), self.tc(n, batch_size=32)) for n in sizes]
-        trained = train_folds(folds, self.NET, MIXED_SPECS)
+        trained = train_folds(*shared(folds), self.NET, MIXED_SPECS)
         for models, want in zip(trained, self.alone(folds)):
             for got, ref in zip(models, want):
                 assert_close_params(got.params, ref.params)
 
     def test_result_does_not_depend_on_peers(self):
         folds = [(noisy_data(n=n, seed=s), self.tc(60 + s)) for s, n in enumerate((75, 80, 70, 75))]
-        full = train_folds(folds, self.NET, MIXED_SPECS)
-        backwards = train_folds(folds[::-1], self.NET, MIXED_SPECS)[::-1]
-        subset = train_folds([folds[2], folds[0]], self.NET, MIXED_SPECS)
+        full = train_folds(*shared(folds), self.NET, MIXED_SPECS)
+        backwards = train_folds(*shared(folds[::-1]), self.NET, MIXED_SPECS)[::-1]
+        subset = train_folds(*shared([folds[2], folds[0]]), self.NET, MIXED_SPECS)
         for a, b in zip(full, backwards):  # the same peers: the same batch widths
             for x, y in zip(a, b):
                 assert_same_params(x.params, y.params)
@@ -534,7 +542,7 @@ class TestTrainFolds:
         net = NetworkConfig(1, (4,))
         tc = TrainConfig(epochs=2, batch_size=32, seed=3)
         alone = train(spiky, net, LossSpec.mse(), tc)
-        joint = train_folds([(spiky, tc), (peer, replace(tc, seed=4))], net, [LossSpec.mse()])
+        joint = train_folds(*shared([(spiky, tc), (peer, replace(tc, seed=4))]), net, [LossSpec.mse()])
         assert_close_params(joint[0][0].params, alone.params)
 
     def test_divergence_names_fold_model_and_epoch(self):
@@ -544,13 +552,13 @@ class TestTrainFolds:
         tc = TrainConfig(epochs=6, batch_size=16, seed=3)
         specs = (LossSpec.clf(1.0), LossSpec.mse(), LossSpec.clf(10.0))
         with pytest.raises(TrainingDiverged) as alone:
-            train_folds([(data, tc)], net, specs)
+            train_folds(*shared([(data, tc)]), net, specs)
         with pytest.raises(TrainingDiverged, match="non-finite loss") as exc:
-            train_folds([(tame, replace(tc, seed=4)), (data, tc)], net, specs)
+            train_folds(*shared([(tame, replace(tc, seed=4)), (data, tc)]), net, specs)
         assert (exc.value.fold, exc.value.model, exc.value.epoch) == (1, 1, alone.value.epoch)
         # Two folds diverge on the same step: the first of them is named.
         with pytest.raises(TrainingDiverged) as both:
-            train_folds([(tame, replace(tc, seed=4)), (data, tc), (data, tc)], net, specs)
+            train_folds(*shared([(tame, replace(tc, seed=4)), (data, tc), (data, tc)]), net, specs)
         assert (both.value.fold, both.value.model) == (1, 1)
 
     @pytest.mark.parametrize(
@@ -568,7 +576,7 @@ class TestTrainFolds:
         data = noisy_data()
         other = replace(self.tc(2), **{field: value})
         with pytest.raises(ValueError, match="differ only in seed"):
-            train_folds([(data, self.tc(1)), (data, other)], self.NET, MIXED_SPECS)
+            train_folds(*shared([(data, self.tc(1)), (data, other)]), self.NET, MIXED_SPECS)
 
     def test_bike_shaped_folds_equal_training_each_pair_alone(self):
         # The paper's real-data net and losses: 3 folds of 650 rows at batch
@@ -580,7 +588,7 @@ class TestTrainFolds:
             (noisy_data(n=650, d=17, seed=70 + s), TrainConfig(epochs=2, batch_size=64, seed=80 + s))
             for s in range(3)
         ]
-        trained = train_folds(folds, net, specs)
+        trained = train_folds(*shared(folds), net, specs)
         for (data, tc), models in zip(folds, trained):
             for spec, got in zip(specs, models):
                 assert_same_params(got.params, train(data, net, spec, tc).params)
@@ -596,7 +604,7 @@ class TestTrainFolds:
         for f in range(2):
             X = rng.normal(size=(20, input_dim))
             folds.append((Dataset(X, X.sum(axis=1) + rng.standard_cauchy(20)), self.tc(30 + f, 10)))
-        for (fold, tc), models in zip(folds, train_folds(folds, net, MIXED_SPECS)):
+        for (fold, tc), models in zip(folds, train_folds(*shared(folds), net, MIXED_SPECS)):
             for spec, got in zip(MIXED_SPECS, models):
                 assert_same_params(got.params, train(fold, net, spec, tc).params)
 
@@ -620,16 +628,59 @@ class TestTrainFolds:
             folds.append((Dataset(X, X.sum(axis=1) + rng.standard_cauchy(n)), self.tc(90 + f, batch)))
         # Equal sizes give every fold the batch layout it has alone: the same arithmetic.
         same = assert_same_params if len(set(sizes)) == 1 else assert_close_params
-        for (fold, tc), models in zip(folds, train_folds(folds, net, specs)):
+        for (fold, tc), models in zip(folds, train_folds(*shared(folds), net, specs)):
             for spec, got in zip(specs, models):
                 same(got.params, train(fold, net, spec, tc).params)
 
+    @pytest.mark.parametrize("sizes", [(40, 40, 40), (40, 47, 33)])
+    @pytest.mark.parametrize("hidden", [(3,), (5,)])
+    def test_folds_as_rows_of_one_shared_matrix(self, hidden, sizes):
+        # Three folds drawn from one 60-row X, overlapping and in no row
+        # order, each with targets of its own. At batch 16, 40, 47 and 33
+        # rows end each epoch on batches of 8, 15 and 1 rows, padded to 15.
+        # A last hidden layer of 3 units (below _NARROW) sends the output
+        # delta through the broadcast product, one of 5 through the
+        # block-diagonal GEMM.
+        net = NetworkConfig(3, hidden)
+        rng = np.random.default_rng(8)
+        X = rng.normal(size=(60, 3))
+        rows = [rng.choice(60, size=n, replace=False) for n in sizes]
+        ys = [X[r].sum(axis=1) + rng.standard_cauchy(n) for r, n in zip(rows, sizes)]
+        tcs = [self.tc(20 + f) for f in range(3)]
+        trained = train_folds(X, list(zip(rows, ys, tcs)), net, MIXED_SPECS)
+        copies = [(Dataset(X[r], y), tc) for r, y, tc in zip(rows, ys, tcs)]
+        # Gathering from the shared X is exact: the same bits as the folds
+        # given as matrices of their own, padding included.
+        for got, want in zip(trained, train_folds(*shared(copies), net, MIXED_SPECS)):
+            for a, b in zip(got, want):
+                assert_same_params(a.params, b.params)
+                assert np.array_equal(a.scaler.mean, b.scaler.mean)
+                assert np.array_equal(a.scaler.scale, b.scaler.scale)
+        # Alone, a fold's last batch is not padded, which can change the
+        # bits of a batch sum; with equal sizes the layouts agree.
+        same = assert_same_params if len(set(sizes)) == 1 else assert_close_params
+        for (data, tc), models in zip(copies, trained):
+            for spec, got in zip(MIXED_SPECS, models):
+                same(got.params, train(data, net, spec, tc).params)
+
+    def test_rows_must_index_the_shared_matrix(self):
+        X, y = noisy_data(n=20).X, np.zeros(5)
+        for rows in (np.arange(16, 21), np.arange(-1, 4), np.arange(5.0), np.arange(10).reshape(2, 5)):
+            with pytest.raises(ValueError, match="indices into the 20 rows of X"):
+                train_folds(X, [(rows, y, self.tc(1))], self.NET, MIXED_SPECS)
+        with pytest.raises(ValueError, match="5 rows but 4 targets"):
+            train_folds(X, [(np.arange(5), np.zeros(4), self.tc(1))], self.NET, MIXED_SPECS)
+        with pytest.raises(ValueError, match="empty training data"):
+            train_folds(X, [(np.arange(5), y, self.tc(1)), ([], [], self.tc(2))], self.NET, MIXED_SPECS)
+        with pytest.raises(ValueError, match=r"\(n, d\) matrix"):
+            train_folds(X[:, 0], [(np.arange(5), y, self.tc(1))], self.NET, MIXED_SPECS)
+
     def test_input_checks(self):
         with pytest.raises(ValueError, match="at least one fold"):
-            train_folds([], self.NET, MIXED_SPECS)
+            train_folds(noisy_data().X, [], self.NET, MIXED_SPECS)
         with pytest.raises(ValueError, match="features"):
-            folds = [(noisy_data(), self.tc(1)), (noisy_data(d=2), self.tc(2))]
-            train_folds(folds, self.NET, MIXED_SPECS)
+            folds = [(noisy_data(d=2), self.tc(1)), (noisy_data(d=2), self.tc(2))]
+            train_folds(*shared(folds), self.NET, MIXED_SPECS)
 
 
 class TestMinibatchIndices:

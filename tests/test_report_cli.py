@@ -1,5 +1,6 @@
 import io
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from cauchybench.ingest import ColumnSchema, Role, load_dataset
 from cauchybench.losses import LossSpec
 from cauchybench.nets import TrainConfig
 from cauchybench.report import (
+    MAX_GRID_POINTS,
     PlotSeries,
     emit_plot_series,
     format_table,
@@ -141,6 +143,27 @@ class TestInfluenceCsv:
         for rmax in (0.0, float("inf"), float("nan")):
             with pytest.raises(ValueError, match="finite rmax"):
                 influence_csv([LossSpec.mse()], rmax=rmax, steps_per_unit=5)
+
+    @pytest.mark.parametrize("rmax, steps", [(1e8, 10), (1e17, 1000), (1e308, 10)])
+    def test_grid_beyond_the_cap_is_refused_before_allocating(self, rmax, steps):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=f"at most {MAX_GRID_POINTS} points"):
+                influence_csv([LossSpec.mse()], rmax=rmax, steps_per_unit=steps)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    def test_grid_cap_counts_points(self, monkeypatch):
+        import cauchybench.report as report
+
+        monkeypatch.setattr(report, "MAX_GRID_POINTS", 11)
+        for rmax in (1.0, 1.05):  # 10 and 10.5 intervals round to 10: 11 points
+            assert len(influence_csv([LossSpec.mse()], rmax=rmax, steps_per_unit=10).splitlines()) == 12
+        for rmax, steps in ((1.06, 10), (1.1, 10), (0.05, 12)):  # 12 points and more, or 12 per unit
+            with pytest.raises(ValueError, match="at most 11 points"):
+                influence_csv([LossSpec.mse()], rmax=rmax, steps_per_unit=steps)
 
 
 class TestSaveLoadResults:
@@ -274,6 +297,18 @@ class TestCli:
         out = tmp_path / "infl.csv"
         assert cli_main(["influence", "--rmax", rmax, "--out", str(out)]) == 1
         assert capsys.readouterr().err == "error: need a finite rmax > 0 and steps_per_unit >= 1\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "flags", [["--rmax", "1e8"], ["--rmax", "1e17", "--steps", "1000"], ["--steps", str(10**400)]]
+    )
+    def test_influence_grid_beyond_the_cap_is_usage_error(self, tmp_path, capsys, flags):
+        out = tmp_path / "infl.csv"
+        assert cli_main(["influence", *flags, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err == (
+            f"error: the grid may hold at most {MAX_GRID_POINTS} points; lower rmax or steps_per_unit\n"
+        )
         assert not out.exists()
 
     @pytest.mark.parametrize("c", ["1e200", "1e-200", "-1", "0"])
