@@ -12,14 +12,7 @@ Run:  python demos/synthetic_data_and_noise.py
 
 import numpy as np
 
-from cauchybench import (
-    NoiseFamily,
-    NoiseSpec,
-    inject_additive,
-    inject_outliers,
-    make_hc2,
-    make_hc8,
-)
+from cauchybench import NoiseFamily, NoiseSpec, apply_noise, make_hc2, make_hc8
 
 
 def describe(name, y):
@@ -38,19 +31,19 @@ for spec in (
     NoiseSpec(NoiseFamily.GAUSSIAN, sigma=10.0, seed=1),
     NoiseSpec(NoiseFamily.CAUCHY, tau=10.0, seed=1),
 ):
-    noisy = inject_additive(hc2, spec)
-    describe(f"  {spec.family.value} scale 10", noisy.y)
+    describe(f"  {spec.family.value} scale 10", apply_noise(hc2.y, spec))
 
 print("\nmax |shift| tells the story:")
 for tau in (1.0, 10.0):
-    noisy = inject_additive(hc2, NoiseSpec(NoiseFamily.CAUCHY, tau=tau, seed=2))
-    print(f"  Cauchy tau={tau:<4g}: max |y_noisy - y| = {np.max(np.abs(noisy.y - hc2.y)):.1f}")
-gauss = inject_additive(hc2, NoiseSpec(NoiseFamily.GAUSSIAN, sigma=10.0, seed=2))
-print(f"  Gauss sigma=10 : max |y_noisy - y| = {np.max(np.abs(gauss.y - hc2.y)):.1f}")
+    noisy = apply_noise(hc2.y, NoiseSpec(NoiseFamily.CAUCHY, tau=tau, seed=2))
+    print(f"  Cauchy tau={tau:<4g}: max |y_noisy - y| = {np.max(np.abs(noisy - hc2.y)):.1f}")
+gauss = apply_noise(hc2.y, NoiseSpec(NoiseFamily.GAUSSIAN, sigma=10.0, seed=2))
+print(f"  Gauss sigma=10 : max |y_noisy - y| = {np.max(np.abs(gauss - hc2.y)):.1f}")
 
 print("\noutlier simulation replaces targets with draws over 500x the data range:")
-corrupted = inject_outliers(hc2, proportion=0.05, range_multiplier=500.0, seed=3)
-n_changed = int(np.sum(corrupted.y != hc2.y))
-describe(f"  5% outliers ({n_changed} rows)", corrupted.y)
-print("\nthe original dataset is never mutated:",
+outliers = NoiseSpec(NoiseFamily.UNIFORM_OUTLIER, proportion=0.05, range_multiplier=500.0, seed=3)
+corrupted = apply_noise(hc2.y, outliers)
+n_changed = int(np.sum(corrupted != hc2.y))
+describe(f"  5% outliers ({n_changed} rows)", corrupted)
+print("\nthe original targets are never mutated:",
       "unchanged" if np.array_equal(hc2.y, make_hc2(5000, seed=0).y) else "MUTATED?!")

@@ -17,18 +17,18 @@ from cauchybench import (
     NoiseFamily,
     NoiseSpec,
     TrainConfig,
-    inject_additive,
+    apply_noise,
     mae_score,
     make_hc2,
     rmse_score,
     train_folds,
 )
 
-clean_train = make_hc2(2000, seed=0)
+train_data = make_hc2(2000, seed=0)
 test = make_hc2(1000, seed=1)
-noisy_train = inject_additive(clean_train, NoiseSpec(NoiseFamily.CAUCHY, tau=5.0, seed=2))
+noisy_y = apply_noise(train_data.y, NoiseSpec(NoiseFamily.CAUCHY, tau=5.0, seed=2))
 
-biggest = np.sort(np.abs(noisy_train.y - clean_train.y))[-5:]
+biggest = np.sort(np.abs(noisy_y - train_data.y))[-5:]
 print("five largest injected noise magnitudes:", np.array2string(biggest, precision=1))
 
 net = NetworkConfig(input_dim=2, hidden_layers=(10,))
@@ -38,9 +38,9 @@ print(f"\n{'loss':>10} {'train-data MAE':>15} {'clean test MAE':>15} {'clean tes
 specs = (LossSpec.mse(), LossSpec.clf(1.0), LossSpec.clf(10.0))
 # One loop trains all three: they share the init seed and minibatch stream.
 # The one fold is every row of the noisy sample: (rows of X, targets, config).
-fold = (np.arange(len(noisy_train)), noisy_train.y, tc)
-for spec, model in zip(specs, train_folds(noisy_train.X, [fold], net, specs)[0]):
-    on_train = mae_score(noisy_train.y, model.predict(noisy_train.X))
+fold = (np.arange(len(train_data)), noisy_y, tc)
+for spec, model in zip(specs, train_folds(train_data.X, [fold], net, specs)[0]):
+    on_train = mae_score(noisy_y, model.predict(train_data.X))
     on_test = mae_score(test.y, model.predict(test.X))
     rmse = rmse_score(test.y, model.predict(test.X))
     print(f"{spec.label:>10} {on_train:>15.3f} {on_test:>15.3f} {rmse:>16.3f}")

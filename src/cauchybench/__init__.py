@@ -22,8 +22,6 @@ from .datagen import (
     cauchy_quantile,
     export_csv,
     gaussian_noise,
-    inject_additive,
-    inject_outliers,
     make_hc2,
     make_hc8,
     sample_inputs,

@@ -186,7 +186,8 @@ def _cmd_gen(args) -> int:
     try:
         given = {k: getattr(args, k) for k in ("sigma", "x0", "tau") if getattr(args, k) is not None}
         noise = noise_spec({"family": args.noise, "seed": args.seed, **given}, "--{}")
-        ds = apply_noise(maker(args.n, args.seed), noise)
+        ds = maker(args.n, args.seed)
+        ds.y = apply_noise(ds.y, noise)
     except ValueError as err:
         raise UsageError(str(err)) from err
     out = args.out or f"{args.dataset}.csv"

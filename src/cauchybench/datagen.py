@@ -6,16 +6,16 @@ product form. Targets can be corrupted with additive Gaussian or Cauchy
 noise, or by replacing a proportion of them with uniform draws spanning
 a large multiple of the data range (simulated outliers).
 
-Corruption functions follow value semantics: they return a new Dataset
-and never touch their input; the new Dataset shares the input's feature
-matrix, since noise only changes targets. Every sampler is deterministic
-under its seed.
+Corruption acts on targets alone: ``apply_noise`` takes a target vector
+and returns a new, corrupted one, never changing its input; features are
+untouched, so a caller keeps its own feature matrix. Every sampler is
+deterministic under its seed.
 """
 
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Sequence
 
@@ -38,8 +38,6 @@ __all__ = [
     "gaussian_noise",
     "cauchy_noise",
     "cauchy_quantile",
-    "inject_additive",
-    "inject_outliers",
     "apply_noise",
     "export_csv",
 ]
@@ -247,63 +245,37 @@ def cauchy_noise(x0: float, tau: float, n: int, seed) -> np.ndarray:
     return out
 
 
-def inject_additive(data: Dataset, spec: NoiseSpec) -> Dataset:
-    """New dataset with y + eps, eps from the Gaussian or Cauchy family."""
-    if spec.family is NoiseFamily.GAUSSIAN:
-        eps = gaussian_noise(spec.sigma, len(data), spec.seed)
-    elif spec.family is NoiseFamily.CAUCHY:
-        eps = cauchy_noise(spec.x0, spec.tau, len(data), spec.seed)
-    else:
-        raise ValueError(f"inject_additive expects Gaussian or Cauchy noise, got {spec.family.value}")
-    meta = dict(data.meta)
-    meta["noise"] = spec.describe()
-    return Dataset(data.X, data.y + eps, meta)
+def apply_noise(y, spec: NoiseSpec) -> np.ndarray:
+    """A new target vector: ``y`` corrupted as ``spec`` says, drawn from ``spec.seed``.
 
-
-def _round_half_away(x: float) -> int:
-    return int(np.floor(x + 0.5))
-
-
-def inject_outliers(data: Dataset, proportion: float, range_multiplier: float, seed) -> Dataset:
-    """Replace round(N * proportion) targets with uniform draws over a wide interval.
-
-    The interval is centered at the midpoint of the observed targets and
-    spans range_multiplier times their range, so corrupted values dwarf
-    anything the clean data contains.
+    Gaussian and Cauchy noise are added to every target. Outliers replace
+    round(len(y) * proportion) targets, halves rounded away from zero,
+    with uniform draws over an interval centred at the midpoint of the
+    targets and spanning range_multiplier times their range, so corrupted
+    values dwarf anything the clean data holds. NONE returns a copy.
     """
-    if not (0.0 <= proportion <= 1.0):
-        raise ValueError("proportion must lie in [0, 1]")
-    if range_multiplier <= 0:
-        raise ValueError("range_multiplier must be > 0")
-    y = data.y
-    lo, hi = float(y.min()), float(y.max())
-    if hi == lo:
-        raise ValueError("degenerate targets (max == min); outlier range undefined")
-    n_corrupt = _round_half_away(len(data) * proportion)
-    rng = np.random.default_rng(seed)
-    new_y = y.copy()
-    idx = rng.choice(len(data), size=n_corrupt, replace=False)
-    center = 0.5 * (hi + lo)
-    half_width = 0.5 * range_multiplier * (hi - lo)
-    new_y[idx] = rng.uniform(center - half_width, center + half_width, size=n_corrupt)
-    meta = dict(data.meta)
-    meta["noise"] = {
-        "family": NoiseFamily.UNIFORM_OUTLIER.value,
-        "proportion": proportion,
-        "range_multiplier": range_multiplier,
-        "n_corrupted": int(n_corrupt),
-        "seed": seed if isinstance(seed, int) else str(seed),
-    }
-    return Dataset(data.X, new_y, meta)
-
-
-def apply_noise(data: Dataset, spec: NoiseSpec) -> Dataset:
-    """Dispatch on the noise family; NONE returns the dataset unchanged."""
-    if spec.family is NoiseFamily.NONE:
-        return data
+    y = np.asarray(y, dtype=float)
+    if spec.family is NoiseFamily.GAUSSIAN:
+        out = y + gaussian_noise(spec.sigma, len(y), spec.seed)
+    elif spec.family is NoiseFamily.CAUCHY:
+        out = y + cauchy_noise(spec.x0, spec.tau, len(y), spec.seed)
+    else:
+        out = y.copy()
     if spec.family is NoiseFamily.UNIFORM_OUTLIER:
-        return inject_outliers(data, spec.proportion, spec.range_multiplier, spec.seed)
-    return inject_additive(data, spec)
+        lo, hi = float(y.min()), float(y.max())
+        if hi == lo:
+            raise ValueError("degenerate targets (max == min); outlier range undefined")
+        width = spec.range_multiplier * (hi - lo)
+        if not np.isfinite(width):
+            raise ValueError("the outlier interval is wider than float64 can hold")
+        n_corrupt = int(np.floor(len(y) * spec.proportion + 0.5))
+        rng = np.random.default_rng(spec.seed)
+        idx = rng.choice(len(y), size=n_corrupt, replace=False)
+        center = 0.5 * (hi + lo)
+        out[idx] = rng.uniform(center - 0.5 * width, center + 0.5 * width, size=n_corrupt)
+    if not np.all(np.isfinite(out)):
+        raise ValueError("corrupted targets must be finite; the noise scale overflows float64")
+    return out
 
 
 def export_csv(data: Dataset, path) -> None:

@@ -200,7 +200,9 @@ def _resolve_net(cfg: ExperimentConfig, data: Dataset) -> NetworkConfig:
 
 @dataclass
 class CellInfo:
-    """Snapshot handed to an observer for each (replicate, fold, model) cell."""
+    """Snapshot handed to an observer for each (replicate, fold, model) cell.
+    ``train_data``, the fold's training rows with their corrupted targets,
+    is built once per fold, and only when there is an observer."""
 
     replicate: int
     fold: int
@@ -226,16 +228,16 @@ def run_replicate(
     clean = _clean_dataset(cfg.dataset, ledger.derive("data", replicate_index), base)
     net = _resolve_net(cfg, clean)
     folds = kfold_split(len(clean), cfg.folds, ledger.derive("folds", replicate_index))
-    # The trainer reads the folds' features from ``clean.X``: of each
-    # corrupted training fold only the targets are kept, and the whole
-    # Dataset only when an observer will be shown it.
+    # Noise corrupts targets only, and the trainer reads the folds' features
+    # from ``clean.X``; a fold's training Dataset is built only for an observer.
     train_rows, prepared = [], []
     for fold_idx, (train_idx, test_idx) in enumerate(folds):
         noise = replace(cfg.noise, seed=ledger.derive_int("noise", replicate_index, fold_idx))
         tc = replace(cfg.train, seed=ledger.derive_int("train", replicate_index, fold_idx))
-        corrupted = apply_noise(clean.take(train_idx), noise)
-        train_rows.append((train_idx, corrupted.y, tc))
-        prepared.append((corrupted if observer is not None else None, clean.take(test_idx), tc))
+        y = apply_noise(clean.y[train_idx], noise)
+        train_rows.append((train_idx, y, tc))
+        train_data = Dataset(clean.X[train_idx], y, dict(clean.meta)) if observer is not None else None
+        prepared.append((train_data, clean.take(test_idx), tc))
     try:
         trained = train_folds(clean.X, train_rows, net, cfg.models)
     except TrainingDiverged as err:

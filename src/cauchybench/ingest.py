@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -107,10 +108,10 @@ def load_dataset(path, schema=SEOUL_BIKE_SCHEMA) -> Dataset:
     """Parse a CSV and encode it as a Dataset whose meta records the source path.
 
     Header matching is order-insensitive and ignores unit suffixes. Any
-    numeric cell that fails to parse raises IngestionError naming its
-    1-based data row and column. Numeric features pass through; each
-    categorical feature becomes one indicator column per category,
-    categories sorted lexicographically.
+    numeric cell that does not parse as a finite number raises
+    IngestionError naming its 1-based data row and column. Numeric
+    features pass through; each categorical feature becomes one indicator
+    column per category, categories sorted lexicographically.
     """
     schema = list(schema)
     _validate_schema(schema)
@@ -149,12 +150,15 @@ def load_dataset(path, schema=SEOUL_BIKE_SCHEMA) -> Dataset:
             cell = row[positions[col.name]]
             if col.role in numeric_roles:
                 try:
-                    columns[col.name].append(float(cell))
+                    value = float(cell)
                 except ValueError:
+                    value = math.nan
+                if not math.isfinite(value):  # nan, inf and 1e999 parse, but are no data
                     raise IngestionError(
                         f"{path}: row {row_num}, column {col.name!r}: "
-                        f"cannot parse {cell!r} as a number"
-                    ) from None
+                        f"cannot parse {cell!r} as a finite number"
+                    )
+                columns[col.name].append(value)
             else:
                 columns[col.name].append(cell)
     target_name = next(c.name for c in schema if c.role == Role.TARGET)

@@ -61,8 +61,23 @@ def save_results(doc: dict, path) -> None:
         raise
 
 
+def _at(doc, *keys):
+    """``doc[k1][k2]...``, or None where some level is not a dict holding the key."""
+    for key in keys:
+        doc = doc.get(key) if isinstance(doc, dict) else None
+    return doc
+
+
+def _has(entry, numbers=(), strings=()) -> bool:
+    """Whether ``entry`` is a dict with a real number at each key of ``numbers``
+    and a string at each key of ``strings``."""
+    kinds = [(k, (int, float)) for k in numbers] + [(k, (str,)) for k in strings]
+    return isinstance(entry, dict) and all(type(entry.get(k)) in t for k, t in kinds)
+
+
 def load_results(path) -> dict:
-    """A results document read back; JSON of any other shape is a ValueError."""
+    """A results document read back. JSON of any other shape, or lacking a
+    field that ``format_table`` or ``cauchybench compare`` reads, is a ValueError."""
     with open(path) as fh:
         doc = json.load(fh)
     if not (
@@ -72,6 +87,21 @@ def load_results(path) -> dict:
         and all(isinstance(doc.get(key), dict) for key in ("aggregate", "comparisons"))
     ):
         raise ValueError("not a cauchybench results document")
+    models, numbers, strings = doc["models"], ("statistic", "p_value"), ("method",)
+    if not (models and all(isinstance(m, str) for m in models)):
+        raise ValueError("'models' is not a nonempty list of model labels")
+    for m in models:
+        for metric in ("mae", "rmse"):
+            if not _has(_at(doc, "aggregate", m, metric), ("mean", "std")):
+                raise ValueError(f"aggregate has no numeric {metric} mean and std for model {m!r}")
+    for metric, comp in doc["comparisons"].items():
+        pairs = _at(comp, "pairwise")
+        if not (
+            _has(_at(comp, "kruskal_wallis"), numbers, strings)
+            and isinstance(pairs, list)
+            and all(_has(p, numbers, (*strings, "model_a", "model_b")) for p in pairs)
+        ):
+            raise ValueError(f"comparison {metric!r} lacks its kruskal_wallis test or pairwise list")
     return doc
 
 

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cauchybench.datagen import (
     HC2_RANGES,
@@ -14,8 +16,6 @@ from cauchybench.datagen import (
     cauchy_quantile,
     export_csv,
     gaussian_noise,
-    inject_additive,
-    inject_outliers,
     make_hc2,
     make_hc8,
     sample_inputs,
@@ -132,68 +132,53 @@ class TestCauchy:
             cauchy_quantile(0.5, 0.0, -1.0)
 
 
-def test_apply_noise_shares_the_feature_matrix():
-    # Noise only changes targets, so a corrupted copy keeps the same X.
-    ds = make_hc2(50, seed=3)
-    for spec in (
-        NoiseSpec(NoiseFamily.GAUSSIAN, sigma=1.0, seed=1),
-        NoiseSpec(NoiseFamily.CAUCHY, tau=1.0, seed=1),
-        NoiseSpec(NoiseFamily.UNIFORM_OUTLIER, proportion=0.2, seed=1),
-    ):
-        noisy = apply_noise(ds, spec)
-        assert noisy.X is ds.X
-        assert not np.array_equal(noisy.y, ds.y)
+def _changed(out, y) -> int:
+    return int(np.sum(out != y))
 
 
-class TestInjectAdditive:
-    def test_inputs_untouched_and_x_shared_values(self):
+class TestAdditiveNoise:
+    def test_input_untouched(self):
         ds = make_hc2(200, seed=11)
         y_before = ds.y.copy()
-        X_before = ds.X.copy()
         spec = NoiseSpec(NoiseFamily.GAUSSIAN, sigma=5.0, seed=12)
-        noisy = inject_additive(ds, spec)
+        noisy = apply_noise(ds.y, spec)
         assert np.array_equal(ds.y, y_before)
-        assert np.array_equal(ds.X, X_before)
-        assert np.array_equal(noisy.X, X_before)
-        assert noisy.meta["noise"]["sigma"] == 5.0
+        assert np.array_equal(noisy, ds.y + gaussian_noise(5.0, 200, seed=12))
 
     def test_degenerate_sigma_limit(self):
         ds = make_hc2(100, seed=13)
-        noisy = inject_additive(ds, NoiseSpec(NoiseFamily.GAUSSIAN, sigma=1e-12, seed=0))
-        assert np.max(np.abs(noisy.y - ds.y)) < 1e-9
+        noisy = apply_noise(ds.y, NoiseSpec(NoiseFamily.GAUSSIAN, sigma=1e-12, seed=0))
+        assert np.max(np.abs(noisy - ds.y)) < 1e-9
 
     def test_gaussian_mean_absolute_shift(self):
         # E|N(0, sigma^2)| = sigma * sqrt(2/pi)
-        ds = Dataset(np.zeros((100_000, 1)), np.zeros(100_000))
-        noisy = inject_additive(ds, NoiseSpec(NoiseFamily.GAUSSIAN, sigma=10.0, seed=14))
-        assert np.mean(np.abs(noisy.y - ds.y)) == pytest.approx(HALF_NORMAL_MEAN_S10, rel=0.03)
+        y = np.zeros(100_000)
+        noisy = apply_noise(y, NoiseSpec(NoiseFamily.GAUSSIAN, sigma=10.0, seed=14))
+        assert np.mean(np.abs(noisy - y)) == pytest.approx(HALF_NORMAL_MEAN_S10, rel=0.03)
 
-    def test_wrong_family_rejected(self):
-        ds = make_hc2(10, seed=0)
-        with pytest.raises(ValueError):
-            inject_additive(ds, NoiseSpec(NoiseFamily.UNIFORM_OUTLIER, proportion=0.1))
-        with pytest.raises(ValueError):
-            inject_additive(ds, NoiseSpec(NoiseFamily.NONE))
+    def test_overflowing_targets_rejected(self):
+        with pytest.raises(ValueError, match="finite"), np.errstate(over="ignore"):
+            apply_noise(np.full(10, 1.7e308), NoiseSpec(NoiseFamily.GAUSSIAN, sigma=1e308, seed=0))
 
 
-class TestInjectOutliers:
+class TestOutlierNoise:
     def test_zero_proportion_is_identity(self):
         ds = make_hc2(50, seed=15)
-        out = inject_outliers(ds, 0.0, 500.0, seed=16)
-        assert np.array_equal(out.y, ds.y)
-        assert out.meta["noise"]["n_corrupted"] == 0
+        out = apply_noise(ds.y, NoiseSpec(NoiseFamily.UNIFORM_OUTLIER, proportion=0.0, seed=16))
+        assert np.array_equal(out, ds.y)
+        assert _changed(out, ds.y) == 0
 
     def test_exact_corruption_count(self):
         ds = make_hc2(100, seed=17)
-        out = inject_outliers(ds, 0.1, 500.0, seed=18)
-        assert int(np.sum(out.y != ds.y)) == 10
+        out = apply_noise(ds.y, NoiseSpec(NoiseFamily.UNIFORM_OUTLIER, proportion=0.1, seed=18))
+        assert _changed(out, ds.y) == 10
 
     def test_corrupted_values_inside_interval(self):
         ds = make_hc2(400, seed=19)
         lo, hi = ds.y.min(), ds.y.max()
         center, half = (hi + lo) / 2, 250.0 * (hi - lo)
-        out = inject_outliers(ds, 0.25, 500.0, seed=20)
-        changed = out.y[out.y != ds.y]
+        out = apply_noise(ds.y, NoiseSpec(NoiseFamily.UNIFORM_OUTLIER, proportion=0.25, seed=20))
+        changed = out[out != ds.y]
         assert changed.size == 100
         assert np.all(changed >= center - half)
         assert np.all(changed <= center + half)
@@ -201,34 +186,108 @@ class TestInjectOutliers:
     def test_half_away_from_zero_rounding(self):
         ds = make_hc2(10, seed=21)
         # 10 * 0.25 = 2.5 rounds to 3 under half-away-from-zero
-        out = inject_outliers(ds, 0.25, 500.0, seed=22)
-        assert out.meta["noise"]["n_corrupted"] == 3
+        out = apply_noise(ds.y, NoiseSpec(NoiseFamily.UNIFORM_OUTLIER, proportion=0.25, seed=22))
+        assert _changed(out, ds.y) == 3
 
     def test_degenerate_targets_rejected(self):
-        ds = Dataset(np.zeros((5, 1)), np.ones(5))
-        with pytest.raises(ValueError):
-            inject_outliers(ds, 0.1, 500.0, seed=0)
+        with pytest.raises(ValueError, match="degenerate"):
+            apply_noise(np.ones(5), NoiseSpec(NoiseFamily.UNIFORM_OUTLIER, proportion=0.1, seed=0))
+
+    def test_overflowing_interval_rejected(self):
+        spec = NoiseSpec(NoiseFamily.UNIFORM_OUTLIER, proportion=0.1, range_multiplier=1e308, seed=0)
+        with pytest.raises(ValueError, match="float64"):
+            apply_noise(np.array([0.0, 10.0]), spec)
 
     def test_input_not_mutated(self):
         ds = make_hc2(60, seed=23)
         y_before = ds.y.copy()
-        inject_outliers(ds, 0.5, 500.0, seed=24)
+        apply_noise(ds.y, NoiseSpec(NoiseFamily.UNIFORM_OUTLIER, proportion=0.5, seed=24))
         assert np.array_equal(ds.y, y_before)
 
 
 class TestApplyNoise:
-    def test_none_is_noop(self):
+    def test_none_returns_a_copy(self):
         ds = make_hc2(10, seed=25)
-        assert apply_noise(ds, NoiseSpec(NoiseFamily.NONE)) is ds
+        out = apply_noise(ds.y, NoiseSpec(NoiseFamily.NONE))
+        assert out is not ds.y and not np.shares_memory(out, ds.y)
+        assert np.array_equal(out, ds.y)
 
     def test_dispatch(self):
         ds = make_hc2(40, seed=26)
-        g = apply_noise(ds, NoiseSpec(NoiseFamily.GAUSSIAN, sigma=1.0, seed=1))
-        c = apply_noise(ds, NoiseSpec(NoiseFamily.CAUCHY, tau=1.0, seed=1))
-        o = apply_noise(ds, NoiseSpec(NoiseFamily.UNIFORM_OUTLIER, proportion=0.1, seed=1))
-        assert not np.array_equal(g.y, ds.y)
-        assert not np.array_equal(c.y, ds.y)
-        assert int(np.sum(o.y != ds.y)) == 4
+        g = apply_noise(ds.y, NoiseSpec(NoiseFamily.GAUSSIAN, sigma=1.0, seed=1))
+        c = apply_noise(ds.y, NoiseSpec(NoiseFamily.CAUCHY, tau=1.0, seed=1))
+        o = apply_noise(ds.y, NoiseSpec(NoiseFamily.UNIFORM_OUTLIER, proportion=0.1, seed=1))
+        assert not np.array_equal(g, ds.y)
+        assert not np.array_equal(c, ds.y)
+        assert _changed(o, ds.y) == 4
+
+
+# Target vectors with at least two distinct values, so every family applies.
+TARGETS = (
+    st.lists(st.floats(-1e6, 1e6), min_size=2, max_size=60)
+    .filter(lambda v: min(v) < max(v))
+    .map(np.array)
+)
+SEEDS = st.integers(0, 2**32 - 1)
+SPECS = {
+    NoiseFamily.NONE: st.builds(NoiseSpec, st.just(NoiseFamily.NONE), seed=SEEDS),
+    NoiseFamily.GAUSSIAN: st.builds(
+        NoiseSpec, st.just(NoiseFamily.GAUSSIAN), sigma=st.floats(1e-3, 1e3), seed=SEEDS
+    ),
+    NoiseFamily.CAUCHY: st.builds(
+        NoiseSpec,
+        st.just(NoiseFamily.CAUCHY),
+        x0=st.floats(-10.0, 10.0),
+        tau=st.floats(1e-3, 1e3),
+        seed=SEEDS,
+    ),
+    NoiseFamily.UNIFORM_OUTLIER: st.builds(
+        NoiseSpec,
+        st.just(NoiseFamily.UNIFORM_OUTLIER),
+        proportion=st.floats(0.0, 1.0),
+        range_multiplier=st.floats(1e-2, 1e3),
+        seed=SEEDS,
+    ),
+}
+PROPERTY = settings(derandomize=True, database=None, max_examples=40, deadline=None)
+
+
+class TestApplyNoiseProperties:
+    @pytest.mark.parametrize("family", list(NoiseFamily))
+    @PROPERTY
+    @given(data=st.data())
+    def test_input_unchanged_output_new_and_same_length(self, family, data):
+        y, spec = data.draw(TARGETS, label="y"), data.draw(SPECS[family], label="spec")
+        before = y.copy()
+        out = apply_noise(y, spec)
+        assert np.array_equal(y, before)
+        assert out is not y and not np.shares_memory(out, y)
+        assert out.shape == y.shape
+
+    @pytest.mark.parametrize(
+        "family, noise",
+        [
+            (NoiseFamily.GAUSSIAN, lambda s, n: gaussian_noise(s.sigma, n, s.seed)),
+            (NoiseFamily.CAUCHY, lambda s, n: cauchy_noise(s.x0, s.tau, n, s.seed)),
+        ],
+    )
+    @PROPERTY
+    @given(data=st.data())
+    def test_additive_output_is_y_plus_the_sampler_draws(self, family, noise, data):
+        # Bit for bit: out - y would round, so the sum is compared instead.
+        y, spec = data.draw(TARGETS, label="y"), data.draw(SPECS[family], label="spec")
+        assert apply_noise(y, spec).tobytes() == (y + noise(spec, len(y))).tobytes()
+
+    @PROPERTY
+    @given(data=st.data())
+    def test_outliers_change_the_rounded_count_inside_the_interval(self, data):
+        y = data.draw(TARGETS, label="y")
+        spec = data.draw(SPECS[NoiseFamily.UNIFORM_OUTLIER], label="spec")
+        out = apply_noise(y, spec)
+        changed = out[out != y]
+        assert changed.size == math.floor(len(y) * spec.proportion + 0.5)
+        center, half = (y.max() + y.min()) / 2, spec.range_multiplier * (y.max() - y.min()) / 2
+        assert np.all((changed >= center - half) & (changed <= center + half))
 
 
 class TestNoiseSpecValidation:

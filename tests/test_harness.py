@@ -182,7 +182,8 @@ class TestRunReplicate:
     def test_observed_train_data_is_the_noisy_copy_of_the_clean_rows(self, noise):
         # The trainer reads each fold's features from the replicate's one
         # clean matrix; what an observer is shown must still be the fold's
-        # corrupted copy, byte for byte, as built from the seed ledger.
+        # clean rows with their corrupted targets, byte for byte, as built
+        # from the seed ledger.
         from cauchybench.datagen import apply_noise
         from cauchybench.harness import _clean_dataset
 
@@ -194,13 +195,13 @@ class TestRunReplicate:
         folds = kfold_split(len(clean), cfg.folds, ledger.derive("folds", 1))
         for fold, (train_idx, _) in enumerate(folds):
             spec = replace(noise, seed=ledger.derive_int("noise", 1, fold))
-            want = apply_noise(clean.take(train_idx), spec)
+            want_y = apply_noise(clean.y[train_idx], spec)
             cells = [c for c in seen if c.fold == fold]
             assert len(cells) == len(cfg.models)
             for cell in cells:
-                assert cell.train_data.X.tobytes() == want.X.tobytes()
-                assert cell.train_data.y.tobytes() == want.y.tobytes()
-                assert cell.train_data.meta == want.meta
+                assert cell.train_data.X.tobytes() == clean.X[train_idx].tobytes()
+                assert cell.train_data.y.tobytes() == want_y.tobytes()
+                assert cell.train_data.meta == clean.meta and "noise" not in cell.train_data.meta
 
     def test_divergence_tagged_with_context(self):
         cfg = tiny_config()

@@ -53,6 +53,17 @@ class TestLoadCsv:
         with pytest.raises(IngestionError, match=r"row 2.*'Temperature'.*'abc'"):
             load_dataset(p, SMALL_SCHEMA)
 
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-Infinity", "1e999"])
+    @pytest.mark.parametrize("column", ["Temperature", "Count"])
+    def test_non_finite_numeric_cell_names_row_and_column(self, tmp_path, cell, column):
+        rows = [["1", "A", "10"], ["2", "B", "20"], ["3", "A", "30"]]
+        rows[2][0 if column == "Temperature" else 2] = cell
+        text = "Temperature,Season,Count\n" + "".join(",".join(r) + "\n" for r in rows)
+        p = write(tmp_path, text)
+        with pytest.raises(IngestionError) as exc:
+            load_dataset(p, SMALL_SCHEMA)
+        assert str(exc.value) == f"{p}: row 3, column {column!r}: cannot parse {cell!r} as a finite number"
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(IngestionError, match="no such file"):
             load_dataset(tmp_path / "nope.csv", SMALL_SCHEMA)

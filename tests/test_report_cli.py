@@ -49,6 +49,16 @@ def small_result(noise=NoiseSpec(NoiseFamily.NONE), seed=5):
     return run_experiment(cfg)
 
 
+# The smallest documents the report commands accept, and the fields they read.
+MINIMAL_DOC = {"schema": "cauchybench-results-v1", "models": ["A"], "aggregate": {}, "comparisons": {}}
+A_AGGREGATE = {"A": {m: {"mean": 1.0, "std": 0.0} for m in ("mae", "rmse")}}
+KW_ENTRY = {"statistic": 1.0, "p_value": 0.5, "method": "chi_square"}
+
+
+def with_comparison(comparison):
+    return {**MINIMAL_DOC, "aggregate": A_AGGREGATE, "comparisons": {"mae": comparison}}
+
+
 class TestFormatTable:
     def test_text_table_flags_minimum(self):
         doc = small_result()
@@ -241,6 +251,38 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "not a cauchybench results document" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "command, doc, names",
+        [
+            ("table", MINIMAL_DOC, "aggregate"),
+            ("compare", {**MINIMAL_DOC, "comparisons": {"mae": {}}}, "aggregate"),
+            ("compare", {**MINIMAL_DOC, "aggregate": A_AGGREGATE, "comparisons": {"mae": {}}}, "kruskal_wallis"),
+            ("compare", with_comparison({"kruskal_wallis": {}, "pairwise": []}), "kruskal_wallis"),
+            ("compare", with_comparison({"kruskal_wallis": KW_ENTRY, "pairwise": {}}), "pairwise"),
+            ("compare", with_comparison({"kruskal_wallis": KW_ENTRY, "pairwise": [KW_ENTRY]}), "pairwise"),
+            ("table", {**MINIMAL_DOC, "models": []}, "models"),
+            ("table", {**MINIMAL_DOC, "models": [1]}, "models"),
+            ("table", {**MINIMAL_DOC, "aggregate": {"A": {"mae": {"mean": 1.0, "std": "0"}}}}, "aggregate"),
+            ("table", {**MINIMAL_DOC, "aggregate": {"A": {**A_AGGREGATE["A"], "rmse": {"mean": True, "std": 0.0}}}}, "aggregate"),
+        ],
+    )
+    def test_document_lacking_a_field_read_exits_1(self, tmp_path, capsys, command, doc, names):
+        path = tmp_path / "r.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match=names):
+            load_results(path)
+        assert cli_main([command, str(path), "--metric", "mae"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: malformed results file") and names in err
+        assert err.count("\n") == 1 and "Traceback" not in err
+
+    def test_document_with_every_field_read_loads(self, tmp_path, capsys):
+        path = tmp_path / "r.json"
+        path.write_text(json.dumps(with_comparison({"kruskal_wallis": KW_ENTRY, "pairwise": []})))
+        assert cli_main(["table", str(path), "--metric", "mae"]) == 0
+        assert cli_main(["compare", str(path), "--metric", "mae"]) == 0
+        assert "Kruskal-Wallis (mae)" in capsys.readouterr().out
 
     def test_influence_command_peak_row(self, tmp_path):
         out = tmp_path / "infl.csv"
