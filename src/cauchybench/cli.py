@@ -124,8 +124,11 @@ def _cmd_run(args) -> int:
         cfg = config_from_dict(doc)
     except (AttributeError, KeyError, TypeError, ValueError) as err:
         raise UsageError(f"invalid config {args.config or args.preset}: {err}") from err
-    doc = run_experiment(cfg)
     out = _out_path(args, "results.json")
+    directory = os.path.dirname(out) or "."
+    if not os.path.isdir(directory):
+        raise UsageError(f"cannot write {out}: no such directory {directory}")
+    doc = run_experiment(cfg)
     save_results(doc, out)
     mae = doc["comparisons"].get("mae")
     kw_note = f", KW mae p={mae['kruskal_wallis']['p_value']:.4g}" if mae else ""

@@ -9,8 +9,10 @@ which behaves like r^2 / 2 for |r| << c and grows only logarithmically
 for |r| >> c, so the pull a single sample exerts on the fit is bounded.
 Squared error, by contrast, weights residuals without bound.
 
-All functions accept scalars or numpy arrays (broadcasting elementwise)
-and are pure; batch aggregation (the mean) is the trainer's job.
+All public functions accept scalars or numpy arrays (broadcasting
+elementwise) and are pure; batch aggregation (the mean) is the trainer's
+job. The Cauchy loss and both gradients have one formula, the kernel
+``_loss_grad_into``, which the trainer and the public functions share.
 """
 
 from __future__ import annotations
@@ -119,22 +121,60 @@ def _as_result(value):
     return float(value) if np.ndim(value) == 0 else value
 
 
-# Unvalidated kernels; the trainer calls these on data it has already
-# screened (so an overflowing prediction surfaces as divergence, not as
-# an argument error). The residual forms broadcast a column of constants
-# c against a (models, samples) residual matrix.
+# The one kernel of both losses and their gradients. It is unvalidated:
+# the trainer calls it on data it has already screened (so an overflowing
+# prediction surfaces as divergence, not as an argument error), and
+# broadcasts (M, 1) columns of per-model constants against an
+# (F, M, width) residual block.
 
 
-def _clf_of_residual(r, c):
-    return 0.5 * c * c * np.log1p((r / c) ** 2)
+def _loss_constants(spec: LossSpec) -> tuple:
+    """The kernel's constants of one loss: whether it is MSE, then c, c^2,
+    c^2 / 2 and -c^2 (MSE carries c = 1)."""
+    is_mse = spec.kind is LossKind.MSE
+    c = 1.0 if is_mse else float(spec.c)
+    return is_mse, c, c * c, 0.5 * c * c, -(c * c)
 
 
-def _clf_grad_of_residual(r, c):
-    return -(c * c) * r / (c * c + r * r)
+def _loss_columns(specs) -> tuple[np.ndarray, ...]:
+    """``_loss_constants`` of each model in ``specs``, as (M, 1) columns."""
+    return tuple(np.array(column)[:, None] for column in zip(*map(_loss_constants, specs)))
+
+
+def _loss_grad_into(r, columns, loss, grad, scratch) -> None:
+    """Per-sample losses and dL/dprediction of the residuals ``r``,
+    written into ``loss`` and ``grad``; ``scratch`` is a third buffer of
+    their shape. ``columns`` is the tuple of ``_loss_constants``, as
+    scalars or as ``_loss_columns``' (M, 1) columns: rows marked MSE
+    take r^2 and -2r, the others (c^2/2) ln(1 + (r/c)^2) and
+    -c^2 r / (c^2 + r^2), whose r^2 is the MSE loss's r * r."""
+    is_mse, c, c2, half_c2, neg_c2 = columns
+    np.multiply(r, r, out=scratch)
+    np.divide(r, c, out=loss)
+    np.square(loss, out=loss)
+    np.log1p(loss, out=loss)
+    np.multiply(half_c2, loss, out=loss)
+    np.copyto(loss, scratch, where=is_mse)
+    np.multiply(neg_c2, r, out=grad)
+    np.add(c2, scratch, out=scratch)
+    np.divide(grad, scratch, out=grad)
+    np.multiply(r, -2.0, out=scratch)
+    np.copyto(grad, scratch, where=is_mse)
 
 
 def _residual(y, y_hat):
     return np.asarray(y, dtype=float) - np.asarray(y_hat, dtype=float)
+
+
+def _loss_and_grad(r, spec: LossSpec):
+    """The kernel's (loss, gradient) of the residuals ``r`` under ``spec``.
+    Both losses are evaluated, so an overflow in the one not asked for is
+    silenced; the one asked for still returns its inf."""
+    r = np.asarray(r, dtype=float)
+    loss, grad, scratch = np.empty_like(r), np.empty_like(r), np.empty_like(r)
+    with np.errstate(over="ignore"):
+        _loss_grad_into(r, _loss_constants(spec), loss, grad, scratch)
+    return loss, grad
 
 
 def clf_loss(y, y_hat, c: float):
@@ -142,7 +182,7 @@ def clf_loss(y, y_hat, c: float):
     _check_clf_constant(c)
     _check_finite("y", y)
     _check_finite("y_hat", y_hat)
-    return _as_result(_clf_of_residual(_residual(y, y_hat), c))
+    return _as_result(_loss_and_grad(_residual(y, y_hat), LossSpec.clf(c))[0])
 
 
 def mse_loss(y, y_hat):
@@ -160,10 +200,7 @@ def loss_grad(y, y_hat, spec: LossSpec):
     """
     _check_finite("y", y)
     _check_finite("y_hat", y_hat)
-    r = _residual(y, y_hat)
-    if spec.kind is LossKind.MSE:
-        return _as_result(-2.0 * r)
-    return _as_result(_clf_grad_of_residual(r, spec.c))
+    return _as_result(_loss_and_grad(_residual(y, y_hat), spec)[1])
 
 
 def influence(r_abs, spec: LossSpec):
@@ -178,7 +215,7 @@ def influence(r_abs, spec: LossSpec):
         raise ValueError("r_abs must be nonnegative")
     if spec.kind is LossKind.MSE:
         return _as_result(2.0 * r)
-    return _as_result(-_clf_grad_of_residual(r, spec.c))
+    return _as_result(-_loss_and_grad(r, spec)[1])
 
 
 def _paired(targets, preds):

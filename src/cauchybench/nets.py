@@ -22,12 +22,17 @@ see ``_hidden_rows``): elementwise passes run over contiguous rows, and
 the later layers' products run per (fold, model) pair on strided views,
 with the arithmetic of that model alone. Behind a fold-major last
 hidden layer, the output layer's delta is one GEMM per fold against its
-weights laid out block-diagonally (see ``_backward``). Adam is one fused
-in-place update of the flat buffer.
-Short last batches are padded and masked, and a fold with one batch
-fewer than its peers sits out the extra step. ``train`` is the
-one-fold, one-model case; ``forward``, ``backward`` and ``predict`` run
-the same kernels at F = M = 1.
+weights laid out block-diagonally (see ``_Step``).
+
+Every view and buffer a step uses is built once, in a ``_Step`` object
+per batch width (a call has at most two: the full batch and the last
+one), so ``_forward``, the loss kernel, ``_backward`` and Adam, one
+in-place update of the flat buffer through two scratch buffers, only
+write into arrays that already exist. Short last batches are padded and
+masked, and a fold with one batch fewer than its peers sits out the
+extra step. ``train`` is the one-fold, one-model case; ``forward``,
+``backward`` and ``predict`` build one step object for their single
+call, at F = M = 1.
 
 Features are standardized using statistics of the training data each
 fold receives (targets are left on their original scale), and the fitted
@@ -38,12 +43,12 @@ see the same transform.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property, partial
 from typing import Sequence
 
 import numpy as np
 
-from .losses import LossKind, LossSpec, _as_int, _check_numbers
-from .losses import _clf_grad_of_residual, _clf_of_residual
+from .losses import LossSpec, _as_int, _check_numbers, _loss_columns, _loss_grad_into
 
 __all__ = [
     "NetworkConfig",
@@ -189,7 +194,9 @@ def _merge(a: np.ndarray, axis: int) -> np.ndarray:
     return a.reshape(*a.shape[:axis], -1, *a.shape[axis + 2 :], copy=False)
 
 
-def _hidden_rows(n_folds: int, width: int, n_models: int, hidden: Sequence[int]) -> list[np.ndarray]:
+def _hidden_rows(
+    n_folds: int, width: int, n_models: int, hidden: Sequence[int], dtype=float
+) -> list[np.ndarray]:
     """One (F, width, M, h) buffer per hidden layer, fold-major: a fold's
     batch rows each hold all M models' units, so elementwise passes and
     the layer-1 GEMM see one contiguous (width, M·h) block per fold.
@@ -202,9 +209,9 @@ def _hidden_rows(n_folds: int, width: int, n_models: int, hidden: Sequence[int])
     one row by row: a strided block would change the bits.
     """
     return [
-        np.empty((n_folds, width, n_models, h))
+        np.empty((n_folds, width, n_models, h), dtype)
         if h >= _NARROW
-        else np.empty((n_folds, n_models, width, h)).swapaxes(1, 2)
+        else np.empty((n_folds, n_models, width, h), dtype).swapaxes(1, 2)
         for h in hidden
     ]
 
@@ -219,68 +226,108 @@ def _one_gemm(x: np.ndarray, rows: np.ndarray) -> bool:
     return min(x.shape[1], x.shape[2]) > 1 and rows.shape[3] >= _NARROW
 
 
-def _forward(weights, biases, x, pre_acts, acts) -> np.ndarray:
-    """Forward pass of every (fold, model) pair over its fold's batch.
+class _Step:
+    """One step over a batch of width w, recorded once as the numpy calls
+    it makes, each bound to prebuilt views and buffers, which ``_forward``
+    and ``_backward`` replay.
 
-    ``weights`` (F, M, out, in) and ``biases`` (F, M, out) hold the
-    stacked parameters and ``x`` (F, w, d) the batches. Each hidden
-    layer's pre-activations and ReLU outputs are written into the
-    (F, w, M, h) rows ``pre_acts[i]`` and ``acts[i]``. Returns the output
-    layer's pre-activations, (F, M, w, 1).
+    ``weights`` (F, M, out, in) and ``biases`` (F, M, out) are the
+    stacked parameters, ``grad_w`` and ``grad_b`` their gradients, and
+    ``x`` (F, w, d) the batches. ``bufs`` holds four lists of (F, w, M, h)
+    rows per hidden layer (see ``_hidden_rows``): pre-activations, ReLU
+    outputs, deltas and ReLU masks. ``blocks``, zeros of shape
+    (F, M, M, h) for the last hidden layer's h, is scratch for the output
+    layer's block-diagonal weights. The step owns the outputs ``out``
+    (F, M, w, 1) and the residuals, losses, dL/dprediction ``g`` and
+    loss-kernel scratch, each (F, M, w).
     """
-    a = x[:, None]  # per pair (F, M, w, in); the batch is shared by the fold's models
-    for i, (w, b, z) in enumerate(zip(weights, biases, pre_acts)):
-        if i == 0 and _one_gemm(x, z):
-            np.matmul(x, _merge(w, 1).swapaxes(1, 2), out=_merge(z, 2))
+
+    def __init__(self, weights, biases, grad_w, grad_b, x, bufs, blocks):
+        n_folds, width, _ = x.shape
+        n_models = weights[0].shape[1]
+        self.x, self.x_rows = x, _merge(x, 1)  # (F, w, d) and (F, w·d)
+        self.pre_acts, self.acts, deltas, masks = bufs
+        self._backward_operands = weights, grad_w, grad_b, deltas, masks, blocks
+        self.out = np.empty((n_folds, n_models, width, 1))
+        self.preds = self.out[..., 0]
+        self.r, self.loss, self.g, self.scratch = (np.empty(self.preds.shape) for _ in range(4))
+        self.loss_sum = np.empty((n_folds, n_models))
+        self.finite = np.empty((n_folds, n_models), bool)
+
+        self.forward = fwd = []
+        a = x[:, None]  # per pair (F, M, w, in); the batch is shared by the fold's models
+        for i, (w, b, z, act) in enumerate(zip(weights, biases, self.pre_acts, self.acts)):
+            if i == 0 and _one_gemm(x, z):
+                fwd.append(partial(np.matmul, x, _merge(w, 1).swapaxes(1, 2), out=_merge(z, 2)))
+            else:
+                fwd.append(partial(np.matmul, a, w.swapaxes(-1, -2), out=z.swapaxes(1, 2)))
+            fwd.append(partial(np.add, z, b[:, None], out=z))
+            fwd.append(partial(np.maximum, z, 0.0, out=act))
+            a = act.swapaxes(1, 2)
+        fwd.append(partial(np.matmul, a, weights[-1].swapaxes(-1, -2), out=self.out))
+        fwd.append(partial(np.add, self.out, biases[-1][..., None, :], out=self.out))
+
+    @cached_property
+    def backward(self) -> list:
+        """The backward pass's calls, built on its first replay (a
+        prediction never makes one)."""
+        weights, grad_w, grad_b, deltas, masks, blocks = self._backward_operands
+        x, g, last = self.x, self.g, len(weights) - 1
+        n_folds, n_models = g.shape[:2]
+        bwd = [
+            partial(np.matmul, g[..., None, :], self.acts[-1].swapaxes(1, 2), out=grad_w[last]),
+            partial(np.add.reduce, g[..., None], axis=-2, out=grad_b[last]),
+        ]
+        # The output layer is affine with one unit: the delta it sends back
+        # is the exact product of g and its weights. With the last hidden
+        # layer fold-major, that is one (w, M) @ (M, M·h) GEMM per fold
+        # against the output weights placed on a block diagonal. Each entry
+        # sums one product and exact zeros (g is finite here), so it is the
+        # same value; only a zero product may come out +0 where the
+        # broadcast gives -0, which no parameter sees (Adam's moments are
+        # never -0).
+        w_out, h = weights[last], weights[last].shape[3]
+        if h >= _NARROW:
+            diagonal = blocks.reshape(n_folds, -1, h)[:, :: n_models + 1]
+            bwd.append(partial(np.copyto, diagonal, w_out[:, :, 0]))
+            out_delta = _merge(deltas[-1], 2)
+            bwd.append(partial(np.matmul, g.swapaxes(1, 2), _merge(blocks, 2), out=out_delta))
         else:
-            np.matmul(a, w.swapaxes(-1, -2), out=z.swapaxes(1, 2))
-        z += b[:, None]
-        a = np.maximum(z, 0.0, out=acts[i]).swapaxes(1, 2)
-    out = a @ weights[-1].swapaxes(-1, -2)
-    out += biases[-1][..., None, :]
-    return out
+            g_col = g.swapaxes(1, 2)[..., None]
+            bwd.append(partial(np.multiply, g_col, w_out.swapaxes(1, 2), out=deltas[-1]))
+        for i in range(last - 1, -1, -1):
+            delta = deltas[i]
+            bwd.append(partial(np.greater, self.pre_acts[i], 0.0, out=masks[i]))
+            bwd.append(partial(np.multiply, delta, masks[i], out=delta))
+            # the batch sum runs in the order of one model alone
+            bwd.append(partial(np.add.reduce, delta, axis=1, out=grad_b[i]))
+            if i == 0 and _one_gemm(x, delta):
+                delta_t = _merge(delta, 2).swapaxes(1, 2)
+                bwd.append(partial(np.matmul, delta_t, x, out=_merge(grad_w[0], 1)))
+            else:
+                a_prev = x[:, None] if i == 0 else self.acts[i - 1].swapaxes(1, 2)
+                bwd.append(partial(np.matmul, delta.transpose(0, 2, 3, 1), a_prev, out=grad_w[i]))
+            if i > 0:
+                back = deltas[i - 1].swapaxes(1, 2)
+                bwd.append(partial(np.matmul, delta.swapaxes(1, 2), weights[i], out=back))
+        return bwd
 
 
-def _backward(weights, x, pre_acts, acts, g, deltas, grad_w, grad_b, blocks=None) -> None:
-    """Batch sums of every pair's parameter gradients, written into
-    ``grad_w`` and ``grad_b`` (laid out as the weights and biases).
+def _forward(step: _Step) -> None:
+    """Forward pass of every (fold, model) pair over its fold's batch:
+    the hidden layers' pre-activations and ReLU outputs go to
+    ``step.pre_acts`` and ``step.acts``, the outputs to ``step.out``."""
+    for call in step.forward:
+        call()
 
-    ``g`` (F, M, w) is dL/dprediction and the other arrays are those of
-    ``_forward``; ``deltas`` holds one (F, w, M, h) scratch buffer per
-    hidden layer. ``blocks``, zeros of shape (F, M, M, h) for the last
-    hidden layer's width h, is reused scratch for the output layer's
-    block-diagonal weights (allocated here when None). The ReLU
-    subgradient at exactly 0 is taken as 0.
-    """
-    last = len(weights) - 1
-    np.matmul(g[..., None, :], acts[-1].swapaxes(1, 2), out=grad_w[last])
-    g[..., None].sum(axis=-2, out=grad_b[last])
-    # The output layer is affine with one unit: the delta it sends back is
-    # the exact product of g and its weights. With the last hidden layer
-    # fold-major, that is one (w, M) @ (M, M·h) GEMM per fold against the
-    # output weights placed on a block diagonal. Each entry sums one
-    # product and exact zeros (g is finite here), so it is the same value;
-    # only a zero product may come out +0 where the broadcast gives -0,
-    # which no parameter sees (Adam's moments are never -0).
-    n_folds, n_models, _, h = weights[last].shape
-    if h >= _NARROW:
-        if blocks is None:
-            blocks = np.zeros((n_folds, n_models, n_models, h))
-        np.copyto(blocks.reshape(n_folds, -1, h)[:, :: n_models + 1], weights[last][:, :, 0])
-        np.matmul(g.swapaxes(1, 2), _merge(blocks, 2), out=_merge(deltas[-1], 2))
-    else:
-        np.multiply(g.swapaxes(1, 2)[..., None], weights[last].swapaxes(1, 2), out=deltas[-1])
-    for i in range(last - 1, -1, -1):
-        delta = deltas[i]
-        delta *= pre_acts[i] > 0.0
-        np.sum(delta, axis=1, out=grad_b[i])  # over the batch in the order of one model alone
-        if i == 0 and _one_gemm(x, delta):
-            np.matmul(_merge(delta, 2).swapaxes(1, 2), x, out=_merge(grad_w[0], 1))
-        else:
-            a_prev = x[:, None] if i == 0 else acts[i - 1].swapaxes(1, 2)
-            np.matmul(delta.transpose(0, 2, 3, 1), a_prev, out=grad_w[i])
-        if i > 0:
-            np.matmul(delta.swapaxes(1, 2), weights[i], out=deltas[i - 1].swapaxes(1, 2))
+
+def _backward(step: _Step) -> None:
+    """Batch sums of every pair's parameter gradients, from dL/dprediction
+    in ``step.g`` and the rows ``_forward`` left, written into the
+    ``grad_w`` and ``grad_b`` the step was built on. The ReLU subgradient
+    at exactly 0 is taken as 0."""
+    for call in step.backward:
+        call()
 
 
 def _one_model(params: Parameters):
@@ -288,15 +335,14 @@ def _one_model(params: Parameters):
     return [w[None, None] for w in params.weights], [b[None, None] for b in params.biases]
 
 
-def _forward_2d(params: Parameters, x: np.ndarray):
-    weights, biases = _one_model(params)
+def _one_step(params: Parameters, x: np.ndarray) -> tuple[_Step, Parameters]:
+    """The step of ``params`` alone (F = M = 1) over the batch ``x``
+    (n, d), and the zero Parameters its gradients are written into."""
+    grads = params.zeros_like()
     hidden = [w.shape[0] for w in params.weights[:-1]]
-    pre_acts, acts = _hidden_rows(1, len(x), 1, hidden), _hidden_rows(1, len(x), 1, hidden)
-    out = _forward(weights, biases, x[None], pre_acts, acts)[0, 0]
-    cache = ForwardCache(
-        inputs=x, pre_acts=[z[0, :, 0] for z in pre_acts] + [out], acts=[a[0, :, 0] for a in acts]
-    )
-    return out[:, 0], cache
+    bufs = [_hidden_rows(1, len(x), 1, hidden, dtype) for dtype in (float, float, float, bool)]
+    blocks = np.zeros((1, 1, 1, hidden[-1]))
+    return _Step(*_one_model(params), *_one_model(grads), x[None], bufs, blocks), grads
 
 
 def forward(params: Parameters, x):
@@ -312,13 +358,23 @@ def forward(params: Parameters, x):
         raise ValueError(
             f"input has {x2.shape[1]} features, network expects {params.weights[0].shape[1]}"
         )
-    preds, cache = _forward_2d(params, x2)
+    step, _ = _one_step(params, x2)
+    _forward(step)
+    out = step.out[0, 0]
+    cache = ForwardCache(
+        inputs=x2,
+        pre_acts=[z[0, :, 0] for z in step.pre_acts] + [out],
+        acts=[a[0, :, 0] for a in step.acts],
+    )
+    preds = out[:, 0]
     return (float(preds[0]) if single else preds), cache
 
 
 def predict(params: Parameters, X: np.ndarray) -> np.ndarray:
     """Predictions for an (n, d) matrix, no cache kept."""
-    return _forward_2d(params, np.asarray(X, dtype=float))[0]
+    step, _ = _one_step(params, np.asarray(X, dtype=float))
+    _forward(step)
+    return step.preds[0, 0]
 
 
 def backward(params: Parameters, cache: ForwardCache, dloss_dpred) -> Parameters:
@@ -333,19 +389,11 @@ def backward(params: Parameters, cache: ForwardCache, dloss_dpred) -> Parameters
     n = cache.inputs.shape[0]
     if g.shape != (n,):
         raise ValueError(f"dloss_dpred has shape {g.shape}, cache holds {n} samples")
-    grads = params.zeros_like()
-    grad_w, grad_b = _one_model(grads)
-    hidden = [w.shape[0] for w in params.weights[:-1]]
-    _backward(
-        _one_model(params)[0],
-        cache.inputs[None],
-        [z[None, :, None] for z in cache.pre_acts[:-1]],
-        [a[None, :, None] for a in cache.acts],
-        g[None, None],
-        _hidden_rows(1, n, 1, hidden),
-        grad_w,
-        grad_b,
-    )
+    step, grads = _one_step(params, cache.inputs)
+    for z, a, cached_z, cached_a in zip(step.pre_acts, step.acts, cache.pre_acts, cache.acts):
+        z[0, :, 0], a[0, :, 0] = cached_z, cached_a
+    step.g[0, 0] = g
+    _backward(step)
     return grads
 
 
@@ -355,16 +403,27 @@ def _bias_corrections(t: int, tc: TrainConfig) -> tuple[float, float]:
     return 1.0 - tc.beta1**t, 1.0 - tc.beta2**t
 
 
-def _adam_update(theta, g, m, v, c1, c2, tc: TrainConfig) -> None:
-    """Adam step in place on theta, m and v, with the bias corrections
-    ``c1``, ``c2`` of its step number (floats, or arrays that broadcast
-    against theta)."""
+def _adam_update(theta, g, m, v, s1, s2, c1, c2, tc: TrainConfig) -> None:
+    """Adam step in place on theta, m and v, through the scratch buffers
+    ``s1`` and ``s2`` of their shape, with the bias corrections ``c1``,
+    ``c2`` of its step number (floats, or arrays that broadcast against
+    theta)."""
     b1, b2, lr, eps = tc.beta1, tc.beta2, tc.learning_rate, tc.epsilon
     m *= b1
-    m += (1.0 - b1) * g
+    np.multiply(g, 1.0 - b1, out=s1)
+    m += s1
     v *= b2
-    v += (1.0 - b2) * g * g
-    theta -= lr * (m / c1) / (np.sqrt(v / c2) + eps)
+    np.multiply(g, 1.0 - b2, out=s1)
+    s1 *= g
+    v += s1
+    # theta -= lr * (m / c1) / (sqrt(v / c2) + eps)
+    np.divide(m, c1, out=s1)
+    s1 *= lr
+    np.divide(v, c2, out=s2)
+    np.sqrt(s2, out=s2)
+    s2 += eps
+    s1 /= s2
+    theta -= s1
 
 
 def adam_step(
@@ -379,7 +438,8 @@ def adam_step(
         m.weights + m.biases,
         v.weights + v.biases,
     ):
-        _adam_update(*arrays, *_bias_corrections(t, tc), tc)
+        scratch = np.empty_like(arrays[0]), np.empty_like(arrays[0])
+        _adam_update(*arrays, *scratch, *_bias_corrections(t, tc), tc)
     return new, AdamState(m=m, v=v, t=t)
 
 
@@ -430,17 +490,17 @@ def _param_views(flat: np.ndarray, sizes: Sequence[int], n_models: int):
 
 def _step_plan(sizes: np.ndarray, batch_size: int) -> list[tuple]:
     """Per step of an epoch: the columns of the folds' shuffled row orders
-    it takes, the (F, width) mask of real rows (None when no fold is short
-    there), each fold's 1 / batch size as an (F, 1) column, and the
+    it takes, the (F, 1, width) mask of padding rows (None when no fold is
+    short there), each fold's 1 / batch size as an (F, 1) column, and the
     folds that take the step (None when all do; the others have no rows
     left)."""
     plan = []
     for lo in range(0, int(sizes.max()), batch_size):
         count = np.clip(sizes - lo, 0, batch_size)
         width = int(count.max())
-        valid = None if count.min() == width else np.arange(width) < count[:, None]
+        pad = None if count.min() == width else np.arange(width) >= count[:, None, None]
         active = None if count.min() > 0 else np.flatnonzero(count).tolist()
-        plan.append((slice(lo, lo + width), valid, (1.0 / np.maximum(count, 1))[:, None], active))
+        plan.append((slice(lo, lo + width), pad, (1.0 / np.maximum(count, 1))[:, None], active))
     return plan
 
 
@@ -507,9 +567,11 @@ def train_folds(
     n_folds, n_models = len(folds), len(losses)
     sizes = np.array([idx.size for idx in rows])
     # Rows are standardized as they are gathered, so no scaled copy is kept.
+    # The folds' means and scales are tiled along a batch's (w·d) values,
+    # so a step standardizes its batches in two passes over (F, w·d) rows.
     scalers = [FeatureScaler.fit(X[idx]) for idx in rows]
-    mean = np.stack([s.mean for s in scalers])[:, None, :]
-    scale = np.stack([s.scale for s in scalers])[:, None, :]
+    mean = np.tile(np.stack([s.mean for s in scalers]), tc.batch_size)
+    scale = np.tile(np.stack([s.scale for s in scalers]), tc.batch_size)
 
     inits = [init_params(net, fold_tc.seed) for *_, fold_tc in folds]
     theta = np.empty((n_folds, n_models * sum(a.size for a in inits[0].weights + inits[0].biases)))
@@ -519,9 +581,7 @@ def train_folds(
     for f, init in enumerate(inits):
         for w, b, w0, b0 in zip(weights, biases, init.weights, init.biases):
             w[f], b[f] = w0, b0  # every model of the fold starts there
-    # Per-model loss constants as (M, 1) columns; MSE rows carry a dummy c.
-    is_mse = np.array([[spec.kind is LossKind.MSE] for spec in losses])
-    c = np.array([[1.0 if spec.kind is LossKind.MSE else spec.c] for spec in losses])
+    columns = _loss_columns(losses)
     shuffles = [_shuffle_rng(fold_tc.seed) for *_, fold_tc in folds]
     plan = _step_plan(sizes, tc.batch_size)
     # Each fold's rows of X in this epoch's order and their targets; past
@@ -530,52 +590,71 @@ def train_folds(
     y_order = np.empty(order.shape)
     for f, (idx, y) in enumerate(zip(rows, ys)):
         order[f, sizes[f] :], y_order[f, sizes[f] :] = idx[0], y[0]
+    # One step object per batch width (the full batch and the last one),
+    # over shared batch and hidden buffers and the output layer's
+    # block-diagonal weights. Each step of the epoch then holds its batch
+    # rows and targets, its step object, and its width's mean and scale.
     x_buf = np.empty((n_folds, tc.batch_size, net.input_dim))
-    # Hidden pre-activations, activations and deltas, reused every step,
-    # and the output layer's block-diagonal weights (see _backward).
-    bufs = [_hidden_rows(n_folds, tc.batch_size, n_models, net.hidden_layers) for _ in range(3)]
+    bufs = [
+        _hidden_rows(n_folds, tc.batch_size, n_models, net.hidden_layers, dtype)
+        for dtype in (float, float, float, bool)
+    ]
     blocks = np.zeros((n_folds, n_models, n_models, net.hidden_layers[-1]))
+    steps = {}
+    for i, (cols, pad, inv_count, active) in enumerate(plan):
+        width = cols.stop - cols.start
+        if width not in steps:
+            bufs_w = [[buf[:, :width] for buf in kind] for kind in bufs]
+            steps[width] = _Step(weights, biases, grad_w, grad_b, x_buf[:, :width], bufs_w, blocks)
+        values = slice(0, width * net.input_dim)
+        batch = (order[:, cols], y_order[:, None, cols], steps[width], mean[:, values], scale[:, values])
+        plan[i] = (*batch, pad, inv_count, active)
+    adam_scratch = np.empty_like(theta), np.empty_like(theta)
+    fold_arrays = list(zip(theta, grad, m, v, *adam_scratch))
+    # Without a sit-out step every fold's step count is the same, so the
+    # bias corrections are scalars.
+    uniform = all(active is None for *_, active in plan)
 
     t = [0] * n_folds
     for epoch in range(tc.epochs):
         for f, (shuffle, idx, y) in enumerate(zip(shuffles, rows, ys)):
             perm = shuffle.permutation(sizes[f])
             order[f, : sizes[f]], y_order[f, : sizes[f]] = idx[perm], y[perm]
-        for cols, valid, inv_count, active in plan:
-            width = cols.stop - cols.start
-            xb, yb = x_buf[:, :width], y_order[:, cols]
+        for batch_rows, yb, step, mean_w, scale_w, pad, inv_count, active in plan:
             # every index was checked against X above, so "clip" never clips
-            np.take(X, order[:, cols], axis=0, out=xb, mode="clip")
-            xb -= mean
-            xb /= scale
-            pre_acts, acts, deltas = ([buf[:, :width] for buf in layers] for layers in bufs)
+            X.take(batch_rows, axis=0, out=step.x, mode="clip")
+            step.x_rows -= mean_w
+            step.x_rows /= scale_w
             with np.errstate(over="ignore", invalid="ignore"):
                 # Overflow here is the divergence signal itself, not an anomaly.
-                preds = _forward(weights, biases, xb, pre_acts, acts)[..., 0]
-                r = yb[:, None] - preds
-                loss = np.where(is_mse, r * r, _clf_of_residual(r, c))
-                if valid is not None:
-                    loss = np.where(valid[:, None], loss, 0.0)
-                bad = ~np.isfinite(loss.sum(axis=-1))
-            if bad.any():
-                f, k = divmod(int(np.argmax(bad)), n_models)
-                finite = np.all(np.isfinite(preds[f, k] if valid is None else preds[f, k, valid[f]]))
+                _forward(step)
+                np.subtract(yb, step.preds, out=step.r)
+                _loss_grad_into(step.r, columns, step.loss, step.g, step.scratch)
+                if pad is not None:
+                    np.copyto(step.loss, 0.0, where=pad)
+                    np.copyto(step.g, 0.0, where=pad)
+                np.add.reduce(step.loss, axis=-1, out=step.loss_sum)
+                np.isfinite(step.loss_sum, out=step.finite)
+            if not step.finite.all():
+                f, k = divmod(int(np.argmin(step.finite)), n_models)
+                preds = step.preds[f, k] if pad is None else step.preds[f, k, ~pad[f, 0]]
+                finite = np.all(np.isfinite(preds))
                 raise TrainingDiverged(
                     epoch, "non-finite loss" if finite else "non-finite prediction", model=k, fold=f
                 )
-            g = np.where(is_mse, -2.0 * r, _clf_grad_of_residual(r, c))
-            if valid is not None:
-                g = np.where(valid[:, None], g, 0.0)
-            _backward(weights, xb, pre_acts, acts, g, deltas, grad_w, grad_b, blocks)
+            _backward(step)
             grad *= inv_count
             if active is None:
                 t = [s + 1 for s in t]
-                c1, c2 = np.array([_bias_corrections(s, tc) for s in t]).T[..., None]
-                _adam_update(theta, grad, m, v, c1, c2, tc)
+                if uniform:
+                    c1, c2 = _bias_corrections(t[0], tc)
+                else:
+                    c1, c2 = np.array([_bias_corrections(s, tc) for s in t]).T[..., None]
+                _adam_update(theta, grad, m, v, *adam_scratch, c1, c2, tc)
             else:
                 for f in active:
                     t[f] += 1
-                    _adam_update(theta[f], grad[f], m[f], v[f], *_bias_corrections(t[f], tc), tc)
+                    _adam_update(*fold_arrays[f], *_bias_corrections(t[f], tc), tc)
 
     return [
         [

@@ -3,6 +3,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cauchybench.datagen import NoiseFamily, NoiseSpec, target_y1
 from cauchybench.harness import (
@@ -71,6 +73,20 @@ class TestKfoldSplit:
     def test_k_greater_than_n_rejected(self):
         with pytest.raises(ValueError):
             kfold_split(3, 4, seed=0)
+
+    @settings(derandomize=True, database=None, max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_folds_partition_the_rows(self, data):
+        n = data.draw(st.integers(1, 300), label="n")
+        k = data.draw(st.integers(1, n), label="k")
+        folds = kfold_split(n, k, seed=data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        assert len(folds) == k
+        tests = [test for _, test in folds]
+        assert np.array_equal(np.sort(np.concatenate(tests)), np.arange(n))
+        assert max(map(len, tests)) - min(map(len, tests)) <= 1
+        for train, test in folds:
+            assert np.array_equal(test, np.sort(test))
+            assert np.array_equal(train, np.setdiff1d(np.arange(n), test))
 
 
 class TestSeedLedger:

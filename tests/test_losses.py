@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cauchybench.losses import (
     LossSpec,
@@ -218,3 +220,26 @@ class TestLossSpec:
         half, peak = influence(np.array([0.5 * c, c]), spec)
         assert peak == pytest.approx(c / 2, rel=1e-15)
         assert half == pytest.approx(0.4 * c, rel=1e-15)
+
+
+PROPERTY = settings(derandomize=True, database=None, max_examples=200, deadline=None)
+CONSTANTS = st.floats(1e-3, 1e6)
+RESIDUALS = st.floats(0.0, 1e100)
+
+
+class TestClfProperties:
+    @PROPERTY
+    @given(c=CONSTANTS, r=RESIDUALS)
+    def test_influence_at_most_half_c_with_peak_at_c(self, c, r):
+        # c^2 r / (c^2 + r^2) <= c / 2 is (c - r)^2 >= 0; equality at r = c.
+        spec = LossSpec.clf(c)
+        peak = influence(c, spec)
+        assert peak == pytest.approx(c / 2, rel=1e-12)
+        assert influence(r, spec) <= c / 2 * (1 + 1e-12)
+        assert influence(r, spec) <= peak * (1 + 1e-12)
+
+    @PROPERTY
+    @given(c=CONSTANTS, r=st.floats(-1e100, 1e100))
+    def test_loss_at_most_half_r_squared(self, c, r):
+        # (c^2 / 2) ln(1 + (r / c)^2) <= r^2 / 2, since ln(1 + x) <= x.
+        assert clf_loss(r, 0.0, c) <= r * r / 2 * (1 + 1e-12)

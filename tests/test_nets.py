@@ -27,6 +27,8 @@ from cauchybench.nets import (
     train_folds,
 )
 
+from . import _reference_net
+
 
 def random_params(cfg, seed, keep_away_from_kinks=False):
     rng = np.random.default_rng(seed)
@@ -691,3 +693,36 @@ class TestMinibatchIndices:
             TrainConfig(beta1=1.0)
         with pytest.raises(ValueError):
             TrainConfig(batch_size=0)
+
+
+class TestAgainstReferenceTrainer:
+    """``train_folds`` against ``tests/_reference_net``, a per-sample
+    trainer written apart from ``nets``."""
+
+    SPECS = (LossSpec.mse(), LossSpec.clf(0.5), LossSpec.clf(10.0))
+
+    @pytest.mark.parametrize("sizes", [(33, 33), (32, 33)], ids=["last-batch-of-one", "sit-out"])
+    @pytest.mark.parametrize("hidden", [(3,), (5,), (14, 14)])
+    def test_train_folds_matches_reference(self, hidden, sizes):
+        # At batch 16, 33 rows end each epoch on a 1-row batch, which runs
+        # layer 1 per model beside the full batches' one GEMM per fold
+        # (hidden (5,) and (14, 14)); 32 rows make one batch fewer, so that
+        # fold sits out the last step of every epoch.
+        net = NetworkConfig(4, hidden)
+        rng = np.random.default_rng(sum(hidden) + sizes[0])
+        X = rng.normal(size=(80, 4)) * 3.0 + 1.0
+        folds = []
+        for f, n in enumerate(sizes):
+            rows = rng.choice(80, size=n, replace=False)
+            y = X[rows] @ np.array([1.0, -2.0, 0.5, 0.0]) + rng.standard_cauchy(n)
+            tc = TrainConfig(epochs=3, batch_size=16, learning_rate=0.01, seed=7 + f)
+            folds.append((rows, y, tc))
+        trained = train_folds(X, folds, net, self.SPECS)
+        for (rows, y, tc), models in zip(folds, trained):
+            for spec, model in zip(self.SPECS, models):
+                c = None if spec.kind.value == "mse" else spec.c
+                weights, biases = _reference_net.train(
+                    X[rows], y, net.layer_sizes, c, tc.seed, tc.epochs, tc.batch_size, tc.learning_rate
+                )
+                for got, want in zip(model.params.weights + model.params.biases, weights + biases):
+                    np.testing.assert_allclose(got, want, rtol=1e-10, atol=0.0)

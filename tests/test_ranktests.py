@@ -3,6 +3,8 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import integrate, special
 
 from cauchybench.ranktests import (
@@ -221,6 +223,27 @@ class TestRankInvariance:
             k1 = kruskal_wallis([f(a), f(b), f(c)])
             assert k0.statistic == pytest.approx(k1.statistic, abs=1e-12)
             assert k0.p_value == pytest.approx(k1.p_value, abs=1e-12)
+
+    # Drawn from few small integers, so ties are common, and the maps above
+    # stay injective on them: every order and every tie survives exactly.
+    SAMPLES = st.lists(st.integers(-20, 20), min_size=1, max_size=9).map(
+        lambda v: np.array(v, dtype=float)
+    )
+    PROPERTY = settings(derandomize=True, database=None, max_examples=60, deadline=None)
+
+    @pytest.mark.parametrize("transform", range(len(TRANSFORMS)))
+    @PROPERTY
+    @given(a=SAMPLES, b=SAMPLES)
+    def test_wilcoxon_unchanged_under_increasing_maps(self, transform, a, b):
+        f = self.TRANSFORMS[transform]
+        assert wilcoxon_rank_sum(f(a), f(b)) == wilcoxon_rank_sum(a, b)
+
+    @pytest.mark.parametrize("transform", range(len(TRANSFORMS)))
+    @PROPERTY
+    @given(groups=st.lists(SAMPLES, min_size=2, max_size=4))
+    def test_kruskal_wallis_unchanged_under_increasing_maps(self, transform, groups):
+        f = self.TRANSFORMS[transform]
+        assert kruskal_wallis([f(g) for g in groups]) == kruskal_wallis(groups)
 
 
 class TestChiSquareSf:

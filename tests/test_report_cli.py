@@ -369,6 +369,20 @@ class TestCli:
         assert cli_main(["frobnicate"]) == 1
         capsys.readouterr()
 
+    def test_out_in_a_missing_directory_fails_before_training(self, tmp_path, capsys, monkeypatch):
+        import cauchybench.cli as cli
+
+        def must_not_run(cfg):
+            raise AssertionError("run_experiment was called")
+
+        monkeypatch.setattr(cli, "run_experiment", must_not_run)
+        out = tmp_path / "missing_dir" / "r.json"
+        assert cli_main(["run", "--preset", "hc2-negative", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert f"cannot write {out}: no such directory {out.parent}" in err
+        assert ".tmp" not in err
+        assert not out.parent.exists()
+
     def test_zero_override_is_usage_error(self, tmp_path, capsys):
         out = tmp_path / "r.json"
         assert cli_main(["run", "--preset", "hc2-negative", "--folds", "0", "--out", str(out)]) == 1
