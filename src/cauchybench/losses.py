@@ -168,11 +168,14 @@ def _residual(y, y_hat):
 
 def _loss_and_grad(r, spec: LossSpec):
     """The kernel's (loss, gradient) of the residuals ``r`` under ``spec``.
-    Both losses are evaluated, so an overflow in the one not asked for is
-    silenced; the one asked for still returns its inf."""
+    Both are evaluated, and an extreme residual that one of them cannot
+    represent must not warn when only the other is asked for (at
+    r = 1e200, c = 1e100 the loss is finite but the gradient's -c^2 r
+    over c^2 + r^2 is -inf / inf), so overflow and invalid operations
+    are silenced: the result asked for carries its inf or nan itself."""
     r = np.asarray(r, dtype=float)
     loss, grad, scratch = np.empty_like(r), np.empty_like(r), np.empty_like(r)
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
         _loss_grad_into(r, _loss_constants(spec), loss, grad, scratch)
     return loss, grad
 

@@ -43,7 +43,7 @@ see the same transform.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import cached_property, partial
+from functools import partial
 from typing import Sequence
 
 import numpy as np
@@ -247,7 +247,6 @@ class _Step:
         n_models = weights[0].shape[1]
         self.x, self.x_rows = x, _merge(x, 1)  # (F, w, d) and (F, w·d)
         self.pre_acts, self.acts, deltas, masks = bufs
-        self._backward_operands = weights, grad_w, grad_b, deltas, masks, blocks
         self.out = np.empty((n_folds, n_models, width, 1))
         self.preds = self.out[..., 0]
         self.r, self.loss, self.g, self.scratch = (np.empty(self.preds.shape) for _ in range(4))
@@ -267,14 +266,8 @@ class _Step:
         fwd.append(partial(np.matmul, a, weights[-1].swapaxes(-1, -2), out=self.out))
         fwd.append(partial(np.add, self.out, biases[-1][..., None, :], out=self.out))
 
-    @cached_property
-    def backward(self) -> list:
-        """The backward pass's calls, built on its first replay (a
-        prediction never makes one)."""
-        weights, grad_w, grad_b, deltas, masks, blocks = self._backward_operands
-        x, g, last = self.x, self.g, len(weights) - 1
-        n_folds, n_models = g.shape[:2]
-        bwd = [
+        g, last = self.g, len(weights) - 1
+        self.backward = bwd = [
             partial(np.matmul, g[..., None, :], self.acts[-1].swapaxes(1, 2), out=grad_w[last]),
             partial(np.add.reduce, g[..., None], axis=-2, out=grad_b[last]),
         ]
@@ -310,7 +303,6 @@ class _Step:
             if i > 0:
                 back = deltas[i - 1].swapaxes(1, 2)
                 bwd.append(partial(np.matmul, delta.swapaxes(1, 2), weights[i], out=back))
-        return bwd
 
 
 def _forward(step: _Step) -> None:
@@ -611,9 +603,6 @@ def train_folds(
         plan[i] = (*batch, pad, inv_count, active)
     adam_scratch = np.empty_like(theta), np.empty_like(theta)
     fold_arrays = list(zip(theta, grad, m, v, *adam_scratch))
-    # Without a sit-out step every fold's step count is the same, so the
-    # bias corrections are scalars.
-    uniform = all(active is None for *_, active in plan)
 
     t = [0] * n_folds
     for epoch in range(tc.epochs):
@@ -646,10 +635,7 @@ def train_folds(
             grad *= inv_count
             if active is None:
                 t = [s + 1 for s in t]
-                if uniform:
-                    c1, c2 = _bias_corrections(t[0], tc)
-                else:
-                    c1, c2 = np.array([_bias_corrections(s, tc) for s in t]).T[..., None]
+                c1, c2 = np.array([_bias_corrections(s, tc) for s in t]).T[..., None]
                 _adam_update(theta, grad, m, v, *adam_scratch, c1, c2, tc)
             else:
                 for f in active:

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -59,6 +60,13 @@ class TestClfLoss:
             clf_loss(1.0, 0.0, c=bad_c)
         with pytest.raises(ValueError, match=r"c\^2 a finite normal float"):
             LossSpec.clf(bad_c)
+
+    def test_extreme_residual_is_finite_without_warning(self):
+        # The gradient the loss shares its kernel with is -inf / inf here.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            value = clf_loss(1e200, 0.0, c=1e100)
+        assert value == pytest.approx(0.5e200 * 200 * math.log(10.0), rel=1e-12)
 
     def test_rejects_nonfinite_inputs(self):
         with pytest.raises(ValueError):
@@ -239,7 +247,8 @@ class TestClfProperties:
         assert influence(r, spec) <= peak * (1 + 1e-12)
 
     @PROPERTY
-    @given(c=CONSTANTS, r=st.floats(-1e100, 1e100))
+    @given(c=CONSTANTS, r=st.floats(-1e300, 1e300))
     def test_loss_at_most_half_r_squared(self, c, r):
         # (c^2 / 2) ln(1 + (r / c)^2) <= r^2 / 2, since ln(1 + x) <= x.
+        # Past |r| ~ 1e154 both sides may be inf; the loss must still not warn.
         assert clf_loss(r, 0.0, c) <= r * r / 2 * (1 + 1e-12)
