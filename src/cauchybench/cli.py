@@ -168,10 +168,16 @@ def _cmd_compare(args) -> int:
 
 
 def _cmd_influence(args) -> int:
+    if args.loss == "mse" and args.c:
+        raise UsageError("--c does not apply to --loss mse")
     try:
         specs = [LossSpec.mse()] if args.loss != "clf" else []
         if args.loss != "mse":
             specs += [LossSpec.clf(c) for c in args.c or [1.0]]
+        labels = [spec.label for spec in specs]
+        repeated = [label for i, label in enumerate(labels) if label in labels[:i]]
+        if repeated:
+            raise ValueError(f"--c gives the column {repeated[0]} twice")
         text = influence_csv(specs, args.rmax, args.steps)
     except ValueError as err:
         raise UsageError(str(err)) from err

@@ -216,8 +216,6 @@ def influence(r_abs, spec: LossSpec):
     _check_finite("r_abs", r)
     if np.any(r < 0):
         raise ValueError("r_abs must be nonnegative")
-    if spec.kind is LossKind.MSE:
-        return _as_result(2.0 * r)
     return _as_result(-_loss_and_grad(r, spec)[1])
 
 

@@ -30,9 +30,9 @@ one), so ``_forward``, the loss kernel, ``_backward`` and Adam, one
 in-place update of the flat buffer through two scratch buffers, only
 write into arrays that already exist. Short last batches are padded and
 masked, and a fold with one batch fewer than its peers sits out the
-extra step. ``train`` is the one-fold, one-model case; ``forward``,
-``backward`` and ``predict`` build one step object for their single
-call, at F = M = 1.
+extra step. ``train`` is the one-fold, one-model case. ``forward`` builds
+and runs the step of one model over one batch (F = M = 1) and returns it
+as the cache that ``backward`` replays; ``predict`` is its predictions.
 
 Features are standardized using statistics of the training data each
 fold receives (targets are left on their original scale), and the fitted
@@ -175,13 +175,6 @@ def init_params(cfg: NetworkConfig, seed) -> Parameters:
     return Parameters(weights, biases)
 
 
-@dataclass
-class ForwardCache:
-    inputs: np.ndarray          # (n, input_dim)
-    pre_acts: list[np.ndarray]  # per layer, (n, fan_out)
-    acts: list[np.ndarray]      # post-ReLU per hidden layer, (n, fan_out)
-
-
 # Hidden layers narrower than this keep each model's rows contiguous
 # (see _hidden_rows).
 _NARROW = 4
@@ -194,12 +187,12 @@ def _merge(a: np.ndarray, axis: int) -> np.ndarray:
     return a.reshape(*a.shape[:axis], -1, *a.shape[axis + 2 :], copy=False)
 
 
-def _hidden_rows(
-    n_folds: int, width: int, n_models: int, hidden: Sequence[int], dtype=float
-) -> list[np.ndarray]:
-    """One (F, width, M, h) buffer per hidden layer, fold-major: a fold's
-    batch rows each hold all M models' units, so elementwise passes and
-    the layer-1 GEMM see one contiguous (width, M·h) block per fold.
+def _hidden_rows(n_folds: int, width: int, n_models: int, hidden: Sequence[int]) -> list[list[np.ndarray]]:
+    """The four kinds of hidden buffers a step uses: pre-activations, ReLU
+    outputs, deltas and ReLU masks (bool). Each kind holds one
+    (F, width, M, h) buffer per hidden layer, fold-major: a fold's batch
+    rows each hold all M models' units, so elementwise passes and the
+    layer-1 GEMM see one contiguous (width, M·h) block per fold.
 
     A layer narrower than ``_NARROW`` is stored model-major instead and
     viewed transposed, so each model's (width, h) block is contiguous, as
@@ -209,10 +202,13 @@ def _hidden_rows(
     one row by row: a strided block would change the bits.
     """
     return [
-        np.empty((n_folds, width, n_models, h), dtype)
-        if h >= _NARROW
-        else np.empty((n_folds, n_models, width, h), dtype).swapaxes(1, 2)
-        for h in hidden
+        [
+            np.empty((n_folds, width, n_models, h), dtype)
+            if h >= _NARROW
+            else np.empty((n_folds, n_models, width, h), dtype).swapaxes(1, 2)
+            for h in hidden
+        ]
+        for dtype in (float, float, float, bool)
     ]
 
 
@@ -322,71 +318,52 @@ def _backward(step: _Step) -> None:
         call()
 
 
-def _one_model(params: Parameters):
-    """``params`` as the (1, 1, ...) stacks the kernels take."""
-    return [w[None, None] for w in params.weights], [b[None, None] for b in params.biases]
+def forward(params: Parameters, X) -> tuple[np.ndarray, _Step]:
+    """Run the network on an (n, d) batch.
 
-
-def _one_step(params: Parameters, x: np.ndarray) -> tuple[_Step, Parameters]:
-    """The step of ``params`` alone (F = M = 1) over the batch ``x``
-    (n, d), and the zero Parameters its gradients are written into."""
-    grads = params.zeros_like()
-    hidden = [w.shape[0] for w in params.weights[:-1]]
-    bufs = [_hidden_rows(1, len(x), 1, hidden, dtype) for dtype in (float, float, float, bool)]
-    blocks = np.zeros((1, 1, 1, hidden[-1]))
-    return _Step(*_one_model(params), *_one_model(grads), x[None], bufs, blocks), grads
-
-
-def forward(params: Parameters, x):
-    """Run the network on a single input vector or an (n, d) batch.
-
-    Returns (prediction, cache); prediction is a float for a 1-D input
-    and an (n,) array for a batch. The cache feeds ``backward``.
+    Returns (predictions, cache): the (n,) predictions and the step of
+    ``params`` alone (F = M = 1) that made them. The step holds every
+    hidden layer's pre-activations and ReLU outputs (``cache.pre_acts``,
+    ``cache.acts``, each (1, n, 1, h)), ``params`` as ``cache.params``
+    and, as ``cache.grads``, the zero Parameters ``backward`` writes into.
     """
-    x = np.asarray(x, dtype=float)
-    single = x.ndim == 1
-    x2 = x[None, :] if single else x
-    if x2.shape[1] != params.weights[0].shape[1]:
-        raise ValueError(
-            f"input has {x2.shape[1]} features, network expects {params.weights[0].shape[1]}"
-        )
-    step, _ = _one_step(params, x2)
+    X = np.asarray(X, dtype=float)
+    if X.ndim != 2:
+        raise ValueError(f"X must be an (n, d) matrix, got shape {X.shape}")
+    if X.shape[1] != params.weights[0].shape[1]:
+        raise ValueError(f"input has {X.shape[1]} features, network expects {params.weights[0].shape[1]}")
+    grads = params.zeros_like()
+    arrays = (params.weights, params.biases, grads.weights, grads.biases)
+    hidden = [w.shape[0] for w in params.weights[:-1]]
+    bufs, blocks = _hidden_rows(1, len(X), 1, hidden), np.zeros((1, 1, 1, hidden[-1]))
+    step = _Step(*([a[None, None] for a in layers] for layers in arrays), X[None], bufs, blocks)
+    step.params, step.grads = params, grads
     _forward(step)
-    out = step.out[0, 0]
-    cache = ForwardCache(
-        inputs=x2,
-        pre_acts=[z[0, :, 0] for z in step.pre_acts] + [out],
-        acts=[a[0, :, 0] for a in step.acts],
-    )
-    preds = out[:, 0]
-    return (float(preds[0]) if single else preds), cache
+    return step.preds[0, 0], step
 
 
 def predict(params: Parameters, X: np.ndarray) -> np.ndarray:
     """Predictions for an (n, d) matrix, no cache kept."""
-    step, _ = _one_step(params, np.asarray(X, dtype=float))
-    _forward(step)
-    return step.preds[0, 0]
+    return forward(params, X)[0]
 
 
-def backward(params: Parameters, cache: ForwardCache, dloss_dpred) -> Parameters:
+def backward(params: Parameters, cache: _Step, dloss_dpred) -> Parameters:
     """Backpropagate dL/dprediction to parameter gradients.
 
-    ``dloss_dpred`` is a scalar for a single-sample cache or an (n,)
-    vector for a batch cache; for a batch the returned gradients are the
-    SUM over samples (divide by n for the batch mean). The ReLU
-    subgradient at exactly 0 is taken as 0.
+    ``cache`` comes from ``forward`` on these ``params`` and
+    ``dloss_dpred`` is an (n,) vector for its n samples; the returned
+    gradients are the SUM over samples (divide by n for the batch mean).
+    The ReLU subgradient at exactly 0 is taken as 0.
     """
-    g = np.atleast_1d(np.asarray(dloss_dpred, dtype=float))
-    n = cache.inputs.shape[0]
+    if cache.params is not params:
+        raise ValueError("the cache was made by forward on other parameters")
+    g = np.asarray(dloss_dpred, dtype=float)
+    n = cache.g.shape[-1]
     if g.shape != (n,):
         raise ValueError(f"dloss_dpred has shape {g.shape}, cache holds {n} samples")
-    step, grads = _one_step(params, cache.inputs)
-    for z, a, cached_z, cached_a in zip(step.pre_acts, step.acts, cache.pre_acts, cache.acts):
-        z[0, :, 0], a[0, :, 0] = cached_z, cached_a
-    step.g[0, 0] = g
-    _backward(step)
-    return grads
+    cache.g[0, 0] = g
+    _backward(cache)
+    return cache.grads.copy()
 
 
 def _bias_corrections(t: int, tc: TrainConfig) -> tuple[float, float]:
@@ -587,10 +564,7 @@ def train_folds(
     # block-diagonal weights. Each step of the epoch then holds its batch
     # rows and targets, its step object, and its width's mean and scale.
     x_buf = np.empty((n_folds, tc.batch_size, net.input_dim))
-    bufs = [
-        _hidden_rows(n_folds, tc.batch_size, n_models, net.hidden_layers, dtype)
-        for dtype in (float, float, float, bool)
-    ]
+    bufs = _hidden_rows(n_folds, tc.batch_size, n_models, net.hidden_layers)
     blocks = np.zeros((n_folds, n_models, n_models, net.hidden_layers[-1]))
     steps = {}
     for i, (cols, pad, inv_count, active) in enumerate(plan):

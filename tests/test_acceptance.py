@@ -73,9 +73,9 @@ def _fd_param_grads(params, x, y, loss_fn, h=1e-6):
             for i in range(flat.size):
                 orig = flat[i]
                 flat[i] = orig + h
-                up = loss_fn(y, forward(params, x)[0])
+                up = loss_fn(y, forward(params, x)[0][0])
                 flat[i] = orig - h
-                dn = loss_fn(y, forward(params, x)[0])
+                dn = loss_fn(y, forward(params, x)[0][0])
                 flat[i] = orig
                 gflat[i] = (up - dn) / (2 * h)
     return out
@@ -90,9 +90,9 @@ def _random_safe_net(cfg, rng):
             [rng.normal(size=(o, i)) for i, o in zip(sizes[:-1], sizes[1:])],
             [rng.normal(size=o) for o in sizes[1:]],
         )
-        x = rng.normal(size=cfg.input_dim)
+        x = rng.normal(size=(1, cfg.input_dim))  # a 1-row batch
         _, cache = forward(p, x)
-        if min(np.min(np.abs(z)) for z in cache.pre_acts[:-1]) > 1e-4:
+        if min(np.min(np.abs(z)) for z in cache.pre_acts) > 1e-4:
             return p, x
 
 

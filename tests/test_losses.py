@@ -131,6 +131,17 @@ class TestInfluence:
         r = np.array([0.5, 1.0, 7.0])
         assert np.allclose(influence(2 * r, LossSpec.mse()), 2 * influence(r, LossSpec.mse()))
 
+    def test_mse_is_exactly_two_r(self):
+        # MSE's influence is the shared kernel's -(r * -2): the bits of 2 r,
+        # from +0 and the subnormals up to the overflow to inf past 8.99e307.
+        r = np.array([0.0, 5e-324, 2.2e-308, 0.1, 1.0, 3.0, 1e300, 8.98e307, 8.99e307, 1e308, 1.79e308])
+        with np.errstate(over="ignore"):
+            want = 2.0 * r
+        got = influence(r, LossSpec.mse())
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+        assert influence(5e-324, LossSpec.mse()) == 1e-323
+
     def test_clf_bounded_and_vanishing(self):
         for c in (0.1, 1.0, 10.0, 100.0):
             spec = LossSpec.clf(c)

@@ -95,22 +95,27 @@ class TestInitParams:
             NetworkConfig(2, ())
         with pytest.raises(ValueError):
             NetworkConfig(2, (5, 0))
+        with pytest.raises(ValueError):
+            TrainConfig(learning_rate=0.0)
+        with pytest.raises(ValueError):
+            TrainConfig(beta1=1.0)
+        with pytest.raises(ValueError):
+            TrainConfig(batch_size=0)
 
 
 class TestForward:
     def test_all_zero_params_predict_zero(self):
         cfg = NetworkConfig(3, (4,))
         p = init_params(cfg, 0).zeros_like()
-        pred, _ = forward(p, np.array([1.0, -2.0, 3.0]))
-        assert pred == 0.0
+        pred, _ = forward(p, np.array([[1.0, -2.0, 3.0]]))
+        assert pred.tolist() == [0.0]
 
     def test_relu_definition_single_unit(self):
         p = Parameters(
             weights=[np.array([[1.0]]), np.array([[1.0]])],
             biases=[np.zeros(1), np.zeros(1)],
         )
-        assert forward(p, np.array([-5.0]))[0] == 0.0
-        assert forward(p, np.array([5.0]))[0] == 5.0
+        assert forward(p, np.array([[-5.0], [5.0]]))[0].tolist() == [0.0, 5.0]
 
     def test_matches_straight_line_matrix_oracle(self):
         # Independent re-computation with explicit loops.
@@ -128,22 +133,25 @@ class TestForward:
             expected = p.biases[1][0]
             for j in range(10):
                 expected += p.weights[1][0, j] * h[j]
-            got, _ = forward(p, x)
-            assert got == pytest.approx(expected, abs=1e-10)
+            got, _ = forward(p, x[None])
+            assert got.shape == (1,)
+            assert got[0] == pytest.approx(expected, abs=1e-10)
 
     def test_batch_matches_single(self):
         cfg = NetworkConfig(4, (6, 5))
         p = random_params(cfg, 8)
         X = np.random.default_rng(9).normal(size=(7, 4))
         batch_preds, _ = forward(p, X)
-        singles = np.array([forward(p, row)[0] for row in X])
+        singles = np.array([forward(p, row[None])[0][0] for row in X])
         assert np.allclose(batch_preds, singles, atol=1e-12)
         assert np.array_equal(predict(p, X), batch_preds)
 
     def test_dimension_mismatch(self):
         p = init_params(NetworkConfig(3, (4,)), 0)
-        with pytest.raises(ValueError):
-            forward(p, np.ones(5))
+        with pytest.raises(ValueError, match="5 features, network expects 3"):
+            forward(p, np.ones((1, 5)))
+        with pytest.raises(ValueError, match=r"\(n, d\) matrix"):
+            forward(p, np.ones(3))  # a single input is a 1-row batch
 
     @pytest.mark.parametrize("hidden", [(6,), (5, 4)])
     def test_trained_model_predict_matches_per_row_oracle(self, hidden):
@@ -161,7 +169,8 @@ class TestForward:
 
 
 def fd_param_grad(params, x, y, loss_fn, h=1e-6):
-    """Central finite differences of loss(y, forward(x)) in every parameter."""
+    """Central finite differences of loss(y, forward(x)) in every parameter,
+    for a 1-row batch x."""
     grads = params.zeros_like()
     for arrs, outs in ((params.weights, grads.weights), (params.biases, grads.biases)):
         for arr, out in zip(arrs, outs):
@@ -169,9 +178,9 @@ def fd_param_grad(params, x, y, loss_fn, h=1e-6):
             for i in range(flat.size):
                 orig = flat[i]
                 flat[i] = orig + h
-                up = loss_fn(y, forward(params, x)[0])
+                up = loss_fn(y, forward(params, x)[0][0])
                 flat[i] = orig - h
-                dn = loss_fn(y, forward(params, x)[0])
+                dn = loss_fn(y, forward(params, x)[0][0])
                 flat[i] = orig
                 gflat[i] = (up - dn) / (2 * h)
     return grads
@@ -185,13 +194,14 @@ def analytic_param_grad(params, x, y, spec):
 
 
 def safe_case(cfg, seed):
-    """Random params/input whose hidden pre-activations stay off the ReLU kink."""
+    """Random params and a 1-row input whose hidden pre-activations stay
+    off the ReLU kink."""
     rng = np.random.default_rng(seed)
     while True:
         p = random_params(cfg, rng.integers(1 << 31))
-        x = rng.normal(size=cfg.input_dim)
+        x = rng.normal(size=(1, cfg.input_dim))
         _, cache = forward(p, x)
-        margin = min(np.min(np.abs(z)) for z in cache.pre_acts[:-1])
+        margin = min(np.min(np.abs(z)) for z in cache.pre_acts)
         if margin > 1e-4:
             return p, x
 
@@ -200,17 +210,17 @@ class TestBackward:
     def test_zero_upstream_gives_zero_grads(self):
         cfg = NetworkConfig(3, (5,))
         p = random_params(cfg, 1)
-        _, cache = forward(p, np.ones(3))
-        g = backward(p, cache, 0.0)
+        _, cache = forward(p, np.ones((1, 3)))
+        g = backward(p, cache, np.zeros(1))
         assert all(np.all(w == 0) for w in g.weights)
         assert all(np.all(b == 0) for b in g.biases)
 
     def test_linearity_in_upstream(self):
         cfg = NetworkConfig(2, (4,))
         p = random_params(cfg, 2)
-        _, cache = forward(p, np.array([0.3, -0.7]))
-        g1 = backward(p, cache, 1.5)
-        g2 = backward(p, cache, 3.0)
+        _, cache = forward(p, np.array([[0.3, -0.7]]))
+        g1 = backward(p, cache, np.array([1.5]))
+        g2 = backward(p, cache, np.array([3.0]))
         for a, b in zip(g1.weights, g2.weights):
             assert np.allclose(2 * a, b)
         for a, b in zip(g1.biases, g2.biases):
@@ -242,14 +252,23 @@ class TestBackward:
         batch = backward(p, cache, g_up)
         total = p.zeros_like()
         for row, g in zip(X, g_up):
-            _, c1 = forward(p, row)
-            single = backward(p, c1, float(g))
+            _, c1 = forward(p, row[None])
+            single = backward(p, c1, np.array([g]))
             for t, s in zip(total.weights, single.weights):
                 t += s
             for t, s in zip(total.biases, single.biases):
                 t += s
         for a, b in zip(batch.weights, total.weights):
             assert np.allclose(a, b, atol=1e-12)
+
+    def test_cache_must_come_from_the_same_params(self):
+        cfg = NetworkConfig(2, (4,))
+        p, q = random_params(cfg, 3), random_params(cfg, 4)
+        _, cache = forward(p, np.ones((2, 2)))
+        with pytest.raises(ValueError, match="other parameters"):
+            backward(q, cache, np.ones(2))
+        with pytest.raises(ValueError, match="cache holds 2 samples"):
+            backward(p, cache, np.ones(3))
 
 
 class TestAdam:
@@ -683,16 +702,6 @@ class TestTrainFolds:
         with pytest.raises(ValueError, match="features"):
             folds = [(noisy_data(d=2), self.tc(1)), (noisy_data(d=2), self.tc(2))]
             train_folds(*shared(folds), self.NET, MIXED_SPECS)
-
-
-class TestMinibatchIndices:
-    def test_train_config_validation(self):
-        with pytest.raises(ValueError):
-            TrainConfig(learning_rate=0.0)
-        with pytest.raises(ValueError):
-            TrainConfig(beta1=1.0)
-        with pytest.raises(ValueError):
-            TrainConfig(batch_size=0)
 
 
 class TestAgainstReferenceTrainer:

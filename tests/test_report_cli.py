@@ -360,6 +360,20 @@ class TestCli:
         assert "CLF constant" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--loss", "mse", "--c", "5"], "--c does not apply to --loss mse"),
+            (["--loss", "clf", "--c", "5", "--c", "5"], "--c gives the column CLF_5 twice"),
+            (["--c", "1", "--c", "1.0"], "--c gives the column CLF_1 twice"),
+        ],
+    )
+    def test_influence_unread_or_repeated_constant_is_usage_error(self, tmp_path, capsys, flags, message):
+        out = tmp_path / "infl.csv"
+        assert cli_main(["influence", *flags, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
     def test_usage_errors_exit_1(self, tmp_path, capsys):
         assert cli_main(["run", "--preset", "definitely-not-real"]) == 1
         assert cli_main(["table", str(tmp_path / "missing.json")]) == 1
