@@ -112,8 +112,14 @@ class ExperimentConfig:
         _check_numbers(self, folds=2, replicates=1, master_seed=0)
         if not self.models:
             raise ValueError("at least one model is required")
-        if len(set(self.model_labels)) != len(self.models):
-            raise ValueError("duplicate model specs")
+        # results are keyed by label, so two models may not share one
+        seen: dict[str, LossSpec] = {}
+        for spec in self.models:
+            if spec.label in seen:
+                first = seen[spec.label]
+                constants = "" if spec.kind is LossKind.MSE else f" (c = {first.c!r} and {spec.c!r})"
+                raise ValueError(f"duplicate model specs: two models share the label {spec.label}{constants}")
+            seen[spec.label] = spec
         for name, spec in (("train", self.train), ("noise", self.noise)):
             if spec.seed != 0:
                 raise ValueError(f"{name}.seed must be 0: every seed derives from master_seed")

@@ -11,8 +11,11 @@ Squared error, by contrast, weights residuals without bound.
 
 All public functions accept scalars or numpy arrays (broadcasting
 elementwise) and are pure; batch aggregation (the mean) is the trainer's
-job. The Cauchy loss and both gradients have one formula, the kernel
-``_loss_grad_into``, which the trainer and the public functions share.
+job. The losses and their gradients each have one formula, in a kernel
+of two halves that share r * r: ``_grad_into``, which writes the
+gradient and leaves r * r behind, and ``_loss_into``, which reads it.
+The public functions call both; the trainer calls the gradient half on
+every step and the loss half only when a step could diverge.
 """
 
 from __future__ import annotations
@@ -121,10 +124,10 @@ def _as_result(value):
     return float(value) if np.ndim(value) == 0 else value
 
 
-# The one kernel of both losses and their gradients. It is unvalidated:
-# the trainer calls it on data it has already screened (so an overflowing
-# prediction surfaces as divergence, not as an argument error), and
-# broadcasts (M, 1) columns of per-model constants against an
+# The one kernel of both losses and their gradients, in two halves. It is
+# unvalidated: the trainer calls it on data it has already screened (so an
+# overflowing prediction surfaces as divergence, not as an argument
+# error), and broadcasts (M, 1) columns of per-model constants against an
 # (F, M, width) residual block.
 
 
@@ -141,25 +144,31 @@ def _loss_columns(specs) -> tuple[np.ndarray, ...]:
     return tuple(np.array(column)[:, None] for column in zip(*map(_loss_constants, specs)))
 
 
-def _loss_grad_into(r, columns, loss, grad, scratch) -> None:
-    """Per-sample losses and dL/dprediction of the residuals ``r``,
-    written into ``loss`` and ``grad``; ``scratch`` is a third buffer of
-    their shape. ``columns`` is the tuple of ``_loss_constants``, as
-    scalars or as ``_loss_columns``' (M, 1) columns: rows marked MSE
-    take r^2 and -2r, the others (c^2/2) ln(1 + (r/c)^2) and
-    -c^2 r / (c^2 + r^2), whose r^2 is the MSE loss's r * r."""
+def _grad_into(r, columns, rr, grad, scratch) -> None:
+    """dL/dprediction of the residuals ``r``, written into ``grad``, with
+    r * r left in ``rr`` for ``_loss_into``; ``scratch`` is a third buffer
+    of their shape. ``columns`` is the tuple of ``_loss_constants``, as
+    scalars or as ``_loss_columns``' (M, 1) columns: rows marked MSE take
+    -2r, the others -c^2 r / (c^2 + r^2)."""
     is_mse, c, c2, half_c2, neg_c2 = columns
-    np.multiply(r, r, out=scratch)
+    np.multiply(r, r, out=rr)
+    np.multiply(neg_c2, r, out=grad)
+    np.add(c2, rr, out=scratch)
+    np.divide(grad, scratch, out=grad)
+    np.multiply(r, -2.0, out=scratch)
+    np.copyto(grad, scratch, where=is_mse)
+
+
+def _loss_into(r, rr, columns, loss) -> None:
+    """Per-sample losses of the residuals ``r``, written into ``loss``,
+    from ``rr`` = r * r as ``_grad_into`` leaves it: rows marked MSE take
+    r^2, the others (c^2/2) ln(1 + (r/c)^2)."""
+    is_mse, c, c2, half_c2, neg_c2 = columns
     np.divide(r, c, out=loss)
     np.square(loss, out=loss)
     np.log1p(loss, out=loss)
     np.multiply(half_c2, loss, out=loss)
-    np.copyto(loss, scratch, where=is_mse)
-    np.multiply(neg_c2, r, out=grad)
-    np.add(c2, scratch, out=scratch)
-    np.divide(grad, scratch, out=grad)
-    np.multiply(r, -2.0, out=scratch)
-    np.copyto(grad, scratch, where=is_mse)
+    np.copyto(loss, rr, where=is_mse)
 
 
 def _residual(y, y_hat):
@@ -174,9 +183,11 @@ def _loss_and_grad(r, spec: LossSpec):
     over c^2 + r^2 is -inf / inf), so overflow and invalid operations
     are silenced: the result asked for carries its inf or nan itself."""
     r = np.asarray(r, dtype=float)
-    loss, grad, scratch = np.empty_like(r), np.empty_like(r), np.empty_like(r)
+    rr, loss, grad, scratch = (np.empty_like(r) for _ in range(4))
+    columns = _loss_constants(spec)
     with np.errstate(over="ignore", invalid="ignore"):
-        _loss_grad_into(r, _loss_constants(spec), loss, grad, scratch)
+        _grad_into(r, columns, rr, grad, scratch)
+        _loss_into(r, rr, columns, loss)
     return loss, grad
 
 

@@ -28,11 +28,16 @@ Every view and buffer a step uses is built once, in a ``_Step`` object
 per batch width (a call has at most two: the full batch and the last
 one), so ``_forward``, the loss kernel, ``_backward`` and Adam, one
 in-place update of the flat buffer through two scratch buffers, only
-write into arrays that already exist. Short last batches are padded and
-masked, and a fold with one batch fewer than its peers sits out the
-extra step. ``train`` is the one-fold, one-model case. ``forward`` builds
-and runs the step of one model over one batch (F = M = 1) and returns it
-as the cache that ``backward`` replays; ``predict`` is its predictions.
+write into arrays that already exist. Adam's bias corrections come from
+a table of every step number, built once per call. A step computes the
+gradient half of the loss kernel only; the loss half and the exact
+divergence check run only on a step whose largest squared residual is
+NaN or above ``_finite_loss_bound``, at or below which no loss can be
+non-finite. Short last batches are padded and masked, and
+a fold with one batch fewer than its peers sits out the extra step.
+``train`` is the one-fold, one-model case. ``forward`` builds and runs
+the step of one model over one batch (F = M = 1) and returns it as the
+cache that ``backward`` replays; ``predict`` is its predictions.
 
 Features are standardized using statistics of the training data each
 fold receives (targets are left on their original scale), and the fitted
@@ -48,7 +53,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .losses import LossSpec, _as_int, _check_numbers, _loss_columns, _loss_grad_into
+from .losses import LossSpec, _as_int, _check_numbers, _grad_into, _loss_columns, _loss_into
 
 __all__ = [
     "NetworkConfig",
@@ -234,8 +239,8 @@ class _Step:
     outputs, deltas and ReLU masks. ``blocks``, zeros of shape
     (F, M, M, h) for the last hidden layer's h, is scratch for the output
     layer's block-diagonal weights. The step owns the outputs ``out``
-    (F, M, w, 1) and the residuals, losses, dL/dprediction ``g`` and
-    loss-kernel scratch, each (F, M, w).
+    (F, M, w, 1) and the residuals ``r``, their squares ``rr``, the losses,
+    dL/dprediction ``g`` and loss-kernel scratch, each (F, M, w).
     """
 
     def __init__(self, weights, biases, grad_w, grad_b, x, bufs, blocks):
@@ -245,7 +250,7 @@ class _Step:
         self.pre_acts, self.acts, deltas, masks = bufs
         self.out = np.empty((n_folds, n_models, width, 1))
         self.preds = self.out[..., 0]
-        self.r, self.loss, self.g, self.scratch = (np.empty(self.preds.shape) for _ in range(4))
+        self.r, self.rr, self.loss, self.g, self.scratch = (np.empty(self.preds.shape) for _ in range(5))
         self.loss_sum = np.empty((n_folds, n_models))
         self.finite = np.empty((n_folds, n_models), bool)
 
@@ -420,7 +425,7 @@ class FeatureScaler:
     @staticmethod
     def fit(X: np.ndarray) -> "FeatureScaler":
         mean = X.mean(axis=0)
-        scale = X.std(axis=0)
+        scale = X.std(axis=0, mean=mean[None])  # the same bits as X.std(axis=0)
         scale = np.where(scale > 0.0, scale, 1.0)  # constant columns pass through
         return FeatureScaler(mean=mean, scale=scale)
 
@@ -473,6 +478,44 @@ def _step_plan(sizes: np.ndarray, batch_size: int) -> list[tuple]:
     return plan
 
 
+# The numerator of _finite_loss_bound: well below the largest float,
+# 1.8e308, so that rounding cannot close the gap.
+_LOSS_BOUND = 1e300
+
+
+def _finite_loss_bound(columns, batch_size: int) -> float:
+    """A bound on a step's squared residuals under which no prediction and
+    no batch loss of the step can be non-finite: min(1, c_min^2) *
+    _LOSS_BOUND / batch_size, where c_min is the smallest CLF constant in
+    the loss ``columns``. A finite residual means a finite prediction. An
+    MSE batch loss sums at most batch_size squares, so it stays below
+    _LOSS_BOUND. A CLF term's (r/c)^2 is at most _LOSS_BOUND / batch_size,
+    and since log1p(x) <= x, the term (c^2/2) log1p((r/c)^2) is at most
+    about r^2 / 2."""
+    c_min = min(float(columns[1].min()), 1.0)  # MSE carries c = 1
+    return c_min * c_min * _LOSS_BOUND / batch_size
+
+
+def _check_finite_loss(step: _Step, columns, pad, epoch: int) -> None:
+    """The exact divergence check of a step whose residuals ``step.r`` and
+    their squares ``step.rr`` are in place: raises TrainingDiverged when
+    some pair's prediction or batch loss (padding rows masked out) is
+    non-finite; when several are, it names the first fold, then the first
+    model."""
+    _loss_into(step.r, step.rr, columns, step.loss)
+    if pad is not None:
+        np.copyto(step.loss, 0.0, where=pad)
+    np.add.reduce(step.loss, axis=-1, out=step.loss_sum)
+    np.isfinite(step.loss_sum, out=step.finite)
+    if not step.finite.all():
+        f, k = divmod(int(np.argmin(step.finite)), step.finite.shape[1])
+        preds = step.preds[f, k] if pad is None else step.preds[f, k, ~pad[f, 0]]
+        finite = np.all(np.isfinite(preds))
+        raise TrainingDiverged(
+            epoch, "non-finite loss" if finite else "non-finite prediction", model=k, fold=f
+        )
+
+
 def train_folds(
     X, folds: Sequence[tuple], net: NetworkConfig, losses: Sequence[LossSpec]
 ) -> list[list[TrainedModel]]:
@@ -507,7 +550,10 @@ def train_folds(
     Raises TrainingDiverged (carrying the epoch, the index of the fold in
     ``folds`` and of the model in ``losses``) at the first step where some
     model's prediction or batch loss is non-finite; when several diverge
-    on the same step, the first fold is named, then the first model.
+    on the same step, the first fold is named, then the first model. A
+    step computes its batch losses and checks them only when its largest
+    squared residual is NaN or above ``_finite_loss_bound``; at or below
+    it, no prediction or batch loss can be non-finite.
     """
     if not folds:
         raise ValueError("at least one fold is required")
@@ -577,44 +623,45 @@ def train_folds(
         plan[i] = (*batch, pad, inv_count, active)
     adam_scratch = np.empty_like(theta), np.empty_like(theta)
     fold_arrays = list(zip(theta, grad, m, v, *adam_scratch))
+    # Adam's bias corrections of every step number a fold can reach, one
+    # (c1, c2) row each; an all-fold step takes its folds' rows as (F, 1)
+    # columns of ``corrections_t``.
+    corrections = np.array([_bias_corrections(k, tc) for k in range(tc.epochs * len(plan) + 1)])
+    t = np.zeros(n_folds, dtype=np.intp)
+    corrections_t = np.empty((n_folds, 2))
+    c1, c2 = corrections_t[:, :1], corrections_t[:, 1:]
+    bound = _finite_loss_bound(columns, tc.batch_size)
 
-    t = [0] * n_folds
-    for epoch in range(tc.epochs):
-        for f, (shuffle, idx, y) in enumerate(zip(shuffles, rows, ys)):
-            perm = shuffle.permutation(sizes[f])
-            order[f, : sizes[f]], y_order[f, : sizes[f]] = idx[perm], y[perm]
-        for batch_rows, yb, step, mean_w, scale_w, pad, inv_count, active in plan:
-            # every index was checked against X above, so "clip" never clips
-            X.take(batch_rows, axis=0, out=step.x, mode="clip")
-            step.x_rows -= mean_w
-            step.x_rows /= scale_w
-            with np.errstate(over="ignore", invalid="ignore"):
-                # Overflow here is the divergence signal itself, not an anomaly.
+    # Overflow in a step is the divergence signal itself, not an anomaly.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch in range(tc.epochs):
+            for f, (shuffle, idx, y) in enumerate(zip(shuffles, rows, ys)):
+                perm = shuffle.permutation(sizes[f])
+                order[f, : sizes[f]], y_order[f, : sizes[f]] = idx[perm], y[perm]
+            for batch_rows, yb, step, mean_w, scale_w, pad, inv_count, active in plan:
+                # every index was checked against X above, so "clip" never clips
+                X.take(batch_rows, axis=0, out=step.x, mode="clip")
+                step.x_rows -= mean_w
+                step.x_rows /= scale_w
                 _forward(step)
                 np.subtract(yb, step.preds, out=step.r)
-                _loss_grad_into(step.r, columns, step.loss, step.g, step.scratch)
+                _grad_into(step.r, columns, step.rr, step.g, step.scratch)
                 if pad is not None:
-                    np.copyto(step.loss, 0.0, where=pad)
                     np.copyto(step.g, 0.0, where=pad)
-                np.add.reduce(step.loss, axis=-1, out=step.loss_sum)
-                np.isfinite(step.loss_sum, out=step.finite)
-            if not step.finite.all():
-                f, k = divmod(int(np.argmin(step.finite)), n_models)
-                preds = step.preds[f, k] if pad is None else step.preds[f, k, ~pad[f, 0]]
-                finite = np.all(np.isfinite(preds))
-                raise TrainingDiverged(
-                    epoch, "non-finite loss" if finite else "non-finite prediction", model=k, fold=f
-                )
-            _backward(step)
-            grad *= inv_count
-            if active is None:
-                t = [s + 1 for s in t]
-                c1, c2 = np.array([_bias_corrections(s, tc) for s in t]).T[..., None]
-                _adam_update(theta, grad, m, v, *adam_scratch, c1, c2, tc)
-            else:
-                for f in active:
-                    t[f] += 1
-                    _adam_update(*fold_arrays[f], *_bias_corrections(t[f], tc), tc)
+                # a NaN fails the comparison, so its step takes the exact check
+                if not np.maximum.reduce(step.rr, axis=None) <= bound:
+                    _check_finite_loss(step, columns, pad, epoch)
+                _backward(step)
+                grad *= inv_count
+                if active is None:
+                    t += 1
+                    # the table covers every step, so "clip" never clips
+                    np.take(corrections, t, axis=0, out=corrections_t, mode="clip")
+                    _adam_update(theta, grad, m, v, *adam_scratch, c1, c2, tc)
+                else:
+                    for f in active:
+                        t[f] += 1
+                        _adam_update(*fold_arrays[f], *corrections[t[f]], tc)
 
     return [
         [

@@ -558,6 +558,18 @@ class TestPresetsAndConfig:
         with pytest.raises(ValueError, match=r"models\[0\].*MSE model takes none"):
             config_from_dict(doc)
 
+    def test_models_sharing_a_label_are_named(self):
+        doc = config_to_dict(tiny_config())
+        doc["models"] = [{"kind": "clf", "c": 1.0}, {"kind": "mse"}, {"kind": "clf", "c": 1.0000001}]
+        with pytest.raises(ValueError, match=r"share the label CLF_1 \(c = 1\.0 and 1\.0000001\)"):
+            config_from_dict(doc)
+        doc["models"] = [{"kind": "mse"}, {"kind": "mse"}]
+        with pytest.raises(ValueError, match=r"duplicate model specs: two models share the label MSE$"):
+            config_from_dict(doc)
+        cfg, spec = tiny_config(), LossSpec.clf(2.0)
+        with pytest.raises(ValueError, match=r"share the label CLF_2 \(c = 2\.0 and 2\.0\)"):
+            replace(cfg, models=(spec, spec))
+
     def test_train_and_noise_seeds_derive_from_master_seed(self):
         doc = config_to_dict(tiny_config())
         assert "seed" not in doc["train"] and "seed" not in doc["noise"]

@@ -373,6 +373,16 @@ class TestTrain:
         assert np.allclose(model.scaler.mean, X.mean(axis=0))
         assert np.allclose(model.scaler.scale, X.std(axis=0))
 
+    @pytest.mark.parametrize("shape", [(1, 1), (7, 3), (64, 2), (975, 17), (6400, 8)])
+    def test_scaler_scale_is_numpys_std(self, shape):
+        rng = np.random.default_rng(sum(shape))
+        X = rng.normal(loc=50.0, scale=5.0, size=shape)
+        X[:, -1] = 0.1  # a constant column, whose mean may round away from 0.1
+        scaler = FeatureScaler.fit(X)
+        std = X.std(axis=0)
+        assert np.array_equal(scaler.mean, X.mean(axis=0))
+        assert np.array_equal(scaler.scale, np.where(std > 0.0, std, 1.0))
+
     def test_shuffle_not_input_order_determines_batches(self):
         # Re-drive the training loop by hand; permuting data rows while
         # mapping the shuffled index stream through the permutation must
@@ -702,6 +712,91 @@ class TestTrainFolds:
         with pytest.raises(ValueError, match="features"):
             folds = [(noisy_data(d=2), self.tc(1)), (noisy_data(d=2), self.tc(2))]
             train_folds(*shared(folds), self.NET, MIXED_SPECS)
+
+
+class TestDivergenceCheck:
+    """A step computes the batch losses, for the exact check, only when its
+    largest squared residual is NaN or above ``nets._finite_loss_bound``."""
+
+    NET = NetworkConfig(3, (6, 5))
+    # c^2 = 1e-300, near the smallest normal float that LossSpec accepts.
+    # (r/c)^2 stays finite for |r| up to about 1.3e4, beyond these folds'
+    # residuals, so the loss reports no divergence.
+    TINY_C = LossSpec.clf(1e-150)
+
+    @staticmethod
+    def folds():
+        # At batch 32, 64 rows make 2 batches and 65 and 75 make 3: the
+        # 65-row fold's 1-row last batch is padded to the 75-row fold's 11
+        # rows, and the 64-row fold sits out that step.
+        return [
+            (noisy_data(n=n, seed=s), TrainConfig(epochs=3, batch_size=32, learning_rate=0.01, seed=50 + s))
+            for s, n in enumerate((64, 65, 75))
+        ]
+
+    @staticmethod
+    def count_loss_calls(monkeypatch):
+        from cauchybench import nets
+
+        calls = []
+        loss_into = nets._loss_into
+
+        def spy(*args):
+            calls.append(1)
+            loss_into(*args)
+
+        monkeypatch.setattr(nets, "_loss_into", spy)
+        return calls
+
+    @pytest.mark.parametrize("specs", [MIXED_SPECS, MIXED_SPECS + (TINY_C,)], ids=["mixed", "tiny-c"])
+    def test_exact_check_on_every_step_gives_the_same_bits(self, monkeypatch, specs):
+        from cauchybench import nets
+
+        X, folds = shared(self.folds())
+        default = train_folds(X, folds, self.NET, specs)
+        monkeypatch.setattr(nets, "_LOSS_BOUND", 0.0)
+        calls = self.count_loss_calls(monkeypatch)
+        exact = train_folds(X, folds, self.NET, specs)
+        assert len(calls) == 3 * 3  # epochs x steps per epoch
+        for a, b in zip(default, exact):
+            for x, y in zip(a, b):
+                assert_same_params(x.params, y.params)
+
+    def test_a_normal_run_computes_no_loss(self, monkeypatch):
+        calls = self.count_loss_calls(monkeypatch)
+        train_folds(*shared(self.folds()), self.NET, MIXED_SPECS)
+        assert calls == []
+
+    def test_a_nan_residual_takes_the_exact_check(self):
+        # A NaN squared residual passes no bound: its step computes the loss.
+        X, folds = shared(self.folds())
+        rows, y, tc = folds[1]
+        y = y.copy()
+        y[40] = np.nan
+        folds[1] = (rows, y, tc)
+        with pytest.raises(TrainingDiverged, match="non-finite loss") as exc:
+            train_folds(X, folds, self.NET, MIXED_SPECS)
+        assert (exc.value.epoch, exc.value.fold, exc.value.model) == (0, 1, 0)
+
+    @pytest.mark.parametrize("batch_size", [1, 32])
+    @pytest.mark.parametrize(
+        "specs",
+        [(LossSpec.mse(),), MIXED_SPECS, (TINY_C, LossSpec.mse()), (LossSpec.clf(5e102), LossSpec.clf(1e3))],
+        ids=["mse", "mixed", "tiny-c", "huge-c"],
+    )
+    def test_losses_at_the_bound_are_finite(self, batch_size, specs):
+        from cauchybench.losses import _grad_into, _loss_columns, _loss_into
+        from cauchybench.nets import _finite_loss_bound
+
+        columns = _loss_columns(specs)
+        bound = _finite_loss_bound(columns, batch_size)
+        r = np.full((1, len(specs), batch_size), np.sqrt(bound))  # r^2 at the bound, to rounding
+        r[..., ::2] *= -1.0
+        rr, loss, grad, scratch = (np.empty_like(r) for _ in range(4))
+        with np.errstate(over="ignore", invalid="ignore"):  # c^2 r can overflow, as in training
+            _grad_into(r, columns, rr, grad, scratch)
+        _loss_into(r, rr, columns, loss)
+        assert np.all(np.isfinite(loss.sum(axis=-1)))
 
 
 class TestAgainstReferenceTrainer:
