@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-from cauchybench import cauchy_noise, cauchy_quantile
+from cauchybench.datagen import cauchy_noise, cauchy_quantile
 
 x0, tau = 2.0, 3.0
 print(f"Cauchy(x0={x0}, tau={tau}) quantiles via the inverse CDF:")

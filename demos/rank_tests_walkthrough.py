@@ -12,7 +12,7 @@ Run:  python demos/rank_tests_walkthrough.py
 
 import math
 
-from cauchybench import kruskal_wallis, rank_with_ties, wilcoxon_rank_sum
+from cauchybench.ranktests import kruskal_wallis, rank_with_ties, wilcoxon_rank_sum
 
 a = [0.41, 0.44, 0.46, 0.47, 0.52]  # one model's five replicate MAEs
 b = [0.55, 0.58, 0.61, 0.63, 0.70]  # another model's

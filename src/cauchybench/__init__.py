@@ -19,14 +19,10 @@ from .datagen import (
     NoiseSpec,
     apply_noise,
     cauchy_noise,
-    cauchy_quantile,
     export_csv,
     gaussian_noise,
     make_hc2,
     make_hc8,
-    sample_inputs,
-    target_y1,
-    target_y2,
 )
 from .harness import (
     DatasetSpec,
@@ -73,7 +69,7 @@ from .nets import (
     train,
     train_folds,
 )
-from .ranktests import TestResult, chi_square_sf, kruskal_wallis, rank_with_ties, wilcoxon_rank_sum
+from .ranktests import TestResult, kruskal_wallis, wilcoxon_rank_sum
 from .report import (
     PlotSeries,
     emit_plot_series,

@@ -18,7 +18,10 @@ The protocol for one experiment cell:
   * fold MAE/RMSE against the clean test fold are averaged into one
     replicate score per model, and replicate scores feed the rank tests;
     replicates share nothing but the master seed, so they run in forked
-    worker processes, one per usable CPU at most.
+    worker processes, one per usable CPU at most. While one replicate's
+    step is small (``_replicate_groups``), a worker trains a group of
+    replicates in one ``train_folds`` call over their stacked clean
+    feature matrices, with the bits each would get alone.
 
 All randomness flows through seed streams derived from the master seed
 and a (purpose, replicate, fold) key; the ledger refuses to issue the
@@ -193,15 +196,18 @@ def _clean_dataset(spec: DatasetSpec, seed, base: Dataset | None) -> Dataset:
     return base
 
 
-def _resolve_net(cfg: ExperimentConfig, data: Dataset) -> NetworkConfig:
+def _hidden_layers(cfg: ExperimentConfig) -> tuple[int, ...]:
+    """The widths of the net's hidden layers, known before any data is
+    built: the configured net's, else the dataset's default."""
     if cfg.net is not None:
-        if cfg.net.input_dim != data.n_features:
-            raise ValueError(
-                f"configured net expects {cfg.net.input_dim} features, data has {data.n_features}"
-            )
-        return cfg.net
-    hidden = (14, 14) if cfg.dataset.name == "bike" else (10,)
-    return NetworkConfig(input_dim=data.n_features, hidden_layers=hidden)
+        return cfg.net.hidden_layers
+    return (14, 14) if cfg.dataset.name == "bike" else (10,)
+
+
+def _resolve_net(cfg: ExperimentConfig, data: Dataset) -> NetworkConfig:
+    if cfg.net is not None and cfg.net.input_dim != data.n_features:
+        raise ValueError(f"configured net expects {cfg.net.input_dim} features, data has {data.n_features}")
+    return NetworkConfig(input_dim=data.n_features, hidden_layers=_hidden_layers(cfg))
 
 
 @dataclass
@@ -231,40 +237,64 @@ def run_replicate(
     ledger = ledger if ledger is not None else SeedLedger(cfg.master_seed)
     if base is None:
         base = _load_base(cfg.dataset)
-    clean = _clean_dataset(cfg.dataset, ledger.derive("data", replicate_index), base)
-    net = _resolve_net(cfg, clean)
-    folds = kfold_split(len(clean), cfg.folds, ledger.derive("folds", replicate_index))
-    # Noise corrupts targets only, and the trainer reads the folds' features
-    # from ``clean.X``; a fold's training Dataset is built only for an observer.
-    train_rows, prepared = [], []
-    for fold_idx, (train_idx, test_idx) in enumerate(folds):
-        noise = replace(cfg.noise, seed=ledger.derive_int("noise", replicate_index, fold_idx))
-        tc = replace(cfg.train, seed=ledger.derive_int("train", replicate_index, fold_idx))
-        y = apply_noise(clean.y[train_idx], noise)
-        train_rows.append((train_idx, y, tc))
-        train_data = Dataset(clean.X[train_idx], y, dict(clean.meta)) if observer is not None else None
-        prepared.append((train_data, clean.take(test_idx), tc))
+    return _run_replicates(cfg, [replicate_index], ledger, base, observer)[0]
+
+
+def _run_replicates(
+    cfg: ExperimentConfig,
+    replicates: list[int],
+    ledger: SeedLedger,
+    base: Dataset | None,
+    observer: Callable[[CellInfo], None] | None,
+) -> list[dict[str, list[dict[str, float]]]]:
+    """``run_replicate`` of each of ``replicates``, in order, with all their
+    folds trained in one ``train_folds`` call. Each fold's rows index the
+    replicates' clean feature matrices stacked. Every replicate has the same
+    n and k, so the call's folds have the sizes of each replicate's own
+    folds, and each model has the bits of its replicate trained alone."""
+    cleans, train_rows, prepared, offset = [], [], [], 0
+    for r in replicates:
+        clean = _clean_dataset(cfg.dataset, ledger.derive("data", r), base)
+        folds = kfold_split(len(clean), cfg.folds, ledger.derive("folds", r))
+        # Noise corrupts targets only, and the trainer reads the folds' features
+        # from the clean matrices; a fold's training Dataset is built only for
+        # an observer.
+        for fold_idx, (train_idx, test_idx) in enumerate(folds):
+            noise = replace(cfg.noise, seed=ledger.derive_int("noise", r, fold_idx))
+            tc = replace(cfg.train, seed=ledger.derive_int("train", r, fold_idx))
+            y = apply_noise(clean.y[train_idx], noise)
+            train_data = Dataset(clean.X[train_idx], y, dict(clean.meta)) if observer is not None else None
+            prepared.append((train_data, clean.take(test_idx), tc))
+            train_idx += offset  # now rows of the stacked matrix, in place: no copy
+            train_rows.append((train_idx, y, tc))
+        cleans.append(clean)
+        offset += len(clean)
+    net = _resolve_net(cfg, cleans[0])
+    # one replicate reads its clean matrix uncopied
+    X = cleans[0].X if len(cleans) == 1 else np.concatenate([c.X for c in cleans])
     try:
-        trained = train_folds(clean.X, train_rows, net, cfg.models)
+        trained = train_folds(X, train_rows, net, cfg.models)
     except TrainingDiverged as err:
+        j, fold_idx = divmod(err.fold, cfg.folds)
         label = cfg.models[err.model].label
         raise TrainingDiverged(
             err.epoch,
-            f"{err.detail}; model={label} fold={err.fold} replicate={replicate_index}",
+            f"{err.detail}; model={label} fold={fold_idx} replicate={replicates[j]}",
             model=err.model,
-            fold=err.fold,
+            fold=fold_idx,
         ) from err
-    scores: dict[str, list[dict[str, float]]] = {m.label: [] for m in cfg.models}
-    for fold_idx, ((train_data, test_clean, tc), models) in enumerate(zip(prepared, trained)):
+    scores = [{m.label: [] for m in cfg.models} for _ in replicates]
+    for i, ((train_data, test_clean, tc), models) in enumerate(zip(prepared, trained)):
+        j, fold_idx = divmod(i, cfg.folds)
         for spec, model in zip(cfg.models, models):
             preds = model.predict(test_clean.X)
-            scores[spec.label].append(
+            scores[j][spec.label].append(
                 {"mae": mae_score(test_clean.y, preds), "rmse": rmse_score(test_clean.y, preds)}
             )
             if observer is not None:
                 observer(
                     CellInfo(
-                        replicate=replicate_index,
+                        replicate=replicates[j],
                         fold=fold_idx,
                         model=spec.label,
                         train_data=train_data,
@@ -297,17 +327,36 @@ def compare_models(replicate_scores: dict[str, dict[str, list[float]]], metric: 
     }
 
 
-def _replicate_job(cfg: ExperimentConfig, base: Dataset | None, collect: bool, r: int):
-    """One replicate on a ledger of its own: its scores, the seed streams
-    it issued and, if ``collect``, the cells an observer would have seen."""
+# While a step's hidden buffers are this small, the step costs per numpy
+# call rather than per value, so one call over several replicates' folds
+# costs little more than one over a single replicate's.
+_GROUP_FLOATS = 2**15
+
+
+def _replicate_groups(cfg: ExperimentConfig, cpus: int) -> list[list[int]]:
+    """The replicates in contiguous groups, one ``train_folds`` call and
+    one pool job each: g = min(ceil(R / cpus), max(1, _GROUP_FLOATS // s))
+    replicates per group, where s = folds x batch_size x models x (sum of
+    hidden units) is the float count of one replicate's (F, w, M, h)
+    hidden buffer of a step. A replicate with s > _GROUP_FLOATS / 2 trains
+    alone."""
+    s = cfg.folds * cfg.train.batch_size * len(cfg.models) * sum(_hidden_layers(cfg))
+    g = min(-(-cfg.replicates // cpus), max(1, _GROUP_FLOATS // s))
+    return [list(range(r, min(r + g, cfg.replicates))) for r in range(0, cfg.replicates, g)]
+
+
+def _replicate_job(cfg: ExperimentConfig, base: Dataset | None, collect: bool, replicates: list[int]):
+    """A group of replicates on a ledger of its own: their scores, the seed
+    streams they issued and, if ``collect``, the cells an observer would
+    have seen."""
     ledger, cells = SeedLedger(cfg.master_seed), []
-    scores = run_replicate(cfg, r, ledger=ledger, base=base, observer=cells.append if collect else None)
+    scores = _run_replicates(cfg, replicates, ledger, base, cells.append if collect else None)
     return scores, ledger.issued, cells
 
 
-def _merge(job_output, ledger: SeedLedger, observer) -> dict[str, list[dict[str, float]]]:
-    """One replicate's job output taken in: its seed streams into
-    ``ledger`` and its cells to ``observer``; returns its scores."""
+def _merge(job_output, ledger: SeedLedger, observer) -> list[dict[str, list[dict[str, float]]]]:
+    """One group's job output taken in: its seed streams into ``ledger``
+    and its cells to ``observer``; returns its replicates' scores."""
     scores, issued, cells = job_output
     ledger.merge(issued)
     for cell in cells:
@@ -327,25 +376,32 @@ def run_experiment(cfg: ExperimentConfig, observer: Callable[[CellInfo], None] |
     mean and population std, every fold's scores, and the rank-test
     comparisons of two or more models.
 
-    Replicates run in up to min(replicates, usable CPUs) forked worker
-    processes, each on a seed ledger of its own; the scores are the same
-    bits as a serial run. ``observer`` runs in this process, on each
-    replicate's cells in (fold, model) order once that replicate is back.
+    Replicates run in contiguous groups (``_replicate_groups``), one job
+    each, in up to min(groups, usable CPUs) forked worker processes. A
+    group trains all its folds in one ``train_folds`` call, on a seed
+    ledger of its own; it holds more than one replicate only while a
+    replicate's hidden buffers are small (folds x batch_size x models x
+    hidden units up to 2**14 floats). The scores are the same bits as a
+    serial run over ``run_replicate``. ``observer`` runs in this process,
+    on each replicate's cells in (fold, model) order once its group is
+    back.
     """
     started = time.time()
     ledger = SeedLedger(cfg.master_seed)
     job = partial(_replicate_job, cfg, _load_base(cfg.dataset), observer is not None)
-    workers = min(cfg.replicates, _usable_cpus())
+    cpus = _usable_cpus()
+    groups = _replicate_groups(cfg, cpus)
+    workers = min(len(groups), cpus)
     if workers > 1:
         import multiprocessing  # here, so that importing the package does not pay for it
 
         # fork, not spawn: a spawned worker imports numpy and the package
         # again, which costs more than a small experiment's second core saves
         with multiprocessing.get_context("fork").Pool(workers) as pool:
-            outputs = pool.imap(job, range(cfg.replicates))
-            per_replicate = [_merge(out, ledger, observer) for out in outputs]
+            outputs = pool.imap(job, groups)
+            per_replicate = [rep for out in outputs for rep in _merge(out, ledger, observer)]
     else:
-        per_replicate = [_merge(out, ledger, observer) for out in map(job, range(cfg.replicates))]
+        per_replicate = [rep for out in map(job, groups) for rep in _merge(out, ledger, observer)]
     labels = cfg.model_labels
     cells = {m: [rep[m] for rep in per_replicate] for m in labels}
     scores = {

@@ -162,11 +162,18 @@ def _grad_into(r, columns, rr, grad, scratch) -> None:
 def _loss_into(r, rr, columns, loss) -> None:
     """Per-sample losses of the residuals ``r``, written into ``loss``,
     from ``rr`` = r * r as ``_grad_into`` leaves it: rows marked MSE take
-    r^2, the others (c^2/2) ln(1 + (r/c)^2)."""
+    r^2, the others (c^2/2) ln(1 + (r/c)^2). Where (r/c)^2 overflows,
+    though a tiny c^2 can keep the loss finite, the log is taken as
+    2 (ln|r| - ln c) + ln(1 + (c/r)^2), which stays finite even where
+    |r|/c overflows; every other value keeps its bits."""
     is_mse, c, c2, half_c2, neg_c2 = columns
     np.divide(r, c, out=loss)
     np.square(loss, out=loss)
     np.log1p(loss, out=loss)
+    over = np.isinf(loss)
+    if over.any():
+        r_over, c_over = np.abs(r[over]), np.broadcast_to(c, loss.shape)[over]
+        loss[over] = 2.0 * (np.log(r_over) - np.log(c_over)) + np.log1p((c_over / r_over) ** 2)
     np.multiply(half_c2, loss, out=loss)
     np.copyto(loss, rr, where=is_mse)
 

@@ -1,5 +1,7 @@
+import importlib.util
 import re
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,6 +15,7 @@ from cauchybench.harness import (
     DatasetSpec,
     ExperimentConfig,
     SeedLedger,
+    _replicate_groups,
     compare_models,
     config_from_dict,
     config_to_dict,
@@ -23,7 +26,7 @@ from cauchybench.harness import (
     run_replicate,
 )
 from cauchybench.losses import LossSpec
-from cauchybench.nets import TrainConfig, TrainingDiverged
+from cauchybench.nets import NetworkConfig, TrainConfig, TrainingDiverged, train_folds
 
 from ._surrogate import write_surrogate_bike_csv
 
@@ -373,6 +376,77 @@ class TestReplicatePool:
         assert re.search(r"\(non-finite (loss|prediction); model=", str(exc.value))
         assert str(exc.value).count("model=") == 1
         assert str(exc.value).count("training diverged at epoch") == 1
+
+
+def benchmark_workload(name):
+    """The benchmark's config of workload ``name``, as an ExperimentConfig."""
+    path = Path(__file__).resolve().parent.parent / "benchmarks" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    doc = workloads.config(name, 0)
+    if doc["dataset"]["name"] == "bike":
+        doc["dataset"] = {**doc["dataset"], "path": "bike.csv"}
+    return config_from_dict(doc)
+
+
+class TestReplicateGroups:
+    """Replicates share one ``train_folds`` call while their hidden buffers
+    (folds x batch_size x models x hidden units floats each) together stay
+    within 2**15 floats, at most ceil(replicates / CPUs) to a call."""
+
+    def test_small_steps_group_and_large_ones_do_not(self):
+        hc2 = benchmark_workload("hc2-cauchy")
+        assert _replicate_groups(hc2, 2) == [[0, 1, 2], [3, 4]]
+        assert _replicate_groups(hc2, 1) == [[0, 1, 2, 3, 4]]
+        for name in ("bike-outliers", "hc8-gaussian-pair"):
+            cfg = benchmark_workload(name)
+            assert _replicate_groups(cfg, 2) == [[r] for r in range(cfg.replicates)]
+        for name in list_presets():
+            cfg = preset_config(name, {"path": "bike.csv"} if name.startswith("bike") else {})
+            assert _replicate_groups(cfg, 1) == [[r] for r in range(5)], name
+
+    @pytest.mark.parametrize(
+        "hidden, calls",
+        [((10,), [12]), ((128,), [8, 4]), ((129,), [4, 4, 4])],
+        ids=["tiny", "at-the-bound", "over-the-bound"],
+    )
+    def test_one_cpu_trains_each_group_in_one_call(self, monkeypatch, hidden, calls):
+        # 4 folds x batch 16 x 2 models x 128 units is 2**14 floats: two
+        # replicates fill 2**15; one more unit leaves each replicate alone.
+        # 62 rows make training folds of 46 and 47 rows, so a padded step.
+        from cauchybench import harness
+
+        cpus(monkeypatch, 1)
+        folds_per_call = []
+
+        def spy(X, folds, net, losses):
+            folds_per_call.append(len(folds))
+            return train_folds(X, folds, net, losses)
+
+        monkeypatch.setattr(harness, "train_folds", spy)
+        cfg = tiny_config(folds=4, replicates=3, net=NetworkConfig(2, hidden))
+        cfg = replace(cfg, dataset=DatasetSpec("hc2", 62))
+        doc = run_experiment(cfg)
+        assert folds_per_call == calls
+        ledger = SeedLedger(cfg.master_seed)
+        for r in range(cfg.replicates):
+            alone = run_replicate(cfg, r, ledger=ledger)
+            assert {m: doc["cell_scores"][m][r] for m in cfg.model_labels} == alone
+
+    def test_divergence_in_a_group_names_its_replicate_and_fold(self, monkeypatch):
+        from cauchybench import harness
+
+        def diverge(X, folds, net, losses):
+            assert len(folds) == 6  # two replicates of 3 folds
+            raise TrainingDiverged(2, "non-finite loss", fold=4, model=1)
+
+        cpus(monkeypatch, 1)
+        monkeypatch.setattr(harness, "train_folds", diverge)
+        with pytest.raises(TrainingDiverged) as exc:
+            run_experiment(tiny_config(replicates=2))
+        assert str(exc.value).endswith("(non-finite loss; model=CLF_1 fold=1 replicate=1)")
+        assert (exc.value.epoch, exc.value.fold, exc.value.model) == (2, 1, 1)
 
 
 class TestCompareModels:

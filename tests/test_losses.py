@@ -68,6 +68,23 @@ class TestClfLoss:
             value = clf_loss(1e200, 0.0, c=1e100)
         assert value == pytest.approx(0.5e200 * 200 * math.log(10.0), rel=1e-12)
 
+    @pytest.mark.parametrize("r", [10.0, -1e300])
+    def test_tiny_c_loss_is_finite_where_r_over_c_squared_overflows(self, r):
+        # (r/c)^2 is inf at c = 2e-154, and for r = -1e300 so is r/c, but
+        # the loss, (c^2/2) ln(1 + (r/c)^2) = c^2 ln(|r|/c) to rounding,
+        # is about 1e-305 (1.4248e-305 at r = 10)
+        c = 2e-154
+        want = c * c * (math.log(abs(r)) - math.log(c))
+        assert clf_loss(r, 0.0, c) == pytest.approx(want, rel=1e-12)
+
+    def test_finite_squares_keep_the_one_formula(self):
+        # The overflow branch touches only values whose (r/c)^2 is inf.
+        c = 2e-154
+        r = np.array([0.0, 1e-160, -3e-154, 1e-10, -1.3e154 * c])  # the last: (r/c)^2 = 1.69e308
+        with np.errstate(over="raise"):
+            want = 0.5 * c * c * np.log1p(np.square(r / c))
+        assert np.array_equal(clf_loss(r, 0.0, c), want)
+
     def test_rejects_nonfinite_inputs(self):
         with pytest.raises(ValueError):
             clf_loss(math.inf, 0.0, c=1.0)

@@ -778,6 +778,15 @@ class TestDivergenceCheck:
             train_folds(X, folds, self.NET, MIXED_SPECS)
         assert (exc.value.epoch, exc.value.fold, exc.value.model) == (0, 1, 0)
 
+    def test_a_c_whose_squared_ratio_overflows_trains(self):
+        # At c = 2e-154 every step takes the exact check, and (r/c)^2 is inf
+        # for these folds' residuals, while the losses stay near 1e-305.
+        X, folds = shared(self.folds())
+        trained = train_folds(X, folds, self.NET, (LossSpec.clf(2e-154), LossSpec.mse()))
+        for models in trained:
+            for model in models:
+                assert all(np.all(np.isfinite(w)) for w in model.params.weights)
+
     @pytest.mark.parametrize("batch_size", [1, 32])
     @pytest.mark.parametrize(
         "specs",
