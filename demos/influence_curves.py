@@ -10,7 +10,7 @@ Run:  python demos/influence_curves.py
 
 import numpy as np
 
-from cauchybench import LossSpec, clf_loss, influence, mse_loss
+from cauchybench.losses import LossSpec, clf_loss, influence, mse_loss
 from cauchybench.report import influence_csv
 
 residuals = np.array([0.0, 0.5, 1.0, 2.0, 5.0, 10.0, 100.0, 1e6])

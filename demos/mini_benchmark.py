@@ -10,15 +10,10 @@ Run:  python demos/mini_benchmark.py   (about 2 s on a 2-core machine)
 
 import numpy as np
 
-from cauchybench import (
-    DatasetSpec,
-    ExperimentConfig,
-    LossSpec,
-    NoiseFamily,
-    NoiseSpec,
-    TrainConfig,
-    run_experiment,
-)
+from cauchybench.datagen import NoiseFamily, NoiseSpec
+from cauchybench.harness import DatasetSpec, ExperimentConfig, run_experiment
+from cauchybench.losses import LossSpec
+from cauchybench.nets import TrainConfig
 from cauchybench.report import emit_plot_series, format_table, series_to_csv
 
 MODELS = (LossSpec.clf(0.1), LossSpec.clf(1.0), LossSpec.clf(10.0), LossSpec.mse())

@@ -12,7 +12,7 @@ Run:  python demos/synthetic_data_and_noise.py
 
 import numpy as np
 
-from cauchybench import NoiseFamily, NoiseSpec, apply_noise, make_hc2, make_hc8
+from cauchybench.datagen import NoiseFamily, NoiseSpec, apply_noise, make_hc2, make_hc8
 
 
 def describe(name, y):

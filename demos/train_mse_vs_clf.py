@@ -11,18 +11,9 @@ Run:  python demos/train_mse_vs_clf.py   (a few seconds)
 
 import numpy as np
 
-from cauchybench import (
-    LossSpec,
-    NetworkConfig,
-    NoiseFamily,
-    NoiseSpec,
-    TrainConfig,
-    apply_noise,
-    mae_score,
-    make_hc2,
-    rmse_score,
-    train_folds,
-)
+from cauchybench.datagen import NoiseFamily, NoiseSpec, apply_noise, make_hc2
+from cauchybench.losses import LossSpec, mae_score, rmse_score
+from cauchybench.nets import NetworkConfig, TrainConfig, train_folds
 
 train_data = make_hc2(2000, seed=0)
 test = make_hc2(1000, seed=1)

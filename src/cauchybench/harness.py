@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import os
 import time
+from contextlib import nullcontext
 from dataclasses import asdict, dataclass, fields, replace
 from functools import partial
 from itertools import combinations
@@ -354,16 +355,6 @@ def _replicate_job(cfg: ExperimentConfig, base: Dataset | None, collect: bool, r
     return scores, ledger.issued, cells
 
 
-def _merge(job_output, ledger: SeedLedger, observer) -> list[dict[str, list[dict[str, float]]]]:
-    """One group's job output taken in: its seed streams into ``ledger``
-    and its cells to ``observer``; returns its replicates' scores."""
-    scores, issued, cells = job_output
-    ledger.merge(issued)
-    for cell in cells:
-        observer(cell)
-    return scores
-
-
 def _usable_cpus() -> int:
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
@@ -392,16 +383,21 @@ def run_experiment(cfg: ExperimentConfig, observer: Callable[[CellInfo], None] |
     cpus = _usable_cpus()
     groups = _replicate_groups(cfg, cpus)
     workers = min(len(groups), cpus)
+    pool = nullcontext()
     if workers > 1:
         import multiprocessing  # here, so that importing the package does not pay for it
 
         # fork, not spawn: a spawned worker imports numpy and the package
         # again, which costs more than a small experiment's second core saves
-        with multiprocessing.get_context("fork").Pool(workers) as pool:
-            outputs = pool.imap(job, groups)
-            per_replicate = [rep for out in outputs for rep in _merge(out, ledger, observer)]
-    else:
-        per_replicate = [rep for out in map(job, groups) for rep in _merge(out, ledger, observer)]
+        pool = multiprocessing.get_context("fork").Pool(workers)
+    per_replicate = []
+    with pool:  # each group, in order: streams to the ledger, cells to the observer
+        outputs = pool.imap(job, groups) if workers > 1 else map(job, groups)
+        for scores, issued, cells in outputs:
+            ledger.merge(issued)
+            for cell in cells:
+                observer(cell)
+            per_replicate += scores
     labels = cfg.model_labels
     cells = {m: [rep[m] for rep in per_replicate] for m in labels}
     scores = {

@@ -547,6 +547,7 @@ def train_folds(
     block-diagonally, which leaves every parameter's bits as the
     broadcast product g·W does.
 
+    A non-finite entry of ``X`` or of a fold's targets is a ValueError.
     Raises TrainingDiverged (carrying the epoch, the index of the fold in
     ``folds`` and of the model in ``losses``) at the first step where some
     model's prediction or batch loss is non-finite; when several diverge
@@ -567,8 +568,10 @@ def train_folds(
         raise ValueError(f"X must be an (n, d) matrix, got shape {X.shape}")
     if X.shape[1] != net.input_dim:
         raise ValueError(f"data has {X.shape[1]} features, network expects {net.input_dim}")
+    if not np.isfinite(X).all():
+        raise ValueError("X has a non-finite entry")
     rows, ys = [], []
-    for fold_rows, fold_y, _ in folds:
+    for f, (fold_rows, fold_y, _) in enumerate(folds):
         idx, y = np.asarray(fold_rows), np.asarray(fold_y, dtype=float)
         if idx.size == 0:
             raise ValueError("empty training data")
@@ -576,6 +579,8 @@ def train_folds(
             raise ValueError(f"a fold's rows must be indices into the {len(X)} rows of X")
         if y.shape != idx.shape:
             raise ValueError(f"a fold has {idx.size} rows but {y.size} targets")
+        if not np.isfinite(y).all():
+            raise ValueError(f"fold {f} has a non-finite target")
         rows.append(idx)
         ys.append(y)
 

@@ -30,6 +30,14 @@ def init(layer_sizes, seed):
     return weights, biases
 
 
+def loss(r, c):
+    """The loss of the residual r; c None is MSE, r^2, else the Cauchy loss
+    (c^2 / 2) ln(1 + (r/c)^2)."""
+    if c is None:
+        return r * r
+    return 0.5 * c * c * np.log1p((r / c) ** 2)
+
+
 def dloss_dpred(r, c):
     """dL/dprediction for the residual r; c None is MSE, else the Cauchy constant."""
     if c is None:
@@ -37,13 +45,19 @@ def dloss_dpred(r, c):
     return -c * c * r / (c * c + r * r)
 
 
-def sample_grads(weights, biases, x, y, c):
-    """Forward and backprop of one sample: per-layer (dW, db)."""
+def forward(weights, biases, x):
+    """The prediction for one sample x, with each layer's input and each
+    hidden layer's pre-activation."""
     acts, pre = [x], []
     for w, b in zip(weights[:-1], biases[:-1]):
         pre.append(w @ acts[-1] + b)
         acts.append(np.maximum(pre[-1], 0.0))
-    pred = float(weights[-1][0] @ acts[-1] + biases[-1][0])
+    return float(weights[-1][0] @ acts[-1] + biases[-1][0]), acts, pre
+
+
+def sample_grads(weights, biases, x, y, c):
+    """Forward and backprop of one sample: per-layer (dW, db)."""
+    pred, acts, pre = forward(weights, biases, x)
     g = dloss_dpred(y - pred, c)
     grads_w, grads_b = [None] * len(weights), [None] * len(weights)
     delta = np.array([g])

@@ -1,7 +1,8 @@
-"""The public surface: every exported name exists, and the package
-namespace holds only names that some module exports; importing the
-package loads no scipy and no process pool; the benchmark's traced run
-finds every function it wraps or replays."""
+"""The public surface: every name a module exports exists, and the
+package namespace holds no public name but its modules, so each name has
+one import path; importing the CLI, which loads every module a run does,
+loads no scipy and no process pool; the benchmark's traced run finds
+every function it wraps or replays."""
 
 import importlib
 import os
@@ -28,20 +29,20 @@ def test_every_all_name_resolves():
         assert not missing, (mod.__name__, missing)
 
 
-def test_package_names_come_from_module_all():
-    exported = {name for mod in MODULES for name in mod.__all__}
+def test_package_namespace_holds_only_modules():
     public = {
         name
         for name, value in vars(cauchybench).items()
         if not name.startswith("_") and not isinstance(value, types.ModuleType)
     }
-    assert public - exported == set()
+    assert public == set()
 
 
 def test_import_loads_no_scipy():
     # scipy is a test and benchmark dependency only: importing scipy.special
-    # once doubled the package's import time and peak memory.
-    code = "import sys, cauchybench; print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"
+    # once doubled the package's import time and peak memory. The CLI loads
+    # every module that `cauchybench run` loads.
+    code = "import sys, cauchybench.cli; print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"
     src = str(Path(cauchybench.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src}
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
@@ -51,7 +52,7 @@ def test_import_loads_no_scipy():
 def test_import_loads_no_process_pool():
     # run_experiment imports multiprocessing only where it starts its pool,
     # so `cauchybench --version` does not pay for it.
-    code = "import sys, cauchybench; print('multiprocessing.pool' in sys.modules)"
+    code = "import sys, cauchybench.cli; print('multiprocessing.pool' in sys.modules)"
     src = str(Path(cauchybench.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src}
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)

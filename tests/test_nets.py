@@ -712,6 +712,16 @@ class TestTrainFolds:
         with pytest.raises(ValueError, match="features"):
             folds = [(noisy_data(d=2), self.tc(1)), (noisy_data(d=2), self.tc(2))]
             train_folds(*shared(folds), self.NET, MIXED_SPECS)
+        X, folds = shared([(noisy_data(seed=s), self.tc(s)) for s in range(2)])
+        rows, y, tc = folds[1]
+        for bad in (np.nan, np.inf, -np.inf):
+            bad_y = y.copy()
+            bad_y[7] = bad
+            with pytest.raises(ValueError, match="fold 1 has a non-finite target"):
+                train_folds(X, [folds[0], (rows, bad_y, tc)], self.NET, MIXED_SPECS)
+            # an entry of X that no fold reads is refused too
+            with pytest.raises(ValueError, match="X has a non-finite entry"):
+                train_folds(np.vstack([X, [[0.0, bad, 0.0]]]), folds, self.NET, MIXED_SPECS)
 
 
 class TestDivergenceCheck:
@@ -767,14 +777,23 @@ class TestDivergenceCheck:
         train_folds(*shared(self.folds()), self.NET, MIXED_SPECS)
         assert calls == []
 
-    def test_a_nan_residual_takes_the_exact_check(self):
+    def test_a_nan_residual_takes_the_exact_check(self, monkeypatch):
         # A NaN squared residual passes no bound: its step computes the loss.
+        # The NaN comes from fold 1's output bias, since train_folds refuses
+        # a NaN target or feature as an argument error.
+        from cauchybench import nets
+
         X, folds = shared(self.folds())
-        rows, y, tc = folds[1]
-        y = y.copy()
-        y[40] = np.nan
-        folds[1] = (rows, y, tc)
-        with pytest.raises(TrainingDiverged, match="non-finite loss") as exc:
+        init_params = nets.init_params
+
+        def nan_bias_in_fold_1(net, seed):
+            params = init_params(net, seed)
+            if seed == folds[1][2].seed:
+                params.biases[-1][:] = np.nan
+            return params
+
+        monkeypatch.setattr(nets, "init_params", nan_bias_in_fold_1)
+        with pytest.raises(TrainingDiverged, match="non-finite prediction") as exc:
             train_folds(X, folds, self.NET, MIXED_SPECS)
         assert (exc.value.epoch, exc.value.fold, exc.value.model) == (0, 1, 0)
 
@@ -806,6 +825,50 @@ class TestDivergenceCheck:
             _grad_into(r, columns, rr, grad, scratch)
         _loss_into(r, rr, columns, loss)
         assert np.all(np.isfinite(loss.sum(axis=-1)))
+
+
+class TestReferenceGradients:
+    """Acceptance criterion c2's property on ``tests/_reference_net``, an
+    oracle written apart from ``nets``: its per-sample backprop equals
+    central finite differences of its own loss."""
+
+    @staticmethod
+    def safe_net(sizes, rng):
+        # Random normal parameters and one sample whose hidden pre-activations
+        # keep clear of the ReLU kink, where finite differences break down.
+        while True:
+            weights = [rng.normal(size=(o, i)) for i, o in zip(sizes[:-1], sizes[1:])]
+            biases = [rng.normal(size=o) for o in sizes[1:]]
+            x = rng.normal(size=sizes[0])
+            _, _, pre = _reference_net.forward(weights, biases, x)
+            if min(np.min(np.abs(z)) for z in pre) > 1e-4:
+                return weights, biases, x
+
+    @pytest.mark.parametrize("c", [None, 1.0], ids=["mse", "clf-1"])
+    @pytest.mark.parametrize("sizes", [(2, 10, 1), (8, 14, 14, 1)], ids=["2-10-1", "8-14-14-1"])
+    def test_sample_grads_match_finite_differences(self, sizes, c):
+        h = 1e-6
+        rng = np.random.default_rng(20240501)
+        for _ in range(10):
+            weights, biases, x = self.safe_net(sizes, rng)
+            y = float(rng.normal())
+
+            def loss():
+                return _reference_net.loss(y - _reference_net.forward(weights, biases, x)[0], c)
+
+            grads_w, grads_b = _reference_net.sample_grads(weights, biases, x, y, c)
+            for arr, analytic in zip(weights + biases, grads_w + grads_b):
+                fd = np.empty_like(arr)
+                for i in np.ndindex(arr.shape):
+                    orig = arr[i]
+                    arr[i] = orig + h
+                    up = loss()
+                    arr[i] = orig - h
+                    dn = loss()
+                    arr[i] = orig
+                    fd[i] = (up - dn) / (2 * h)
+                scale = max(1.0, float(np.max(np.abs(fd))))
+                assert np.allclose(analytic, fd, rtol=1e-5, atol=1e-7 * scale)
 
 
 class TestAgainstReferenceTrainer:
