@@ -9,7 +9,7 @@ The package is organized as a small numpy library:
   ingest     schema-driven CSV loading and one-hot encoding
   ranktests  Wilcoxon rank-sum and Kruskal-Wallis tests
   harness    cross-validated, replicated experiment runner
-  report     score tables, plot series, influence CSV
+  report     results documents, score tables, influence CSV
   cli        command-line entry point
 
 Each name is imported from its module, e.g.

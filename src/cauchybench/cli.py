@@ -128,6 +128,8 @@ def _cmd_run(args) -> int:
     directory = os.path.dirname(out) or "."
     if not os.path.isdir(directory):
         raise UsageError(f"cannot write {out}: no such directory {directory}")
+    if os.path.isdir(out):
+        raise UsageError(f"cannot write {out}: it is a directory")
     doc = run_experiment(cfg)
     save_results(doc, out)
     mae = doc["comparisons"].get("mae")

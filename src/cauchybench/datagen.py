@@ -35,7 +35,6 @@ __all__ = [
     "target_y2",
     "make_hc2",
     "make_hc8",
-    "gaussian_noise",
     "cauchy_noise",
     "cauchy_quantile",
     "apply_noise",
@@ -193,13 +192,6 @@ def make_hc8(n: int, seed) -> Dataset:
     return Dataset(X, target_y2(X), meta={"source": "hc8", "n": n})
 
 
-def gaussian_noise(sigma: float, n: int, seed) -> np.ndarray:
-    """n i.i.d. N(0, sigma^2) draws."""
-    if sigma <= 0:
-        raise ValueError("sigma must be > 0")
-    return np.random.default_rng(seed).normal(0.0, sigma, size=n)
-
-
 def _tanpi(v):
     """tan(pi * v) for v in (-0.5, 0.5), exact at v = 0 and |v| = 0.25.
 
@@ -256,7 +248,7 @@ def apply_noise(y, spec: NoiseSpec) -> np.ndarray:
     """
     y = np.asarray(y, dtype=float)
     if spec.family is NoiseFamily.GAUSSIAN:
-        out = y + gaussian_noise(spec.sigma, len(y), spec.seed)
+        out = y + np.random.default_rng(spec.seed).normal(0.0, spec.sigma, size=len(y))
     elif spec.family is NoiseFamily.CAUCHY:
         out = y + cauchy_noise(spec.x0, spec.tau, len(y), spec.seed)
     else:

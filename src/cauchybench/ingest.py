@@ -128,13 +128,18 @@ def load_dataset(path, schema=SEOUL_BIKE_SCHEMA) -> Dataset:
     by_name = {h: i for i, h in enumerate(header)}
     by_norm = {_normalize(h): i for i, h in enumerate(header)}
     positions: dict[str, int] = {}
+    bound: dict[int, str] = {}  # header index -> the schema column bound to it
     for col in schema:
         idx = by_name.get(col.name, by_norm.get(_normalize(col.name)))
         if idx is None:
             raise IngestionError(f"{path}: header has no column matching {col.name!r}")
-        positions[col.name] = idx
-    matched = set(positions.values())
-    extra = [h for i, h in enumerate(header) if i not in matched]
+        if idx in bound:
+            raise IngestionError(
+                f"{path}: schema columns {bound[idx]!r} and {col.name!r} "
+                f"both match header column {header[idx]!r}"
+            )
+        positions[col.name], bound[idx] = idx, col.name
+    extra = [h for i, h in enumerate(header) if i not in bound]
     if extra:
         raise IngestionError(f"{path}: columns not covered by the schema: {extra}")
 

@@ -37,7 +37,8 @@ non-finite. Short last batches are padded and masked, and
 a fold with one batch fewer than its peers sits out the extra step.
 ``train`` is the one-fold, one-model case. ``forward`` builds and runs
 the step of one model over one batch (F = M = 1) and returns it as the
-cache that ``backward`` replays; ``predict`` is its predictions.
+cache that ``backward`` replays; ``TrainedModel.predict`` keeps only its
+predictions.
 
 Features are standardized using statistics of the training data each
 fold receives (targets are left on their original scale), and the fitted
@@ -66,7 +67,6 @@ __all__ = [
     "init_params",
     "forward",
     "backward",
-    "predict",
     "adam_step",
     "init_adam_state",
     "train",
@@ -347,11 +347,6 @@ def forward(params: Parameters, X) -> tuple[np.ndarray, _Step]:
     return step.preds[0, 0], step
 
 
-def predict(params: Parameters, X: np.ndarray) -> np.ndarray:
-    """Predictions for an (n, d) matrix, no cache kept."""
-    return forward(params, X)[0]
-
-
 def backward(params: Parameters, cache: _Step, dloss_dpred) -> Parameters:
     """Backpropagate dL/dprediction to parameter gradients.
 
@@ -439,7 +434,7 @@ class TrainedModel:
     scaler: FeatureScaler
 
     def predict(self, X: np.ndarray) -> np.ndarray:
-        return predict(self.params, self.scaler.transform(X))
+        return forward(self.params, self.scaler.transform(X))[0]
 
 
 def _shuffle_rng(seed) -> np.random.Generator:

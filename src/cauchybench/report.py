@@ -1,5 +1,5 @@
-"""Rendering of experiment results: "mean (std)" score tables, plot-ready
-series for noise sweeps, and influence-curve grids.
+"""Rendering of experiment results: "mean (std)" score tables and
+influence-curve grids.
 
 Everything here is a pure function of already-computed results; nothing
 re-runs training or touches an RNG. Rendering stays plain text / CSV so
@@ -11,7 +11,6 @@ from __future__ import annotations
 import io
 import json
 import os
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,26 +20,11 @@ RESULTS_SCHEMA = "cauchybench-results-v1"
 MAX_GRID_POINTS = 10**6  # influence_csv writes one CSV line per point
 
 __all__ = [
-    "PlotSeries",
     "save_results",
     "load_results",
     "format_table",
-    "emit_plot_series",
-    "series_to_csv",
     "influence_csv",
 ]
-
-
-@dataclass
-class PlotSeries:
-    label: str
-    x: list[float]
-    y: list[float]
-    y_err: list[float] | None = None
-
-    def __post_init__(self):
-        if len(self.x) != len(self.y) or (self.y_err is not None and len(self.y_err) != len(self.x)):
-            raise ValueError("series vectors must have equal lengths")
 
 
 def save_results(doc: dict, path) -> None:
@@ -138,66 +122,6 @@ def format_table(results: dict, metric: str, fmt: str = "text") -> str:
         lines.append(f"{m:<{name_w}}  {cells[m] + mark:>{cell_w}}")
     lines.append("(* lowest mean)")
     return "\n".join(lines) + "\n"
-
-
-_SWEEP_AXES = {
-    "sigma": ("gaussian", "sigma"),
-    "tau": ("cauchy", "tau"),
-    "proportion": ("uniform_outlier", "proportion"),
-}
-
-
-def emit_plot_series(docs: list[dict], metric: str, sweep_axis: str) -> list[PlotSeries]:
-    """Score-versus-noise-level series, one per model, from sweep results.
-
-    ``docs`` holds results documents that differ only in the
-    swept noise parameter; ``sweep_axis`` is sigma, tau, or proportion.
-    A clean-data (family "none") result contributes the point x = 0.
-    """
-    if sweep_axis not in _SWEEP_AXES:
-        raise ValueError(f"unknown sweep axis {sweep_axis!r}")
-    family, param = _SWEEP_AXES[sweep_axis]
-    metric = metric.lower()
-    if metric not in ("mae", "rmse"):
-        raise ValueError(f"unknown metric {metric!r}")
-    if not docs:
-        raise ValueError("no results supplied")
-
-    points = []
-    models = docs[0]["models"]
-    for doc in docs:
-        if doc["models"] != models:
-            raise ValueError("results in a sweep must share the same model list")
-        noise = doc["config"]["noise"]
-        if noise["family"] == "none":
-            x = 0.0
-        elif noise["family"] == family:
-            x = float(noise[param])
-        else:
-            raise ValueError(f"mixed sweep axes: expected {family} noise, found {noise['family']}")
-        points.append((x, doc["aggregate"]))
-    points.sort(key=lambda t: t[0])
-
-    return [
-        PlotSeries(
-            label=m,
-            x=[x for x, _ in points],
-            y=[agg[m][metric]["mean"] for _, agg in points],
-            y_err=[agg[m][metric]["std"] for _, agg in points],
-        )
-        for m in models
-    ]
-
-
-def series_to_csv(series: list[PlotSeries]) -> str:
-    """Tidy long-format CSV: label,x,y,y_err."""
-    out = io.StringIO()
-    out.write("label,x,y,y_err\n")
-    for s in series:
-        errs = s.y_err if s.y_err is not None else [""] * len(s.x)
-        for x, y, e in zip(s.x, s.y, errs):
-            out.write(f"{s.label},{x:.10g},{y:.10g},{e if e == '' else format(e, '.10g')}\n")
-    return out.getvalue()
 
 
 def influence_csv(specs: list[LossSpec], rmax: float, steps_per_unit: int) -> str:

@@ -15,7 +15,6 @@ from cauchybench.datagen import (
     cauchy_noise,
     cauchy_quantile,
     export_csv,
-    gaussian_noise,
     make_hc2,
     make_hc8,
     sample_inputs,
@@ -86,16 +85,17 @@ class TestTargets:
 class TestGaussianNoise:
     def test_moments(self):
         n = 100_000
-        eps = gaussian_noise(10.0, n, seed=4)
+        eps = apply_noise(np.zeros(n), NoiseSpec(NoiseFamily.GAUSSIAN, sigma=10.0, seed=4))
         assert abs(eps.mean()) < 3 * 10.0 / math.sqrt(n)
         assert eps.std() == pytest.approx(10.0, rel=0.02)
 
     def test_deterministic(self):
-        assert np.array_equal(gaussian_noise(1.0, 50, seed=9), gaussian_noise(1.0, 50, seed=9))
+        spec = NoiseSpec(NoiseFamily.GAUSSIAN, sigma=1.0, seed=9)
+        assert np.array_equal(apply_noise(np.zeros(50), spec), apply_noise(np.zeros(50), spec))
 
     def test_rejects_bad_sigma(self):
-        with pytest.raises(ValueError):
-            gaussian_noise(0.0, 10, seed=0)
+        with pytest.raises(ValueError, match="sigma > 0"):
+            NoiseSpec(NoiseFamily.GAUSSIAN, sigma=0.0, seed=0)
 
 
 class TestCauchy:
@@ -143,7 +143,7 @@ class TestAdditiveNoise:
         spec = NoiseSpec(NoiseFamily.GAUSSIAN, sigma=5.0, seed=12)
         noisy = apply_noise(ds.y, spec)
         assert np.array_equal(ds.y, y_before)
-        assert np.array_equal(noisy, ds.y + gaussian_noise(5.0, 200, seed=12))
+        assert np.array_equal(noisy, ds.y + np.random.default_rng(12).normal(0.0, 5.0, size=200))
 
     def test_degenerate_sigma_limit(self):
         ds = make_hc2(100, seed=13)
@@ -267,7 +267,7 @@ class TestApplyNoiseProperties:
     @pytest.mark.parametrize(
         "family, noise",
         [
-            (NoiseFamily.GAUSSIAN, lambda s, n: gaussian_noise(s.sigma, n, s.seed)),
+            (NoiseFamily.GAUSSIAN, lambda s, n: np.random.default_rng(s.seed).normal(0.0, s.sigma, size=n)),
             (NoiseFamily.CAUCHY, lambda s, n: cauchy_noise(s.x0, s.tau, n, s.seed)),
         ],
     )

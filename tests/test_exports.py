@@ -2,7 +2,8 @@
 package namespace holds no public name but its modules, so each name has
 one import path; importing the CLI, which loads every module a run does,
 loads no scipy and no process pool; the benchmark's traced run finds
-every function it wraps or replays."""
+every function it wraps or replays; only the entry point sets the
+OpenBLAS thread default."""
 
 import importlib
 import os
@@ -73,3 +74,24 @@ def test_benchmark_trace_hooks_resolve(workload):
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(root / "src"), str(root / "benchmarks")])}
     out = subprocess.run([sys.executable, "-c", code], cwd=root, env=env, capture_output=True, text=True)
     assert out.returncode == 0, out.stderr[-2000:]
+
+
+@pytest.mark.parametrize(
+    "module, given, expected",
+    [
+        ("cauchybench.__main__", None, "1"),
+        ("cauchybench.__main__", "2", "2"),
+        ("cauchybench.harness", None, None),
+    ],
+)
+def test_openblas_threads_default_only_at_the_entry_point(module, given, expected):
+    # The entry point asks for one OpenBLAS thread before numpy loads, and
+    # keeps a caller's choice; importing a library module sets nothing.
+    code = f"import os, {module}; print(os.environ.get('OPENBLAS_NUM_THREADS'))"
+    src = str(Path(cauchybench.__file__).resolve().parents[1])
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    env["PYTHONPATH"] = src
+    if given is not None:
+        env["OPENBLAS_NUM_THREADS"] = given
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == str(expected)

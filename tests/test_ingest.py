@@ -78,6 +78,33 @@ class TestLoadCsv:
         with pytest.raises(IngestionError, match="not covered"):
             load_dataset(p, SMALL_SCHEMA)
 
+    def test_target_and_feature_bound_to_one_column_rejected(self, tmp_path):
+        p = write(tmp_path, "Count(n),Temp\n5,1\n6,2\n")
+        schema = [
+            ColumnSchema("Count", Role.NUMERIC),
+            ColumnSchema("Count(x)", Role.TARGET),
+            ColumnSchema("Temp", Role.NUMERIC),
+        ]
+        with pytest.raises(IngestionError) as exc:
+            load_dataset(p, schema)
+        assert str(exc.value) == (
+            f"{p}: schema columns 'Count' and 'Count(x)' both match header column 'Count(n)'"
+        )
+
+    def test_two_features_bound_to_one_column_rejected(self, tmp_path):
+        p = write(tmp_path, "Temperature(C),Count\n1.5,10\n")
+        schema = [
+            ColumnSchema("Temperature", Role.NUMERIC),
+            ColumnSchema("Temperature(C)", Role.NUMERIC),
+            ColumnSchema("Count", Role.TARGET),
+        ]
+        with pytest.raises(IngestionError) as exc:
+            load_dataset(p, schema)
+        assert str(exc.value) == (
+            f"{p}: schema columns 'Temperature' and 'Temperature(C)' "
+            "both match header column 'Temperature(C)'"
+        )
+
     def test_unit_suffixes_and_cp1252_degrees(self, tmp_path):
         text = "Temperature(\N{DEGREE SIGN}C),Season,Count\n1.5,A,10\n"
         p = write(tmp_path, text, encoding="cp1252")

@@ -22,7 +22,6 @@ from cauchybench.nets import (
     forward,
     init_adam_state,
     init_params,
-    predict,
     train,
     train_folds,
 )
@@ -144,7 +143,7 @@ class TestForward:
         batch_preds, _ = forward(p, X)
         singles = np.array([forward(p, row[None])[0][0] for row in X])
         assert np.allclose(batch_preds, singles, atol=1e-12)
-        assert np.array_equal(predict(p, X), batch_preds)
+        assert np.array_equal(forward(p, X)[0], batch_preds)
 
     def test_dimension_mismatch(self):
         p = init_params(NetworkConfig(3, (4,)), 0)

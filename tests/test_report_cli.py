@@ -1,12 +1,16 @@
 import io
 import json
+import tempfile
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cauchybench.cli import cli_main
-from cauchybench.datagen import NoiseFamily, NoiseSpec
+from cauchybench.datagen import NoiseFamily, NoiseSpec, apply_noise, make_hc2, make_hc8
 from cauchybench.harness import (
     DatasetSpec,
     ExperimentConfig,
@@ -20,13 +24,10 @@ from cauchybench.losses import LossSpec
 from cauchybench.nets import TrainConfig
 from cauchybench.report import (
     MAX_GRID_POINTS,
-    PlotSeries,
-    emit_plot_series,
     format_table,
     influence_csv,
     load_results,
     save_results,
-    series_to_csv,
 )
 
 
@@ -87,48 +88,6 @@ class TestFormatTable:
             format_table(doc, "nope")
         with pytest.raises(ValueError):
             format_table(doc, "mae", fmt="yaml")
-
-
-class TestEmitPlotSeries:
-    def make_sweep(self):
-        docs = []
-        for sigma in (None, 1.0, 10.0):
-            noise = (
-                NoiseSpec(NoiseFamily.NONE)
-                if sigma is None
-                else NoiseSpec(NoiseFamily.GAUSSIAN, sigma=sigma)
-            )
-            docs.append(small_result(noise=noise))
-        return docs
-
-    def test_series_shapes_and_order(self):
-        docs = self.make_sweep()
-        series = emit_plot_series(docs, "mae", "sigma")
-        assert len(series) == 2  # one per model
-        for s in series:
-            assert s.x == [0.0, 1.0, 10.0]
-            assert len(s.y) == 3 and len(s.y_err) == 3
-
-    def test_single_point_sweep(self):
-        docs = [small_result()]
-        series = emit_plot_series(docs, "mae", "tau")
-        assert all(len(s.x) == 1 for s in series)
-
-    def test_mixed_axes_rejected(self):
-        docs = self.make_sweep()
-        with pytest.raises(ValueError, match="mixed sweep axes"):
-            emit_plot_series(docs, "mae", "tau")
-
-    def test_series_csv(self):
-        series = [PlotSeries(label="M", x=[0.0, 1.0], y=[0.5, 0.7], y_err=[0.01, 0.02])]
-        text = series_to_csv(series)
-        lines = text.strip().splitlines()
-        assert lines[0] == "label,x,y,y_err"
-        assert lines[1].startswith("M,0,0.5,")
-
-    def test_series_length_validation(self):
-        with pytest.raises(ValueError):
-            PlotSeries(label="x", x=[1.0], y=[1.0, 2.0])
 
 
 class TestInfluenceCsv:
@@ -302,6 +261,33 @@ class TestCli:
         ds = load_gen_csv(out, 2)
         assert len(ds) == 30 and ds.n_features == 2
 
+    @settings(derandomize=True, database=None, max_examples=25, deadline=None)
+    @given(
+        dataset=st.sampled_from(["hc2", "hc8"]),
+        n=st.integers(1, 50),
+        seed=st.integers(0, 2**32 - 1),
+        noise=st.one_of(
+            st.just(("none", {})),
+            st.builds(lambda s: ("gaussian", {"sigma": s}), st.floats(1e-3, 1e3)),
+            st.builds(
+                lambda t, x0: ("cauchy", {"tau": t, "x0": x0}), st.floats(1e-3, 1e3), st.floats(-1e3, 1e3)
+            ),
+        ),
+    )
+    def test_gen_output_round_trips_through_ingest(self, dataset, n, seed, noise):
+        # What `gen` writes, ingest reads back as make_* plus apply_noise, bit for bit.
+        family, params = noise
+        flags = [f"--{k}={v!r}" for k, v in params.items()]  # "=": argparse takes -1e-05 for a flag
+        with tempfile.TemporaryDirectory() as tmp:
+            out = Path(tmp) / "d.csv"
+            args = ["gen", "--dataset", dataset, "--n", str(n), "--seed", str(seed), "--noise", family]
+            assert cli_main([*args, *flags, "--out", str(out)]) == 0
+            ds = load_gen_csv(out, 2 if dataset == "hc2" else 8)
+        want = (make_hc2 if dataset == "hc2" else make_hc8)(n, seed)
+        want_y = apply_noise(want.y, NoiseSpec(family, seed=seed, **params))
+        assert ds.X.tobytes() == want.X.tobytes()
+        assert ds.y.tobytes() == want_y.tobytes()
+
     def test_gen_gaussian_needs_sigma(self, tmp_path, capsys):
         out = tmp_path / "d.csv"
         assert cli_main(["gen", "--dataset", "hc2", "--noise", "gaussian", "--out", str(out)]) == 1
@@ -396,6 +382,17 @@ class TestCli:
         assert f"cannot write {out}: no such directory {out.parent}" in err
         assert ".tmp" not in err
         assert not out.parent.exists()
+
+    def test_out_that_is_a_directory_fails_before_training(self, tmp_path, capsys, monkeypatch):
+        import cauchybench.cli as cli
+
+        def must_not_run(cfg):
+            raise AssertionError("run_experiment was called")
+
+        monkeypatch.setattr(cli, "run_experiment", must_not_run)
+        assert cli_main(["run", "--preset", "hc2-negative", "--out", str(tmp_path)]) == 1
+        assert capsys.readouterr().err == f"error: cannot write {tmp_path}: it is a directory\n"
+        assert list(tmp_path.iterdir()) == []
 
     def test_zero_override_is_usage_error(self, tmp_path, capsys):
         out = tmp_path / "r.json"
