@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 
 from . import __version__
@@ -31,6 +32,13 @@ class UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # A token that looks like a negative number is a value, not an
+        # option. argparse's own pattern misses the exponent form, so
+        # `--x0 -1e-05` would find its value missing.
+        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+
     # argparse exits on error; surface a catchable exception instead so
     # cli_main controls the exit code.
     def error(self, message):

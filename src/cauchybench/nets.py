@@ -12,17 +12,19 @@ one fold share one initialization, one shuffle stream and so one
 minibatch stream, and only their loss gradients differ; each fold keeps
 its own seed, shuffle stream and feature scaler. Parameters live in one
 flat (F, M·P) buffer, F folds by M models of P parameters, laid out
-layer by layer within a fold: a layer's M weight matrices, then its M
-bias vectors. The weights are viewed as (F, M, out, in) and the biases
-as (F, M, out), and layer 1's weights also as (F, M·h, d), so the
-models of a fold, which share the batch, make one layer-1 GEMM. Hidden
-pre-activations, activations and deltas live in reused fold-major
-(F, batch, M, h) buffers (model-major for layers of fewer than 4 units,
-see ``_hidden_rows``): elementwise passes run over contiguous rows, and
-the later layers' products run per (fold, model) pair on strided views,
-with the arithmetic of that model alone. Behind a fold-major last
-hidden layer, the output layer's delta is one GEMM per fold against its
-weights laid out block-diagonally (see ``_Step``).
+layer by layer within a fold: layer 1 as M (h, d+1) matrices [W | b],
+each later layer as its M weight matrices, then its M bias vectors.
+The weights are viewed as (F, M, out, in) and the biases as (F, M, out),
+and layer 1 also as (F, M·h, d+1). Batches are gathered with a last
+column of ones, so the models of a fold, which share the batch, make one
+layer-1 GEMM that adds the bias, and one weight-gradient GEMM whose last
+column is the bias gradient. Hidden pre-activations, activations and
+deltas live in reused fold-major (F, batch, M, h) buffers (model-major
+for layers of fewer than 4 units, see ``_hidden_rows``): elementwise
+passes run over contiguous rows, and the later layers' products run per
+(fold, model) pair, with the arithmetic of that model alone. Behind a
+fold-major last hidden layer, the output layer's delta is one GEMM per
+fold against its weights laid out block-diagonally (see ``_Step``).
 
 Every view and buffer a step uses is built once, in a ``_Step`` object
 per batch width (a call has at most two: the full batch and the last
@@ -218,13 +220,14 @@ def _hidden_rows(n_folds: int, width: int, n_models: int, hidden: Sequence[int])
 
 
 def _one_gemm(x: np.ndarray, rows: np.ndarray) -> bool:
-    """Whether layer 1, with batch ``x`` (F, w, d) and rows (F, w, M, h),
-    runs as one (w, d) @ (d, M·h) GEMM per fold over the fold's models,
-    which share the batch. OpenBLAS's GEMM computes each entry of it as
-    for the model alone. With w or d equal to 1 numpy calls GEMV instead,
-    whose result depends on the width of the call, and a narrow layer's
-    rows are model-major: layer 1 then runs per model."""
-    return min(x.shape[1], x.shape[2]) > 1 and rows.shape[3] >= _NARROW
+    """Whether layer 1, with batch ``x`` (F, w, d+1) and rows (F, w, M, h),
+    runs as one (w, d+1) @ (d+1, M·h) GEMM per fold over the fold's
+    models, which share the batch. OpenBLAS's GEMM computes each entry of
+    it as for the model alone. With w equal to 1 numpy calls GEMV
+    instead, whose result depends on the width of the call, and a narrow
+    layer's rows are model-major: layer 1 then runs per model. d+1 is
+    at least 2, so the inner dimension never makes a GEMV."""
+    return x.shape[1] > 1 and rows.shape[3] >= _NARROW
 
 
 class _Step:
@@ -232,21 +235,29 @@ class _Step:
     it makes, each bound to prebuilt views and buffers, which ``_forward``
     and ``_backward`` replay.
 
-    ``weights`` (F, M, out, in) and ``biases`` (F, M, out) are the
-    stacked parameters, ``grad_w`` and ``grad_b`` their gradients, and
-    ``x`` (F, w, d) the batches. ``bufs`` holds four lists of (F, w, M, h)
-    rows per hidden layer (see ``_hidden_rows``): pre-activations, ReLU
-    outputs, deltas and ReLU masks. ``blocks``, zeros of shape
-    (F, M, M, h) for the last hidden layer's h, is scratch for the output
-    layer's block-diagonal weights. The step owns the outputs ``out``
-    (F, M, w, 1) and the residuals ``r``, their squares ``rr``, the losses,
-    dL/dprediction ``g`` and loss-kernel scratch, each (F, M, w).
+    ``params`` and ``grads`` are the stacked parameters and their
+    gradients as ``_param_views`` gives them: layer 1's (F, M, h, d+1)
+    blocks [W | b], and per layer (F, M, out, in) weights and (F, M, out)
+    biases, of which the step reads layer 1's only through its blocks.
+    ``x`` (F, w, d+1) holds the batches, with a last column of ones, so
+    layer 1's products carry its bias: the forward product adds it and
+    the backward product's last column is its gradient. ``bufs`` holds four
+    lists of (F, w, M, h) rows per hidden layer (see ``_hidden_rows``):
+    pre-activations, ReLU outputs, deltas and ReLU masks. ``blocks``,
+    zeros of shape (F, M, M, h) for the last hidden layer's h, is scratch
+    for the output layer's block-diagonal weights. The step owns a
+    contiguous copy of each hidden-to-hidden layer's transposed weights,
+    the outputs ``out`` (F, M, w, 1) and the residuals ``r``, their
+    squares ``rr``, the losses, dL/dprediction ``g`` and loss-kernel
+    scratch, each (F, M, w).
     """
 
-    def __init__(self, weights, biases, grad_w, grad_b, x, bufs, blocks):
+    def __init__(self, params, grads, x, bufs, blocks):
+        first, weights, biases = params
+        grad_first, grad_w, grad_b = grads
         n_folds, width, _ = x.shape
-        n_models = weights[0].shape[1]
-        self.x, self.x_rows = x, _merge(x, 1)  # (F, w, d) and (F, w·d)
+        n_models = first.shape[1]
+        self.x, self.x_rows = x, _merge(x, 1)  # (F, w, d+1) and (F, w·(d+1))
         self.pre_acts, self.acts, deltas, masks = bufs
         self.out = np.empty((n_folds, n_models, width, 1))
         self.preds = self.out[..., 0]
@@ -255,12 +266,19 @@ class _Step:
         self.finite = np.empty((n_folds, n_models), bool)
 
         self.forward = fwd = []
-        a = x[:, None]  # per pair (F, M, w, in); the batch is shared by the fold's models
-        for i, (w, b, z, act) in enumerate(zip(weights, biases, self.pre_acts, self.acts)):
-            if i == 0 and _one_gemm(x, z):
-                fwd.append(partial(np.matmul, x, _merge(w, 1).swapaxes(1, 2), out=_merge(z, 2)))
-            else:
-                fwd.append(partial(np.matmul, a, w.swapaxes(-1, -2), out=z.swapaxes(1, 2)))
+        z = self.pre_acts[0]
+        if _one_gemm(x, z):
+            fwd.append(partial(np.matmul, x, _merge(first, 1).swapaxes(1, 2), out=_merge(z, 2)))
+        else:  # per pair (F, M, w, d+1); the batch is shared by the fold's models
+            fwd.append(partial(np.matmul, x[:, None], first.swapaxes(-1, -2), out=z.swapaxes(1, 2)))
+        fwd.append(partial(np.maximum, z, 0.0, out=self.acts[0]))
+        a = self.acts[0].swapaxes(1, 2)
+        for w, b, z, act in zip(weights[1:-1], biases[1:-1], self.pre_acts[1:], self.acts[1:]):
+            # a GEMM against a contiguous Wᵀ runs faster than against the
+            # strided transposed view
+            w_t = np.empty(w.swapaxes(-1, -2).shape)
+            fwd.append(partial(np.copyto, w_t, w.swapaxes(-1, -2)))
+            fwd.append(partial(np.matmul, a, w_t, out=z.swapaxes(1, 2)))
             fwd.append(partial(np.add, z, b[:, None], out=z))
             fwd.append(partial(np.maximum, z, 0.0, out=act))
             a = act.swapaxes(1, 2)
@@ -293,17 +311,19 @@ class _Step:
             delta = deltas[i]
             bwd.append(partial(np.greater, self.pre_acts[i], 0.0, out=masks[i]))
             bwd.append(partial(np.multiply, delta, masks[i], out=delta))
+            if i == 0:  # the last column of grad_first is the bias gradient
+                if _one_gemm(x, delta):
+                    delta_t = _merge(delta, 2).swapaxes(1, 2)
+                    bwd.append(partial(np.matmul, delta_t, x, out=_merge(grad_first, 1)))
+                else:
+                    bwd.append(partial(np.matmul, delta.transpose(0, 2, 3, 1), x[:, None], out=grad_first))
+                continue
             # the batch sum runs in the order of one model alone
             bwd.append(partial(np.add.reduce, delta, axis=1, out=grad_b[i]))
-            if i == 0 and _one_gemm(x, delta):
-                delta_t = _merge(delta, 2).swapaxes(1, 2)
-                bwd.append(partial(np.matmul, delta_t, x, out=_merge(grad_w[0], 1)))
-            else:
-                a_prev = x[:, None] if i == 0 else self.acts[i - 1].swapaxes(1, 2)
-                bwd.append(partial(np.matmul, delta.transpose(0, 2, 3, 1), a_prev, out=grad_w[i]))
-            if i > 0:
-                back = deltas[i - 1].swapaxes(1, 2)
-                bwd.append(partial(np.matmul, delta.swapaxes(1, 2), weights[i], out=back))
+            a_prev = self.acts[i - 1].swapaxes(1, 2)
+            bwd.append(partial(np.matmul, delta.transpose(0, 2, 3, 1), a_prev, out=grad_w[i]))
+            back = deltas[i - 1].swapaxes(1, 2)
+            bwd.append(partial(np.matmul, delta.swapaxes(1, 2), weights[i], out=back))
 
 
 def _forward(step: _Step) -> None:
@@ -317,7 +337,7 @@ def _forward(step: _Step) -> None:
 def _backward(step: _Step) -> None:
     """Batch sums of every pair's parameter gradients, from dL/dprediction
     in ``step.g`` and the rows ``_forward`` left, written into the
-    ``grad_w`` and ``grad_b`` the step was built on. The ReLU subgradient
+    gradient views the step was built on. The ReLU subgradient
     at exactly 0 is taken as 0."""
     for call in step.backward:
         call()
@@ -327,22 +347,29 @@ def forward(params: Parameters, X) -> tuple[np.ndarray, _Step]:
     """Run the network on an (n, d) batch.
 
     Returns (predictions, cache): the (n,) predictions and the step of
-    ``params`` alone (F = M = 1) that made them. The step holds every
-    hidden layer's pre-activations and ReLU outputs (``cache.pre_acts``,
-    ``cache.acts``, each (1, n, 1, h)), ``params`` as ``cache.params``
-    and, as ``cache.grads``, the zero Parameters ``backward`` writes into.
+    ``params`` alone (F = M = 1) that made them, run on a copy of
+    ``params`` laid out as ``train_folds`` lays out its buffer. The step
+    holds every hidden layer's pre-activations and ReLU outputs
+    (``cache.pre_acts``, ``cache.acts``, each (1, n, 1, h)), ``params`` as
+    ``cache.params`` and, as ``cache.grads``, Parameters views of the
+    zero gradient buffer ``backward`` writes into.
     """
     X = np.asarray(X, dtype=float)
     if X.ndim != 2:
         raise ValueError(f"X must be an (n, d) matrix, got shape {X.shape}")
-    if X.shape[1] != params.weights[0].shape[1]:
-        raise ValueError(f"input has {X.shape[1]} features, network expects {params.weights[0].shape[1]}")
-    grads = params.zeros_like()
-    arrays = (params.weights, params.biases, grads.weights, grads.biases)
+    n, d = X.shape
+    if d != params.weights[0].shape[1]:
+        raise ValueError(f"input has {d} features, network expects {params.weights[0].shape[1]}")
     hidden = [w.shape[0] for w in params.weights[:-1]]
-    bufs, blocks = _hidden_rows(1, len(X), 1, hidden), np.zeros((1, 1, 1, hidden[-1]))
-    step = _Step(*([a[None, None] for a in layers] for layers in arrays), X[None], bufs, blocks)
-    step.params, step.grads = params, grads
+    flat = np.zeros((2, sum(a.size for a in params.weights + params.biases)))
+    views, grads = (_param_views(flat[i : i + 1], (d, *hidden, 1), 1) for i in (0, 1))
+    for w, b, w0, b0 in zip(*views[1:], params.weights, params.biases):
+        w[0], b[0] = w0, b0
+    x = np.ones((1, n, d + 1))
+    x[0, :, :d] = X
+    bufs, blocks = _hidden_rows(1, n, 1, hidden), np.zeros((1, 1, 1, hidden[-1]))
+    step = _Step(views, grads, x, bufs, blocks)
+    step.params, step.grads = params, Parameters(*([a[0, 0] for a in arrays] for arrays in grads[1:]))
     _forward(step)
     return step.preds[0, 0], step
 
@@ -443,18 +470,23 @@ def _shuffle_rng(seed) -> np.random.Generator:
 
 
 def _param_views(flat: np.ndarray, sizes: Sequence[int], n_models: int):
-    """Per-layer (F, M, out, in) weight and (F, M, out) bias views of a
-    flat (F, M·P) buffer laid out layer by layer: each layer's M weight
-    matrices, then its M bias vectors."""
-    n_folds = flat.shape[0]
-    weights, biases, at = [], [], 0
-    for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
+    """Views of a flat (F, M·P) buffer laid out layer by layer: layer 1 as
+    M (h, d+1) matrices [W | b], the bias as the last column; each later
+    layer as its M weight matrices, then its M bias vectors. Returns
+    layer 1's (F, M, h, d+1) blocks, and per layer the (F, M, out, in)
+    weight and (F, M, out) bias views, layer 1's being columns of its
+    blocks."""
+    n_folds, (d, h) = flat.shape[0], sizes[:2]
+    at = n_models * h * (d + 1)
+    first = flat[:, :at].reshape(n_folds, n_models, h, d + 1)
+    weights, biases = [first[..., :d]], [first[..., d]]
+    for fan_in, fan_out in zip(sizes[1:-1], sizes[2:]):
         size = n_models * fan_out * fan_in
         weights.append(flat[:, at : at + size].reshape(n_folds, n_models, fan_out, fan_in))
         at += size
         biases.append(flat[:, at : at + n_models * fan_out].reshape(n_folds, n_models, fan_out))
         at += n_models * fan_out
-    return weights, biases
+    return first, weights, biases
 
 
 def _step_plan(sizes: np.ndarray, batch_size: int) -> list[tuple]:
@@ -530,17 +562,20 @@ def train_folds(
 
     Once per epoch, each fold's shuffled order is composed with its rows
     and its targets are gathered in that order; each step then gathers
-    every fold's batch from ``X`` in one ``np.take``. Step j of an epoch
-    takes batch j of every fold. A batch shorter than its peers is padded
-    with its fold's first row, masked out of the loss and the gradient; a
-    fold with no batch j left keeps its parameters, Adam moments and step
-    counter. So each model equals training its fold alone (the same rows
+    every fold's batch in one ``np.take`` from a copy of ``X`` with a
+    column of ones appended, layer 1's bias input (``X`` itself is never
+    written). Step j of an epoch takes batch j of every fold. A batch
+    shorter than its peers is padded with its fold's first row, masked
+    out of the loss and the gradient; a fold with no batch j left keeps
+    its parameters, Adam moments and step counter. So each model equals training its fold alone (the same rows
     as a matrix of their own), bit for bit where the folds' batch layouts
     agree and to rounding where padding changes the length of a batch
-    sum. When the last hidden layer has at least 4 units, the output
-    layer's delta is one GEMM per fold against its weights laid out
-    block-diagonally, which leaves every parameter's bits as the
-    broadcast product g·W does.
+    sum. Layer 1's bias rides in its products as their last term over k;
+    where layer 1 runs as one GEMM per fold (see ``_one_gemm``), that
+    gives the bits of a separate bias add and batch sum. When the last
+    hidden layer has at least 4 units, the output layer's delta is one
+    GEMM per fold against its weights laid out block-diagonally, which
+    leaves every parameter's bits as the broadcast product g·W does.
 
     A non-finite entry of ``X`` or of a fold's targets is a ValueError.
     Raises TrainingDiverged (carrying the epoch, the index of the fold in
@@ -579,20 +614,26 @@ def train_folds(
         rows.append(idx)
         ys.append(y)
 
-    n_folds, n_models = len(folds), len(losses)
+    n_folds, n_models, d = len(folds), len(losses), net.input_dim
     sizes = np.array([idx.size for idx in rows])
-    # Rows are standardized as they are gathered, so no scaled copy is kept.
-    # The folds' means and scales are tiled along a batch's (w·d) values,
-    # so a step standardizes its batches in two passes over (F, w·d) rows.
+    # Batches are gathered from the features with a column of ones
+    # appended, layer 1's bias input; the caller's X is never written.
+    # Rows are standardized as they are gathered, so no scaled copy is
+    # kept. The folds' means and scales, 0 and 1 for the ones column, are
+    # tiled along a batch's w·(d+1) values, so a step standardizes its
+    # batches in two passes over (F, w·(d+1)) rows and keeps the ones.
+    X1 = np.ones((len(X), d + 1))
+    X1[:, :d] = X
     scalers = [FeatureScaler.fit(X[idx]) for idx in rows]
-    mean = np.tile(np.stack([s.mean for s in scalers]), tc.batch_size)
-    scale = np.tile(np.stack([s.scale for s in scalers]), tc.batch_size)
+    mean = np.tile(np.stack([np.append(s.mean, 0.0) for s in scalers]), tc.batch_size)
+    scale = np.tile(np.stack([np.append(s.scale, 1.0) for s in scalers]), tc.batch_size)
 
     inits = [init_params(net, fold_tc.seed) for *_, fold_tc in folds]
     theta = np.empty((n_folds, n_models * sum(a.size for a in inits[0].weights + inits[0].biases)))
     grad, m, v = np.empty_like(theta), np.zeros_like(theta), np.zeros_like(theta)
-    weights, biases = _param_views(theta, net.layer_sizes, n_models)
-    grad_w, grad_b = _param_views(grad, net.layer_sizes, n_models)
+    params = _param_views(theta, net.layer_sizes, n_models)
+    grads = _param_views(grad, net.layer_sizes, n_models)
+    _, weights, biases = params
     for f, init in enumerate(inits):
         for w, b, w0, b0 in zip(weights, biases, init.weights, init.biases):
             w[f], b[f] = w0, b0  # every model of the fold starts there
@@ -609,7 +650,7 @@ def train_folds(
     # over shared batch and hidden buffers and the output layer's
     # block-diagonal weights. Each step of the epoch then holds its batch
     # rows and targets, its step object, and its width's mean and scale.
-    x_buf = np.empty((n_folds, tc.batch_size, net.input_dim))
+    x_buf = np.empty((n_folds, tc.batch_size, d + 1))
     bufs = _hidden_rows(n_folds, tc.batch_size, n_models, net.hidden_layers)
     blocks = np.zeros((n_folds, n_models, n_models, net.hidden_layers[-1]))
     steps = {}
@@ -617,8 +658,8 @@ def train_folds(
         width = cols.stop - cols.start
         if width not in steps:
             bufs_w = [[buf[:, :width] for buf in kind] for kind in bufs]
-            steps[width] = _Step(weights, biases, grad_w, grad_b, x_buf[:, :width], bufs_w, blocks)
-        values = slice(0, width * net.input_dim)
+            steps[width] = _Step(params, grads, x_buf[:, :width], bufs_w, blocks)
+        values = slice(0, width * (d + 1))
         batch = (order[:, cols], y_order[:, None, cols], steps[width], mean[:, values], scale[:, values])
         plan[i] = (*batch, pad, inv_count, active)
     adam_scratch = np.empty_like(theta), np.empty_like(theta)
@@ -640,7 +681,7 @@ def train_folds(
                 order[f, : sizes[f]], y_order[f, : sizes[f]] = idx[perm], y[perm]
             for batch_rows, yb, step, mean_w, scale_w, pad, inv_count, active in plan:
                 # every index was checked against X above, so "clip" never clips
-                X.take(batch_rows, axis=0, out=step.x, mode="clip")
+                X1.take(batch_rows, axis=0, out=step.x, mode="clip")
                 step.x_rows -= mean_w
                 step.x_rows /= scale_w
                 _forward(step)

@@ -733,6 +733,40 @@ class TestBikeExperiment:
         doc = run_experiment(every_row)
         assert doc["config"]["dataset"]["n_samples"] == 100
 
+    @pytest.mark.parametrize("n_cpus", [1, 2], ids=["serial", "pooled"])
+    def test_training_writes_into_no_clean_matrix(self, tmp_path, monkeypatch, n_cpus):
+        # A bike run without n_samples uses every row of the loaded file:
+        # each replicate's clean matrix is the loaded one, which train_folds
+        # reads uncopied. It must come back unwritten, and every test fold
+        # must hold rows of the file as it was read.
+        from cauchybench import harness
+        from cauchybench.ingest import SEOUL_BIKE_SCHEMA, load_dataset
+
+        def checked(X, folds, net, losses):
+            before = X.copy()
+            trained = train_folds(X, folds, net, losses)
+            assert X.tobytes() == before.tobytes(), "train_folds wrote into its X"
+            return trained
+
+        monkeypatch.setattr(harness, "train_folds", checked)
+        cpus(monkeypatch, n_cpus)
+        path = write_surrogate_bike_csv(tmp_path / "b.csv", n_rows=90)
+        cfg = ExperimentConfig(
+            dataset=DatasetSpec(name="bike", path=str(path)),
+            noise=NoiseSpec(NoiseFamily.UNIFORM_OUTLIER, proportion=0.1),
+            models=(LossSpec.clf(100.0), LossSpec.mse()),
+            train=TrainConfig(epochs=2, batch_size=16, seed=0),
+            folds=3,
+            replicates=2,
+        )
+        seen = []
+        run_experiment(cfg, observer=seen.append)
+        clean = load_dataset(str(path), SEOUL_BIKE_SCHEMA)
+        for r in range(cfg.replicates):
+            tests = [c.test_data for c in seen if c.replicate == r and c.model == "MSE"]
+            got = np.concatenate([t.X for t in tests])
+            assert np.array_equal(got[np.lexsort(got.T)], clean.X[np.lexsort(clean.X.T)])
+
     def test_subsampled_bike_run(self, tmp_path):
         path = write_surrogate_bike_csv(tmp_path / "b.csv", n_rows=600)
         cfg = ExperimentConfig(

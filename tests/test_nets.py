@@ -638,6 +638,47 @@ class TestTrainFolds:
             for spec, got in zip(MIXED_SPECS, models):
                 assert_same_params(got.params, train(fold, net, spec, tc).params)
 
+    def test_input_dim_1_runs_layer_1_as_one_gemm(self, monkeypatch):
+        # The batch's ones column makes layer 1's inner dimension d+1 = 2,
+        # so a 5-unit layer runs as one (w, 2) @ (2, M·h) GEMM per fold,
+        # forward, and one (M·h, w) @ (w, 2) GEMM per fold for its weight
+        # and bias gradients. Each pair must still have its bits alone,
+        # and the values of the reference trainer.
+        net = NetworkConfig(1, (5,))
+        rng = np.random.default_rng(11)
+        X = rng.normal(size=(90, 1)) * 2.0 + 1.0
+        folds = []
+        for f in range(2):
+            rows = rng.choice(90, size=48, replace=False)
+            folds.append((rows, X[rows, 0] + rng.standard_cauchy(48), self.tc(50 + f)))
+        products, matmul = [], np.matmul
+
+        def recorded(*args, out):
+            products.append(out.shape)
+            return matmul(*args, out=out)
+
+        monkeypatch.setattr(np, "matmul", recorded)
+        trained = train_folds(X, folds, net, MIXED_SPECS)
+        monkeypatch.undo()
+        for (rows, y, tc), models in zip(folds, trained):
+            for spec, got in zip(MIXED_SPECS, models):
+                assert_same_params(got.params, train(Dataset(X[rows], y), net, spec, tc).params)
+                c = None if spec.kind.value == "mse" else spec.c
+                weights, biases = _reference_net.train(
+                    X[rows], y, net.layer_sizes, c, tc.seed, tc.epochs, tc.batch_size, tc.learning_rate
+                )
+                for a, b in zip(got.params.weights + got.params.biases, weights + biases):
+                    np.testing.assert_allclose(a, b, rtol=1e-10, atol=0.0)
+        n_models = len(MIXED_SPECS)
+        assert (2, 16, n_models * 5) in products and (2, n_models * 5, 2) in products
+
+    def test_caller_X_is_never_written(self):
+        # Batches are gathered from a copy of X with a ones column appended.
+        X, folds = shared([(noisy_data(n=40, seed=s), self.tc(70 + s)) for s in range(2)])
+        before = X.copy()
+        train_folds(X, folds, self.NET, MIXED_SPECS)
+        assert X.tobytes() == before.tobytes()
+
     @settings(derandomize=True, database=None, max_examples=25, deadline=None)
     @given(st.data())
     def test_each_pair_equals_training_it_alone(self, data):

@@ -277,7 +277,7 @@ class TestCli:
     def test_gen_output_round_trips_through_ingest(self, dataset, n, seed, noise):
         # What `gen` writes, ingest reads back as make_* plus apply_noise, bit for bit.
         family, params = noise
-        flags = [f"--{k}={v!r}" for k, v in params.items()]  # "=": argparse takes -1e-05 for a flag
+        flags = [arg for k, v in params.items() for arg in (f"--{k}", repr(v))]
         with tempfile.TemporaryDirectory() as tmp:
             out = Path(tmp) / "d.csv"
             args = ["gen", "--dataset", dataset, "--n", str(n), "--seed", str(seed), "--noise", family]
@@ -287,6 +287,33 @@ class TestCli:
         want_y = apply_noise(want.y, NoiseSpec(family, seed=seed, **params))
         assert ds.X.tobytes() == want.X.tobytes()
         assert ds.y.tobytes() == want_y.tobytes()
+
+    def test_negative_exponent_form_is_a_value(self, tmp_path, capsys):
+        out = tmp_path / "d.csv"
+        args = ["gen", "--dataset", "hc2", "--n", "5", "--noise", "cauchy", "--tau", "1"]
+        assert cli_main([*args, "--x0", "-1e-05", "--out", str(out)]) == 0
+        assert out.exists()
+        capsys.readouterr()
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (["gen", "--dataset", "hc2", "--noise", "gaussian", "--sigma", "-1e-3"], "sigma > 0"),
+            (["run", "--preset", "hc2-negative", "--learning-rate", "-1e-3"], "learning_rate must be > 0"),
+            (["influence", "--loss", "clf", "--c", "-1e-3"], "CLF constant"),
+        ],
+    )
+    def test_negative_exponent_form_gets_its_range_error(self, tmp_path, capsys, monkeypatch, args, message):
+        import cauchybench.cli as cli
+
+        def must_not_run(cfg):
+            raise AssertionError("run_experiment was called")
+
+        monkeypatch.setattr(cli, "run_experiment", must_not_run)
+        out = tmp_path / "out"
+        assert cli_main([*args, "--out", str(out)]) == 1
+        assert message in capsys.readouterr().err
+        assert not out.exists()
 
     def test_gen_gaussian_needs_sigma(self, tmp_path, capsys):
         out = tmp_path / "d.csv"
