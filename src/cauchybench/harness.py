@@ -18,10 +18,14 @@ The protocol for one experiment cell:
   * fold MAE/RMSE against the clean test fold are averaged into one
     replicate score per model, and replicate scores feed the rank tests;
     replicates share nothing but the master seed, so they run in forked
-    worker processes, one per usable CPU at most. While one replicate's
-    step is small (``_replicate_groups``), a worker trains a group of
-    replicates in one ``train_folds`` call over their stacked clean
-    feature matrices, with the bits each would get alone.
+    worker processes, one per usable CPU at most. The pool's unit of work
+    is a contiguous run of (replicate, fold) pairs (``_pair_runs``),
+    trained in one ``train_folds`` call over the stacked clean feature
+    matrices of the replicates it touches; the runs are dealt so that no
+    worker idles while another trains a last whole replicate. A run holds
+    at least k pairs, so every fold index and with it the largest fold:
+    the call steps as a whole replicate's would, and every model gets the
+    bits it would get alone.
 
 All randomness flows through seed streams derived from the master seed
 and a (purpose, replicate, fold) key; the ledger refuses to issue the
@@ -143,12 +147,17 @@ class SeedLedger:
         self.master_seed = master_seed
         self.issued: set[tuple[int, ...]] = set()
 
-    def derive(self, purpose: str, *indices: int) -> np.random.SeedSequence:
+    def issue(self, purpose: str, *indices: int) -> None:
+        """Mark a stream as issued without building it; whoever uses it
+        builds it with ``_seed_stream``."""
         key = (_PURPOSES[purpose], *indices)
         if key in self.issued:
             raise RuntimeError(f"seed stream {key} requested twice")
         self.issued.add(key)
-        return np.random.SeedSequence(entropy=self.master_seed, spawn_key=key)
+
+    def derive(self, purpose: str, *indices: int) -> np.random.SeedSequence:
+        self.issue(purpose, *indices)
+        return _seed_stream(self.master_seed, purpose, *indices)
 
     def derive_int(self, purpose: str, *indices: int) -> int:
         a, b = self.derive(purpose, *indices).generate_state(2)
@@ -159,6 +168,12 @@ class SeedLedger:
         if twice := keys & self.issued:
             raise RuntimeError(f"seed stream {min(twice)} requested twice")
         self.issued |= keys
+
+
+def _seed_stream(master_seed: int, purpose: str, *indices: int) -> np.random.SeedSequence:
+    """The seed stream of (purpose, *indices): the same for every ledger of
+    ``master_seed``."""
+    return np.random.SeedSequence(entropy=master_seed, spawn_key=(_PURPOSES[purpose], *indices))
 
 
 def kfold_split(n: int, k: int, seed) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -238,29 +253,42 @@ def run_replicate(
     ledger = ledger if ledger is not None else SeedLedger(cfg.master_seed)
     if base is None:
         base = _load_base(cfg.dataset)
-    return _run_replicates(cfg, [replicate_index], ledger, base, observer)[0]
+    ledger.issue("data", replicate_index)
+    ledger.issue("folds", replicate_index)
+    k = cfg.folds
+    pairs = _run_pairs(cfg, range(replicate_index * k, (replicate_index + 1) * k), ledger, base, observer)
+    return {m.label: [scores[m.label] for scores in pairs] for m in cfg.models}
 
 
-def _run_replicates(
+def _run_pairs(
     cfg: ExperimentConfig,
-    replicates: list[int],
+    pairs: range,
     ledger: SeedLedger,
     base: Dataset | None,
     observer: Callable[[CellInfo], None] | None,
-) -> list[dict[str, list[dict[str, float]]]]:
-    """``run_replicate`` of each of ``replicates``, in order, with all their
-    folds trained in one ``train_folds`` call. Each fold's rows index the
-    replicates' clean feature matrices stacked. Every replicate has the same
-    n and k, so the call's folds have the sizes of each replicate's own
-    folds, and each model has the bits of its replicate trained alone."""
+) -> list[dict[str, dict[str, float]]]:
+    """Each model's scores on each of ``pairs``, a contiguous run of
+    (replicate, fold) pairs numbered replicate x folds + fold, all trained
+    in one ``train_folds`` call.
+
+    Each replicate the run touches is rebuilt from its ``data`` and
+    ``folds`` streams, which the caller has issued; ``ledger`` issues the
+    ``noise`` and ``train`` streams of the run's own pairs. Each fold's rows
+    index the touched replicates' clean feature matrices stacked. Every
+    replicate has the same n and k, so fold f has the same size in each;
+    a run of at least k pairs holds every fold index, so the call's
+    largest fold, and with it its step plan, is a whole replicate's, and
+    each model has the bits of its replicate trained alone."""
+    k = cfg.folds
     cleans, train_rows, prepared, offset = [], [], [], 0
-    for r in replicates:
-        clean = _clean_dataset(cfg.dataset, ledger.derive("data", r), base)
-        folds = kfold_split(len(clean), cfg.folds, ledger.derive("folds", r))
+    for r in range(pairs.start // k, -(-pairs.stop // k)):
+        clean = _clean_dataset(cfg.dataset, _seed_stream(cfg.master_seed, "data", r), base)
+        folds = kfold_split(len(clean), k, _seed_stream(cfg.master_seed, "folds", r))
         # Noise corrupts targets only, and the trainer reads the folds' features
         # from the clean matrices; a fold's training Dataset is built only for
         # an observer.
-        for fold_idx, (train_idx, test_idx) in enumerate(folds):
+        for fold_idx in range(k)[max(pairs.start - r * k, 0) : pairs.stop - r * k]:
+            train_idx, test_idx = folds[fold_idx]
             noise = replace(cfg.noise, seed=ledger.derive_int("noise", r, fold_idx))
             tc = replace(cfg.train, seed=ledger.derive_int("train", r, fold_idx))
             y = apply_noise(clean.y[train_idx], noise)
@@ -276,26 +304,28 @@ def _run_replicates(
     try:
         trained = train_folds(X, train_rows, net, cfg.models)
     except TrainingDiverged as err:
-        j, fold_idx = divmod(err.fold, cfg.folds)
+        r, fold_idx = divmod(pairs[err.fold], k)
         label = cfg.models[err.model].label
         raise TrainingDiverged(
             err.epoch,
-            f"{err.detail}; model={label} fold={fold_idx} replicate={replicates[j]}",
+            f"{err.detail}; model={label} fold={fold_idx} replicate={r}",
             model=err.model,
             fold=fold_idx,
         ) from err
-    scores = [{m.label: [] for m in cfg.models} for _ in replicates]
-    for i, ((train_data, test_clean, tc), models) in enumerate(zip(prepared, trained)):
-        j, fold_idx = divmod(i, cfg.folds)
+    scores = []
+    for pair, (train_data, test_clean, tc), models in zip(pairs, prepared, trained):
+        r, fold_idx = divmod(pair, k)
+        scores.append(pair_scores := {})
         for spec, model in zip(cfg.models, models):
             preds = model.predict(test_clean.X)
-            scores[j][spec.label].append(
-                {"mae": mae_score(test_clean.y, preds), "rmse": rmse_score(test_clean.y, preds)}
-            )
+            pair_scores[spec.label] = {
+                "mae": mae_score(test_clean.y, preds),
+                "rmse": rmse_score(test_clean.y, preds),
+            }
             if observer is not None:
                 observer(
                     CellInfo(
-                        replicate=replicates[j],
+                        replicate=r,
                         fold=fold_idx,
                         model=spec.label,
                         train_data=train_data,
@@ -334,25 +364,53 @@ def compare_models(replicate_scores: dict[str, dict[str, list[float]]], metric: 
 _GROUP_FLOATS = 2**15
 
 
-def _replicate_groups(cfg: ExperimentConfig, cpus: int) -> list[list[int]]:
-    """The replicates in contiguous groups, one ``train_folds`` call and
-    one pool job each: g = min(ceil(R / cpus), max(1, _GROUP_FLOATS // s))
-    replicates per group, where s = folds x batch_size x models x (sum of
-    hidden units) is the float count of one replicate's (F, w, M, h)
-    hidden buffer of a step. A replicate with s > _GROUP_FLOATS / 2 trains
-    alone."""
+def _pair_runs(cfg: ExperimentConfig, cpus: int) -> list[range]:
+    """The R x k (replicate, fold) pairs, numbered replicate x k + fold, in
+    contiguous runs whose lengths differ by at most one: one
+    ``train_folds`` call and one pool job each.
+
+    Replicates group g = min(ceil(R / cpus), max(1, _GROUP_FLOATS // s))
+    to a call, where s = folds x batch_size x models x (sum of hidden
+    units) is the float count of one replicate's (F, w, M, h) hidden
+    buffer of a step; a replicate with s > _GROUP_FLOATS / 2 trains alone.
+    That gives G = ceil(R / g) groups. The run count is the largest
+    multiple of ``cpus`` not above G, so no worker idles in a last round,
+    or G itself when G < cpus. It is at most R, so every run holds at
+    least k pairs."""
     s = cfg.folds * cfg.train.batch_size * len(cfg.models) * sum(_hidden_layers(cfg))
     g = min(-(-cfg.replicates // cpus), max(1, _GROUP_FLOATS // s))
-    return [list(range(r, min(r + g, cfg.replicates))) for r in range(0, cfg.replicates, g)]
+    groups = -(-cfg.replicates // g)
+    jobs = groups - groups % cpus if groups >= cpus else groups
+    size, longer = divmod(cfg.replicates * cfg.folds, jobs)
+    starts = [j * size + min(j, longer) for j in range(jobs + 1)]
+    return [range(a, b) for a, b in zip(starts, starts[1:])]
 
 
-def _replicate_job(cfg: ExperimentConfig, base: Dataset | None, collect: bool, replicates: list[int]):
-    """A group of replicates on a ledger of its own: their scores, the seed
-    streams they issued and, if ``collect``, the cells an observer would
-    have seen."""
+def _pair_job(
+    cfg: ExperimentConfig, base: Dataset | None, collect: bool, pairs: range
+) -> tuple[list[dict[str, dict[str, float]]], set[tuple[int, ...]], list[CellInfo]]:
+    """A run of pairs on a ledger of its own: their scores, the noise and
+    train streams they issued and, if ``collect``, the cells an observer
+    would have seen."""
     ledger, cells = SeedLedger(cfg.master_seed), []
-    scores = _run_replicates(cfg, replicates, ledger, base, cells.append if collect else None)
+    scores = _run_pairs(cfg, pairs, ledger, base, cells.append if collect else None)
     return scores, ledger.issued, cells
+
+
+# A pool worker's job, the ``_pair_job`` of one run_experiment call bound
+# to its config, loaded data and observer flag. The pool's initializer sets
+# it in each forked worker, which inherits it unpickled, so a task carries
+# only its range of pairs. It is never set in the calling process.
+_worker_job: Callable[[range], tuple] | None = None
+
+
+def _set_worker_job(job: Callable[[range], tuple]) -> None:
+    global _worker_job
+    _worker_job = job
+
+
+def _run_worker_job(pairs: range) -> tuple:
+    return _worker_job(pairs)
 
 
 def _usable_cpus() -> int:
@@ -367,39 +425,48 @@ def run_experiment(cfg: ExperimentConfig, observer: Callable[[CellInfo], None] |
     mean and population std, every fold's scores, and the rank-test
     comparisons of two or more models.
 
-    Replicates run in contiguous groups (``_replicate_groups``), one job
-    each, in up to min(groups, usable CPUs) forked worker processes. A
-    group trains all its folds in one ``train_folds`` call, on a seed
-    ledger of its own; it holds more than one replicate only while a
-    replicate's hidden buffers are small (folds x batch_size x models x
-    hidden units up to 2**14 floats). The scores are the same bits as a
-    serial run over ``run_replicate``. ``observer`` runs in this process,
-    on each replicate's cells in (fold, model) order once its group is
-    back.
+    The replicates' (replicate, fold) pairs run as contiguous runs
+    (``_pair_runs``), one job each, in up to min(runs, usable CPUs) forked
+    worker processes, dealt so that each worker gets the same share of
+    pairs to within one. A run trains all its folds in one ``train_folds``
+    call and may start or end inside a replicate. It holds at least k
+    pairs, so it holds every fold index and the call has the step plan of
+    a whole replicate: every model has the bits a serial run over
+    ``run_replicate`` gives it. This process issues each replicate's data
+    and folds streams once, without building them; a run rebuilds the
+    replicates it touches from those streams and issues its own pairs'
+    noise and train streams on a ledger of its own, and the streams are
+    merged here, refusing any issued twice. ``observer`` runs in this
+    process, on the cells in (replicate, fold, model) order, each run's
+    once it is back.
     """
     started = time.time()
     ledger = SeedLedger(cfg.master_seed)
-    job = partial(_replicate_job, cfg, _load_base(cfg.dataset), observer is not None)
+    for r in range(cfg.replicates):
+        ledger.issue("data", r)
+        ledger.issue("folds", r)
+    job = partial(_pair_job, cfg, _load_base(cfg.dataset), observer is not None)
     cpus = _usable_cpus()
-    groups = _replicate_groups(cfg, cpus)
-    workers = min(len(groups), cpus)
+    runs = _pair_runs(cfg, cpus)
+    workers = min(len(runs), cpus)
     pool = nullcontext()
     if workers > 1:
         import multiprocessing  # here, so that importing the package does not pay for it
 
         # fork, not spawn: a spawned worker imports numpy and the package
         # again, which costs more than a small experiment's second core saves
-        pool = multiprocessing.get_context("fork").Pool(workers)
-    per_replicate = []
-    with pool:  # each group, in order: streams to the ledger, cells to the observer
-        outputs = pool.imap(job, groups) if workers > 1 else map(job, groups)
+        pool = multiprocessing.get_context("fork").Pool(workers, _set_worker_job, (job,))
+    pair_scores = []
+    with pool:  # each run, in order: streams to the ledger, cells to the observer
+        outputs = pool.imap(_run_worker_job, runs) if workers > 1 else map(job, runs)
         for scores, issued, cells in outputs:
             ledger.merge(issued)
             for cell in cells:
                 observer(cell)
-            per_replicate += scores
+            pair_scores += scores
+    per_replicate = [pair_scores[r * cfg.folds : (r + 1) * cfg.folds] for r in range(cfg.replicates)]
     labels = cfg.model_labels
-    cells = {m: [rep[m] for rep in per_replicate] for m in labels}
+    cells = {m: [[pair[m] for pair in rep] for rep in per_replicate] for m in labels}
     scores = {
         m: {k: [float(np.mean([c[k] for c in rep])) for rep in cells[m]] for k in ("mae", "rmse")}
         for m in labels

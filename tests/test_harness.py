@@ -1,5 +1,9 @@
 import importlib.util
+import os
+import pickle
 import re
+import subprocess
+import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -15,7 +19,7 @@ from cauchybench.harness import (
     DatasetSpec,
     ExperimentConfig,
     SeedLedger,
-    _replicate_groups,
+    _pair_runs,
     compare_models,
     config_from_dict,
     config_to_dict,
@@ -377,6 +381,50 @@ class TestReplicatePool:
         assert str(exc.value).count("model=") == 1
         assert str(exc.value).count("training diverged at epoch") == 1
 
+    def test_a_pool_task_carries_only_its_pairs(self, tmp_path, monkeypatch):
+        # The forked workers inherit the config and the loaded bike data, so
+        # a task is the job function's name and a range of pairs.
+        import multiprocessing.pool
+
+        class Sent(Exception):
+            pass
+
+        sizes = []
+
+        def imap(pool, func, iterable, chunksize=1):
+            sizes.extend(len(pickle.dumps((func, (task,), {}))) for task in iterable)
+            raise Sent
+
+        cfg = benchmark_workload("bike-outliers")
+        path = write_surrogate_bike_csv(tmp_path / "bike.csv", n_rows=975)
+        cfg = replace(cfg, dataset=replace(cfg.dataset, path=str(path)))
+        monkeypatch.setattr(multiprocessing.pool.Pool, "imap", imap)
+        cpus(monkeypatch, 2)
+        with pytest.raises(Sent):
+            run_experiment(cfg)
+        assert len(sizes) == 2 and max(sizes) < 1024, sizes
+
+    def test_the_pooled_parent_loads_no_numpy_random(self):
+        # The parent only marks each replicate's data and folds streams as
+        # issued; the workers build every seed stream.
+        code = (
+            "import os, sys\n"
+            "os.sched_getaffinity = lambda pid: {0, 1}\n"
+            "from cauchybench.harness import config_from_dict, run_experiment\n"
+            "cfg = config_from_dict({'dataset': {'name': 'hc2', 'n_samples': 60},\n"
+            "    'noise': {'family': 'gaussian', 'sigma': 5.0},\n"
+            "    'models': [{'kind': 'mse'}, {'kind': 'clf', 'c': 1.0}],\n"
+            "    'train': {'epochs': 2, 'batch_size': 16}, 'folds': 3, 'replicates': 3})\n"
+            "run_experiment(cfg, observer=lambda cell: None)\n"
+            "print('multiprocessing.pool' in sys.modules, 'numpy.random' in sys.modules)\n"
+        )
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        out = subprocess.run(
+            [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True
+        )
+        assert out.returncode == 0, out.stderr[-2000:]
+        assert out.stdout.split() == ["True", "False"]
+
 
 def benchmark_workload(name):
     """The benchmark's config of workload ``name``, as an ExperimentConfig."""
@@ -390,30 +438,47 @@ def benchmark_workload(name):
     return config_from_dict(doc)
 
 
+def run_lengths(cfg, cpus):
+    """The lengths of ``_pair_runs(cfg, cpus)``, checked to tile the
+    (replicate, fold) pairs in order."""
+    runs = _pair_runs(cfg, cpus)
+    assert [p for run in runs for p in run] == list(range(cfg.replicates * cfg.folds))
+    return [len(run) for run in runs]
+
+
 class TestReplicateGroups:
-    """Replicates share one ``train_folds`` call while their hidden buffers
+    """The pool deals contiguous runs of (replicate, fold) pairs, one
+    ``train_folds`` call each. Replicates group while their hidden buffers
     (folds x batch_size x models x hidden units floats each) together stay
-    within 2**15 floats, at most ceil(replicates / CPUs) to a call."""
+    within 2**15 floats, at most ceil(replicates / CPUs) to a group; the
+    run count is the largest multiple of the CPUs not above the group
+    count (the group count when it is below the CPUs), and the runs'
+    lengths differ by at most one."""
 
     def test_small_steps_group_and_large_ones_do_not(self):
-        hc2 = benchmark_workload("hc2-cauchy")
-        assert _replicate_groups(hc2, 2) == [[0, 1, 2], [3, 4]]
-        assert _replicate_groups(hc2, 1) == [[0, 1, 2, 3, 4]]
-        for name in ("bike-outliers", "hc8-gaussian-pair"):
-            cfg = benchmark_workload(name)
-            assert _replicate_groups(cfg, 2) == [[r] for r in range(cfg.replicates)]
+        hc2 = benchmark_workload("hc2-cauchy")  # groups [0, 1, 2], [3, 4] at 2 CPUs
+        assert run_lengths(hc2, 2) == [8, 7]
+        assert run_lengths(hc2, 1) == [15]
+        bike = benchmark_workload("bike-outliers")  # three one-replicate groups
+        assert run_lengths(bike, 2) == [5, 4]
+        assert run_lengths(bike, 1) == [3, 3, 3]
+        assert run_lengths(bike, 4) == [3, 3, 3]  # fewer groups than CPUs: one run each
+        hc8 = benchmark_workload("hc8-gaussian-pair")
+        assert run_lengths(hc8, 2) == run_lengths(hc8, 1) == [5] * 12
         for name in list_presets():
             cfg = preset_config(name, {"path": "bike.csv"} if name.startswith("bike") else {})
-            assert _replicate_groups(cfg, 1) == [[r] for r in range(5)], name
+            assert run_lengths(cfg, 1) == [10] * 5, name
+            assert run_lengths(cfg, 2) == [13, 13, 12, 12], name
 
     @pytest.mark.parametrize(
         "hidden, calls",
-        [((10,), [12]), ((128,), [8, 4]), ((129,), [4, 4, 4])],
+        [((10,), [12]), ((128,), [6, 6]), ((129,), [4, 4, 4])],
         ids=["tiny", "at-the-bound", "over-the-bound"],
     )
     def test_one_cpu_trains_each_group_in_one_call(self, monkeypatch, hidden, calls):
         # 4 folds x batch 16 x 2 models x 128 units is 2**14 floats: two
-        # replicates fill 2**15; one more unit leaves each replicate alone.
+        # replicates fill 2**15, so two groups, dealt as two runs of 6 pairs;
+        # one more unit leaves each replicate alone.
         # 62 rows make training folds of 46 and 47 rows, so a padded step.
         from cauchybench import harness
 
@@ -434,19 +499,68 @@ class TestReplicateGroups:
             alone = run_replicate(cfg, r, ledger=ledger)
             assert {m: doc["cell_scores"][m][r] for m in cfg.model_labels} == alone
 
-    def test_divergence_in_a_group_names_its_replicate_and_fold(self, monkeypatch):
+    @pytest.mark.parametrize("n_cpus, runs", [(2, [6, 6]), (3, [4, 4, 4])])
+    def test_pooled_runs_equal_a_serial_loop(self, monkeypatch, n_cpus, runs):
+        # At 2 CPUs replicate 1 is split between the two runs. 62 rows in 4
+        # folds give training folds of 46 and 47 rows, so folds that differ
+        # in size: every call needs every fold index to step as a replicate.
         from cauchybench import harness
 
-        def diverge(X, folds, net, losses):
-            assert len(folds) == 6  # two replicates of 3 folds
-            raise TrainingDiverged(2, "non-finite loss", fold=4, model=1)
+        cfg = replace(tiny_config(folds=4, replicates=3), dataset=DatasetSpec("hc2", 62))
+        assert run_lengths(cfg, n_cpus) == runs
 
-        cpus(monkeypatch, 1)
+        def spy(X, folds, net, losses):
+            assert len(folds) >= cfg.folds, f"a call of {len(folds)} folds"
+            return train_folds(X, folds, net, losses)
+
+        monkeypatch.setattr(harness, "train_folds", spy)
+        cpus(monkeypatch, n_cpus)
+        seen = []
+        doc = run_experiment(cfg, observer=seen.append)
+        ledger, want = SeedLedger(cfg.master_seed), []
+        for r in range(cfg.replicates):
+            alone = run_replicate(cfg, r, ledger=ledger, observer=want.append)
+            assert {m: doc["cell_scores"][m][r] for m in cfg.model_labels} == alone
+        assert doc["meta"]["seed_streams_issued"] == len(ledger.issued) == 3 * (2 + 2 * 4)
+        assert cell_keys(seen) == cell_keys(want) == [
+            (r, f, m) for r in range(3) for f in range(4) for m in cfg.model_labels
+        ]
+        for got, ref in zip(seen, want):
+            assert got.train_data.X.tobytes() == ref.train_data.X.tobytes()
+            assert got.train_data.y.tobytes() == ref.train_data.y.tobytes()
+            assert got.test_data.y.tobytes() == ref.test_data.y.tobytes()
+            assert got.train_config == ref.train_config
+
+    @pytest.mark.parametrize(
+        "n_cpus, replicates, runs, fold, named",
+        [(1, 2, [6], 4, (1, 1)), (2, 3, [5, 4], 0, (2, 1))],
+        ids=["grouped", "mid-replicate"],
+    )
+    def test_divergence_in_a_group_names_its_replicate_and_fold(
+        self, monkeypatch, n_cpus, replicates, runs, fold, named
+    ):
+        # The last run's call diverges at ``fold`` of its folds: in the
+        # mid-replicate case that run is the pairs (1, 2), (2, 0), (2, 1), (2, 2).
+        from cauchybench import harness
+
+        cfg = tiny_config(replicates=replicates)
+        assert run_lengths(cfg, n_cpus) == runs
+
+        def diverge(X, folds, net, losses):
+            if len(folds) != runs[-1]:
+                return train_folds(X, folds, net, losses)
+            raise TrainingDiverged(2, "non-finite loss", fold=fold, model=1)
+
+        cpus(monkeypatch, n_cpus)
         monkeypatch.setattr(harness, "train_folds", diverge)
         with pytest.raises(TrainingDiverged) as exc:
-            run_experiment(tiny_config(replicates=2))
-        assert str(exc.value).endswith("(non-finite loss; model=CLF_1 fold=1 replicate=1)")
-        assert (exc.value.epoch, exc.value.fold, exc.value.model) == (2, 1, 1)
+            run_experiment(cfg)
+        want_fold, want_replicate = named
+        assert str(exc.value).endswith(
+            f"(non-finite loss; model=CLF_1 fold={want_fold} replicate={want_replicate})"
+        )
+        assert str(exc.value).count("replicate=") == 1
+        assert (exc.value.epoch, exc.value.fold, exc.value.model) == (2, want_fold, 1)
 
 
 class TestCompareModels:
