@@ -27,7 +27,7 @@ from .report import format_table, influence_csv, load_results, save_results
 __all__ = ["cli_main", "main"]
 
 
-class UsageError(Exception):
+class _UsageError(Exception):
     pass
 
 
@@ -42,7 +42,7 @@ class _Parser(argparse.ArgumentParser):
     # argparse exits on error; surface a catchable exception instead so
     # cli_main controls the exit code.
     def error(self, message):
-        raise UsageError(message)
+        raise _UsageError(message)
 
 
 def _out_path(args, default_name: str) -> str:
@@ -115,7 +115,7 @@ _OVERRIDES = {
 
 def _cmd_run(args) -> int:
     if args.config and not os.path.exists(args.config):
-        raise UsageError(f"no such config file: {args.config}")
+        raise _UsageError(f"no such config file: {args.config}")
     try:
         if args.config:
             with open(args.config) as fh:
@@ -131,13 +131,13 @@ def _cmd_run(args) -> int:
                 target[keys[-1]] = value
         cfg = config_from_dict(doc)
     except (AttributeError, KeyError, TypeError, ValueError) as err:
-        raise UsageError(f"invalid config {args.config or args.preset}: {err}") from err
+        raise _UsageError(f"invalid config {args.config or args.preset}: {err}") from err
     out = _out_path(args, "results.json")
     directory = os.path.dirname(out) or "."
     if not os.path.isdir(directory):
-        raise UsageError(f"cannot write {out}: no such directory {directory}")
+        raise _UsageError(f"cannot write {out}: no such directory {directory}")
     if os.path.isdir(out):
-        raise UsageError(f"cannot write {out}: it is a directory")
+        raise _UsageError(f"cannot write {out}: it is a directory")
     doc = run_experiment(cfg)
     save_results(doc, out)
     mae = doc["comparisons"].get("mae")
@@ -148,11 +148,11 @@ def _cmd_run(args) -> int:
 
 def _load_results_arg(path) -> dict:
     if not os.path.exists(path):
-        raise UsageError(f"no such results file: {path}")
+        raise _UsageError(f"no such results file: {path}")
     try:
         return load_results(path)
     except ValueError as err:  # malformed JSON, or JSON that is no results document
-        raise UsageError(f"malformed results file {path}: {err}") from err
+        raise _UsageError(f"malformed results file {path}: {err}") from err
 
 
 def _cmd_table(args) -> int:
@@ -165,7 +165,7 @@ def _cmd_compare(args) -> int:
     doc = _load_results_arg(args.results)
     comp = doc.get("comparisons", {}).get(args.metric)
     if comp is None:
-        raise UsageError(f"results file has no {args.metric} comparison (single model?)")
+        raise _UsageError(f"results file has no {args.metric} comparison (single model?)")
     kw = comp["kruskal_wallis"]
     print(f"Kruskal-Wallis ({args.metric}): H={kw['statistic']:.4f} p={kw['p_value']:.5f} [{kw['method']}]")
     print("Pairwise Wilcoxon rank-sum:")
@@ -179,7 +179,7 @@ def _cmd_compare(args) -> int:
 
 def _cmd_influence(args) -> int:
     if args.loss == "mse" and args.c:
-        raise UsageError("--c does not apply to --loss mse")
+        raise _UsageError("--c does not apply to --loss mse")
     try:
         specs = [LossSpec.mse()] if args.loss != "clf" else []
         if args.loss != "mse":
@@ -190,7 +190,7 @@ def _cmd_influence(args) -> int:
             raise ValueError(f"--c gives the column {repeated[0]} twice")
         text = influence_csv(specs, args.rmax, args.steps)
     except ValueError as err:
-        raise UsageError(str(err)) from err
+        raise _UsageError(str(err)) from err
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(text)
@@ -208,7 +208,7 @@ def _cmd_gen(args) -> int:
         ds = maker(args.n, args.seed)
         ds.y = apply_noise(ds.y, noise)
     except ValueError as err:
-        raise UsageError(str(err)) from err
+        raise _UsageError(str(err)) from err
     out = args.out or f"{args.dataset}.csv"
     export_csv(ds, out)
     print(f"wrote {out} ({len(ds)} rows, {ds.n_features} features)")
@@ -229,7 +229,7 @@ def cli_main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return _COMMANDS[args.command](args)
-    except (UsageError, FileNotFoundError) as err:
+    except (_UsageError, FileNotFoundError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
     except (ValueError, RuntimeError, OSError) as err:

@@ -18,14 +18,12 @@ The protocol for one experiment cell:
   * fold MAE/RMSE against the clean test fold are averaged into one
     replicate score per model, and replicate scores feed the rank tests;
     replicates share nothing but the master seed, so they run in forked
-    worker processes, one per usable CPU at most. The pool's unit of work
-    is a contiguous run of (replicate, fold) pairs (``_pair_runs``),
-    trained in one ``train_folds`` call over the stacked clean feature
-    matrices of the replicates it touches; the runs are dealt so that no
-    worker idles while another trains a last whole replicate. A run holds
-    at least k pairs, so every fold index and with it the largest fold:
-    the call steps as a whole replicate's would, and every model gets the
-    bits it would get alone.
+    worker processes, one per usable CPU at most. The unit of work is a
+    contiguous run of (replicate, fold) pairs (``_run_pairs``), trained in
+    one ``train_folds`` call over the stacked clean feature matrices of
+    the replicates it touches; ``_pair_runs`` deals the runs so that no
+    worker idles while another trains a last whole replicate, and says
+    why every model still gets the bits it would get alone.
 
 All randomness flows through seed streams derived from the master seed
 and a (purpose, replicate, fold) key; the ledger refuses to issue the
@@ -44,7 +42,7 @@ from typing import Callable
 
 import numpy as np
 
-from .datagen import Dataset, NoiseSpec, apply_noise, make_hc2, make_hc8, noise_spec
+from .datagen import HC2_RANGES, HC8_RANGES, Dataset, NoiseSpec, apply_noise, make_hc2, make_hc8, noise_spec
 from .ingest import SEOUL_BIKE_SCHEMA, load_dataset, schema_from_json
 from .losses import LossKind, LossSpec, _check_numbers, mae_score, rmse_score
 from .nets import NetworkConfig, TrainConfig, TrainingDiverged, train_folds
@@ -60,6 +58,8 @@ __all__ = [
     "run_replicate",
     "run_experiment",
     "compare_models",
+    "config_to_dict",
+    "config_from_dict",
     "preset_document",
     "list_presets",
     "HC_CLF_GRID",
@@ -70,6 +70,7 @@ HC_CLF_GRID = (0.1, 1.0, 10.0, 20.0, 100.0)
 BIKE_CLF_GRID = (1.0, 10.0, 100.0, 200.0, 1000.0, 10000.0)
 
 _SYNTH_BUILDERS = {"hc2": make_hc2, "hc8": make_hc8}
+_SYNTH_FEATURES = {"hc2": len(HC2_RANGES), "hc8": len(HC8_RANGES)}
 
 
 @dataclass(frozen=True)
@@ -131,6 +132,14 @@ class ExperimentConfig:
         for name, spec in (("train", self.train), ("noise", self.noise)):
             if spec.seed != 0:
                 raise ValueError(f"{name}.seed must be 0: every seed derives from master_seed")
+        # a bike CSV's rows and features are checked once it is loaded (_load_base)
+        n = self.dataset.n_samples
+        if n is not None and self.folds > n:
+            raise ValueError(f"need folds <= dataset.n_samples, got folds={self.folds}, n_samples={n}")
+        width = _SYNTH_FEATURES.get(self.dataset.name)
+        if self.net is not None and width is not None and self.net.input_dim != width:
+            name, dim = self.dataset.name, self.net.input_dim
+            raise ValueError(f"configured net expects {dim} features, {name} has {width}")
 
     @property
     def model_labels(self) -> list[str]:
@@ -155,12 +164,9 @@ class SeedLedger:
             raise RuntimeError(f"seed stream {key} requested twice")
         self.issued.add(key)
 
-    def derive(self, purpose: str, *indices: int) -> np.random.SeedSequence:
-        self.issue(purpose, *indices)
-        return _seed_stream(self.master_seed, purpose, *indices)
-
     def derive_int(self, purpose: str, *indices: int) -> int:
-        a, b = self.derive(purpose, *indices).generate_state(2)
+        self.issue(purpose, *indices)
+        a, b = _seed_stream(self.master_seed, purpose, *indices).generate_state(2)
         return (int(a) << 32) | int(b)
 
     def merge(self, keys: set[tuple[int, ...]]) -> None:
@@ -194,18 +200,26 @@ def kfold_split(n: int, k: int, seed) -> list[tuple[np.ndarray, np.ndarray]]:
     return out
 
 
-def _load_base(spec: DatasetSpec) -> Dataset | None:
+def _load_base(cfg: ExperimentConfig) -> Dataset | None:
+    """The bike CSV, checked against the config before any run is dealt;
+    None for synthetic data."""
+    spec = cfg.dataset
     if spec.name != "bike":
         return None
     schema = schema_from_json(spec.schema_path) if spec.schema_path else SEOUL_BIKE_SCHEMA
-    return load_dataset(spec.path, schema)
+    base = load_dataset(spec.path, schema)
+    if spec.n_samples is not None and spec.n_samples > len(base):
+        raise ValueError(f"n_samples={spec.n_samples} exceeds the {len(base)} rows of {spec.path}")
+    if cfg.folds > len(base):  # a set n_samples was checked against folds with the config
+        raise ValueError(f"need 1 <= k <= n, got k={cfg.folds}, n={len(base)}")
+    if cfg.net is not None and cfg.net.input_dim != base.n_features:
+        raise ValueError(f"configured net expects {cfg.net.input_dim} features, data has {base.n_features}")
+    return base
 
 
 def _clean_dataset(spec: DatasetSpec, seed, base: Dataset | None) -> Dataset:
     if spec.name in _SYNTH_BUILDERS:
         return _SYNTH_BUILDERS[spec.name](spec.n_samples, seed)
-    if spec.n_samples is not None and spec.n_samples > len(base):
-        raise ValueError(f"n_samples={spec.n_samples} exceeds the {len(base)} rows of {spec.path}")
     if spec.n_samples is not None and spec.n_samples < len(base):
         idx = np.random.default_rng(seed).choice(len(base), size=spec.n_samples, replace=False)
         return base.take(np.sort(idx))
@@ -218,12 +232,6 @@ def _hidden_layers(cfg: ExperimentConfig) -> tuple[int, ...]:
     if cfg.net is not None:
         return cfg.net.hidden_layers
     return (14, 14) if cfg.dataset.name == "bike" else (10,)
-
-
-def _resolve_net(cfg: ExperimentConfig, data: Dataset) -> NetworkConfig:
-    if cfg.net is not None and cfg.net.input_dim != data.n_features:
-        raise ValueError(f"configured net expects {cfg.net.input_dim} features, data has {data.n_features}")
-    return NetworkConfig(input_dim=data.n_features, hidden_layers=_hidden_layers(cfg))
 
 
 @dataclass
@@ -245,41 +253,35 @@ def run_replicate(
     replicate_index: int,
     *,
     ledger: SeedLedger | None = None,
-    base: Dataset | None = None,
     observer: Callable[[CellInfo], None] | None = None,
 ) -> dict[str, list[dict[str, float]]]:
     """One full cross-validation pass; returns each model's fold scores,
-    [{"mae": ..., "rmse": ...}] in fold order, as in ``cell_scores``."""
+    [{"mae": ..., "rmse": ...}] in fold order, as in ``cell_scores``. Its
+    k pairs are one run, taken back as ``run_experiment`` takes its runs."""
     ledger = ledger if ledger is not None else SeedLedger(cfg.master_seed)
-    if base is None:
-        base = _load_base(cfg.dataset)
     ledger.issue("data", replicate_index)
     ledger.issue("folds", replicate_index)
     k = cfg.folds
-    pairs = _run_pairs(cfg, range(replicate_index * k, (replicate_index + 1) * k), ledger, base, observer)
-    return {m.label: [scores[m.label] for scores in pairs] for m in cfg.models}
+    pairs = range(replicate_index * k, (replicate_index + 1) * k)
+    run = _run_pairs(cfg, _load_base(cfg), observer is not None, pairs)
+    scores = _take_runs([run], ledger, observer)
+    return {m.label: [pair[m.label] for pair in scores] for m in cfg.models}
 
 
 def _run_pairs(
-    cfg: ExperimentConfig,
-    pairs: range,
-    ledger: SeedLedger,
-    base: Dataset | None,
-    observer: Callable[[CellInfo], None] | None,
-) -> list[dict[str, dict[str, float]]]:
-    """Each model's scores on each of ``pairs``, a contiguous run of
-    (replicate, fold) pairs numbered replicate x folds + fold, all trained
-    in one ``train_folds`` call.
+    cfg: ExperimentConfig, base: Dataset | None, collect: bool, pairs: range
+) -> tuple[list[dict[str, dict[str, float]]], set[tuple[int, ...]], list[CellInfo]]:
+    """A run of (replicate, fold) pairs, numbered replicate x folds + fold,
+    all trained in one ``train_folds`` call (``_pair_runs`` says why that
+    gives each model its bits alone): each pair's scores by model, the
+    noise and train streams the run issued on a ledger of its own and, if
+    ``collect``, the cells an observer is shown.
 
     Each replicate the run touches is rebuilt from its ``data`` and
-    ``folds`` streams, which the caller has issued; ``ledger`` issues the
-    ``noise`` and ``train`` streams of the run's own pairs. Each fold's rows
-    index the touched replicates' clean feature matrices stacked. Every
-    replicate has the same n and k, so fold f has the same size in each;
-    a run of at least k pairs holds every fold index, so the call's
-    largest fold, and with it its step plan, is a whole replicate's, and
-    each model has the bits of its replicate trained alone."""
+    ``folds`` streams, which the caller has issued. Each fold's rows index
+    the touched replicates' clean feature matrices stacked."""
     k = cfg.folds
+    ledger, cells = SeedLedger(cfg.master_seed), []
     cleans, train_rows, prepared, offset = [], [], [], 0
     for r in range(pairs.start // k, -(-pairs.stop // k)):
         clean = _clean_dataset(cfg.dataset, _seed_stream(cfg.master_seed, "data", r), base)
@@ -292,13 +294,13 @@ def _run_pairs(
             noise = replace(cfg.noise, seed=ledger.derive_int("noise", r, fold_idx))
             tc = replace(cfg.train, seed=ledger.derive_int("train", r, fold_idx))
             y = apply_noise(clean.y[train_idx], noise)
-            train_data = Dataset(clean.X[train_idx], y, dict(clean.meta)) if observer is not None else None
+            train_data = Dataset(clean.X[train_idx], y, dict(clean.meta)) if collect else None
             prepared.append((train_data, clean.take(test_idx), tc))
             train_idx += offset  # now rows of the stacked matrix, in place: no copy
             train_rows.append((train_idx, y, tc))
         cleans.append(clean)
         offset += len(clean)
-    net = _resolve_net(cfg, cleans[0])
+    net = NetworkConfig(cleans[0].n_features, _hidden_layers(cfg))
     # one replicate reads its clean matrix uncopied
     X = cleans[0].X if len(cleans) == 1 else np.concatenate([c.X for c in cleans])
     try:
@@ -322,18 +324,21 @@ def _run_pairs(
                 "mae": mae_score(test_clean.y, preds),
                 "rmse": rmse_score(test_clean.y, preds),
             }
-            if observer is not None:
-                observer(
-                    CellInfo(
-                        replicate=r,
-                        fold=fold_idx,
-                        model=spec.label,
-                        train_data=train_data,
-                        test_data=test_clean,
-                        train_config=tc,
-                    )
-                )
-    return scores
+            if collect:
+                cells.append(CellInfo(r, fold_idx, spec.label, train_data, test_clean, tc))
+    return scores, ledger.issued, cells
+
+
+def _take_runs(runs, ledger: SeedLedger, observer) -> list[dict[str, dict[str, float]]]:
+    """The scores of ``_run_pairs`` outputs, in order; each run's streams
+    go to ``ledger``, then its cells to ``observer``, run by run."""
+    pair_scores = []
+    for scores, issued, cells in runs:
+        ledger.merge(issued)
+        for cell in cells:
+            observer(cell)
+        pair_scores += scores
+    return pair_scores
 
 
 def compare_models(replicate_scores: dict[str, dict[str, list[float]]], metric: str) -> dict:
@@ -375,8 +380,13 @@ def _pair_runs(cfg: ExperimentConfig, cpus: int) -> list[range]:
     buffer of a step; a replicate with s > _GROUP_FLOATS / 2 trains alone.
     That gives G = ceil(R / g) groups. The run count is the largest
     multiple of ``cpus`` not above G, so no worker idles in a last round,
-    or G itself when G < cpus. It is at most R, so every run holds at
-    least k pairs."""
+    or G itself when G < cpus.
+
+    The run count is at most R, so a run holds at least k pairs and with
+    them every fold index. Every replicate has the same row and fold
+    counts, so the call's largest fold, which fixes its step plan, is a
+    whole replicate's: each model gets the bits it gets when its
+    replicate trains alone, even when the run starts or ends inside it."""
     s = cfg.folds * cfg.train.batch_size * len(cfg.models) * sum(_hidden_layers(cfg))
     g = min(-(-cfg.replicates // cpus), max(1, _GROUP_FLOATS // s))
     groups = -(-cfg.replicates // g)
@@ -386,18 +396,7 @@ def _pair_runs(cfg: ExperimentConfig, cpus: int) -> list[range]:
     return [range(a, b) for a, b in zip(starts, starts[1:])]
 
 
-def _pair_job(
-    cfg: ExperimentConfig, base: Dataset | None, collect: bool, pairs: range
-) -> tuple[list[dict[str, dict[str, float]]], set[tuple[int, ...]], list[CellInfo]]:
-    """A run of pairs on a ledger of its own: their scores, the noise and
-    train streams they issued and, if ``collect``, the cells an observer
-    would have seen."""
-    ledger, cells = SeedLedger(cfg.master_seed), []
-    scores = _run_pairs(cfg, pairs, ledger, base, cells.append if collect else None)
-    return scores, ledger.issued, cells
-
-
-# A pool worker's job, the ``_pair_job`` of one run_experiment call bound
+# A pool worker's job, the ``_run_pairs`` of one run_experiment call bound
 # to its config, loaded data and observer flag. The pool's initializer sets
 # it in each forked worker, which inherits it unpickled, so a task carries
 # only its range of pairs. It is never set in the calling process.
@@ -426,26 +425,21 @@ def run_experiment(cfg: ExperimentConfig, observer: Callable[[CellInfo], None] |
     comparisons of two or more models.
 
     The replicates' (replicate, fold) pairs run as contiguous runs
-    (``_pair_runs``), one job each, in up to min(runs, usable CPUs) forked
-    worker processes, dealt so that each worker gets the same share of
-    pairs to within one. A run trains all its folds in one ``train_folds``
-    call and may start or end inside a replicate. It holds at least k
-    pairs, so it holds every fold index and the call has the step plan of
-    a whole replicate: every model has the bits a serial run over
-    ``run_replicate`` gives it. This process issues each replicate's data
-    and folds streams once, without building them; a run rebuilds the
-    replicates it touches from those streams and issues its own pairs'
-    noise and train streams on a ledger of its own, and the streams are
-    merged here, refusing any issued twice. ``observer`` runs in this
-    process, on the cells in (replicate, fold, model) order, each run's
-    once it is back.
+    (``_pair_runs``, which says why every model has the bits a serial run
+    over ``run_replicate`` gives it), one ``_run_pairs`` job each, in up
+    to min(runs, usable CPUs) forked worker processes. This process issues
+    each replicate's data and folds streams once, without building them;
+    each run's own streams are merged here and its cells replayed to
+    ``observer`` (``_take_runs``), so the observer runs in this process,
+    on the cells in (replicate, fold, model) order, each run's once it is
+    back.
     """
     started = time.time()
     ledger = SeedLedger(cfg.master_seed)
     for r in range(cfg.replicates):
         ledger.issue("data", r)
         ledger.issue("folds", r)
-    job = partial(_pair_job, cfg, _load_base(cfg.dataset), observer is not None)
+    job = partial(_run_pairs, cfg, _load_base(cfg), observer is not None)
     cpus = _usable_cpus()
     runs = _pair_runs(cfg, cpus)
     workers = min(len(runs), cpus)
@@ -456,14 +450,9 @@ def run_experiment(cfg: ExperimentConfig, observer: Callable[[CellInfo], None] |
         # fork, not spawn: a spawned worker imports numpy and the package
         # again, which costs more than a small experiment's second core saves
         pool = multiprocessing.get_context("fork").Pool(workers, _set_worker_job, (job,))
-    pair_scores = []
-    with pool:  # each run, in order: streams to the ledger, cells to the observer
+    with pool:
         outputs = pool.imap(_run_worker_job, runs) if workers > 1 else map(job, runs)
-        for scores, issued, cells in outputs:
-            ledger.merge(issued)
-            for cell in cells:
-                observer(cell)
-            pair_scores += scores
+        pair_scores = _take_runs(outputs, ledger, observer)
     per_replicate = [pair_scores[r * cfg.folds : (r + 1) * cfg.folds] for r in range(cfg.replicates)]
     labels = cfg.model_labels
     cells = {m: [[pair[m] for pair in rep] for rep in per_replicate] for m in labels}

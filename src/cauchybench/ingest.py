@@ -6,7 +6,8 @@ one target column can be loaded. Headers match schema names
 order-insensitively, with parenthesized unit suffixes stripped
 ("Temperature(\N{DEGREE SIGN}C)" matches "Temperature"); the published
 bike file carries a degree sign in a single-byte encoding, so decoding
-falls back from UTF-8 to cp1252.
+falls back from UTF-8 to cp1252. A leading UTF-8 byte-order mark, which
+Excel's "CSV UTF-8" format writes, is dropped.
 
 Categorical features are one-hot encoded with lexicographically ordered
 category columns, making the feature layout a pure function of the
@@ -99,7 +100,7 @@ def _normalize(name: str) -> str:
 def _read_text(path: Path) -> str:
     raw = path.read_bytes()
     try:
-        return raw.decode("utf-8")
+        return raw.decode("utf-8-sig")
     except UnicodeDecodeError:
         return raw.decode("cp1252")
 

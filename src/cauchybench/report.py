@@ -20,6 +20,8 @@ RESULTS_SCHEMA = "cauchybench-results-v1"
 MAX_GRID_POINTS = 10**6  # influence_csv writes one CSV line per point
 
 __all__ = [
+    "RESULTS_SCHEMA",
+    "MAX_GRID_POINTS",
     "save_results",
     "load_results",
     "format_table",

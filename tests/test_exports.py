@@ -1,10 +1,12 @@
-"""The public surface: every name a module exports exists, and the
-package namespace holds no public name but its modules, so each name has
-one import path; importing the CLI, which loads every module a run does,
-loads no scipy and no process pool; the benchmark's traced run finds
-every function it wraps or replays; only the entry point sets the
+"""The public surface: every name a module exports exists, every public
+top-level name is exported, and the package namespace holds no public
+name but its modules, so each name has one import path; importing the
+CLI, which loads every module a run does, loads no scipy and no process
+pool, and scipy is a test dependency only; the benchmark's traced run
+finds every function it wraps or replays; only the entry point sets the
 OpenBLAS thread default."""
 
+import ast
 import importlib
 import os
 import pkgutil
@@ -30,6 +32,22 @@ def test_every_all_name_resolves():
         assert not missing, (mod.__name__, missing)
 
 
+def test_every_public_top_level_name_is_exported():
+    # A name without a leading underscore is either in __all__ or renamed
+    # private, so the documented surface is the whole public one.
+    for mod in MODULES:
+        names = []
+        for node in ast.parse(Path(mod.__file__).read_text()).body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names.append(node.name)
+            elif isinstance(node, ast.Assign):
+                names += [target.id for target in node.targets if isinstance(target, ast.Name)]
+            elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+                names.append(node.target.id)
+        missing = [name for name in names if not name.startswith("_") and name not in mod.__all__]
+        assert not missing, (mod.__name__, missing)
+
+
 def test_package_namespace_holds_only_modules():
     public = {
         name
@@ -48,6 +66,14 @@ def test_import_loads_no_scipy():
     env = {**os.environ, "PYTHONPATH": src}
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+def test_scipy_is_a_test_dependency_only():
+    tomllib = pytest.importorskip("tomllib")
+    root = Path(__file__).resolve().parents[1]
+    project = tomllib.loads((root / "pyproject.toml").read_text())["project"]
+    assert not [dep for dep in project["dependencies"] if dep.startswith("scipy")]
+    assert [dep for dep in project["optional-dependencies"]["test"] if dep.startswith("scipy")]
 
 
 def test_import_loads_no_process_pool():

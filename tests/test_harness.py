@@ -106,17 +106,17 @@ class TestSeedLedger:
 
     def test_duplicate_issue_refused(self):
         ledger = SeedLedger(7)
-        ledger.derive("data", 1)
+        ledger.issue("data", 1)
         with pytest.raises(RuntimeError):
-            ledger.derive("data", 1)
+            ledger.issue("data", 1)
 
     def test_deterministic_across_instances(self):
         assert SeedLedger(3).derive_int("folds", 2) == SeedLedger(3).derive_int("folds", 2)
 
     def test_merge_refuses_a_stream_issued_twice(self):
         ledger, other = SeedLedger(7), SeedLedger(7)
-        ledger.derive("data", 0)
-        other.derive("data", 1)
+        ledger.issue("data", 0)
+        other.issue("data", 1)
         ledger.merge(other.issued)
         assert ledger.issued == {(0, 0), (0, 1)}
         with pytest.raises(RuntimeError, match=r"seed stream \(0, 1\) requested twice"):
@@ -208,14 +208,14 @@ class TestRunReplicate:
         # clean rows with their corrupted targets, byte for byte, as built
         # from the seed ledger.
         from cauchybench.datagen import apply_noise
-        from cauchybench.harness import _clean_dataset
+        from cauchybench.harness import _clean_dataset, _seed_stream
 
         cfg = tiny_config(noise=noise)
         seen = []
         run_replicate(cfg, 1, observer=seen.append)
         ledger = SeedLedger(cfg.master_seed)
-        clean = _clean_dataset(cfg.dataset, ledger.derive("data", 1), None)
-        folds = kfold_split(len(clean), cfg.folds, ledger.derive("folds", 1))
+        clean = _clean_dataset(cfg.dataset, _seed_stream(cfg.master_seed, "data", 1), None)
+        folds = kfold_split(len(clean), cfg.folds, _seed_stream(cfg.master_seed, "folds", 1))
         for fold, (train_idx, _) in enumerate(folds):
             spec = replace(noise, seed=ledger.derive_int("noise", 1, fold))
             want_y = apply_noise(clean.y[train_idx], spec)
@@ -825,12 +825,59 @@ class TestPresetsAndConfig:
     def test_net_override_validated(self):
         from cauchybench.nets import NetworkConfig
 
-        cfg = tiny_config(net=NetworkConfig(3, (4,)))
-        with pytest.raises(ValueError, match="features"):
-            run_replicate(cfg, 0)
+        # refused with the config, before any data is built
+        with pytest.raises(ValueError, match="configured net expects 3 features, hc2 has 2"):
+            tiny_config(net=NetworkConfig(3, (4,)))
+        assert tiny_config(net=NetworkConfig(2, (4,))).net.input_dim == 2
+        with pytest.raises(ValueError, match="configured net expects 2 features, hc8 has 8"):
+            replace(tiny_config(), dataset=DatasetSpec("hc8", 60), net=NetworkConfig(2, (4,)))
+
+    @pytest.mark.parametrize("name", ["hc2", "hc8", "bike"])
+    def test_more_folds_than_samples_refused(self, name):
+        dataset = DatasetSpec(name, 5, **({"path": "b.csv"} if name == "bike" else {}))
+        with pytest.raises(ValueError, match=r"need folds <= dataset.n_samples, got folds=6, n_samples=5"):
+            replace(tiny_config(), dataset=dataset, folds=6)
+        assert replace(tiny_config(), dataset=dataset, folds=5).folds == 5
 
 
 class TestBikeExperiment:
+    @pytest.mark.parametrize(
+        "dataset, top, message",
+        [
+            ({"n_samples": 101}, {}, r"n_samples=101 exceeds the 100 rows of "),
+            ({}, {"folds": 101}, r"need 1 <= k <= n, got k=101, n=100"),
+            ({}, {"net": NetworkConfig(3, (4,))}, r"configured net expects 3 features, data has \d+$"),
+        ],
+        ids=["n_samples", "folds", "net-width"],
+    )
+    def test_a_config_that_does_not_fit_the_file_fails_before_the_pool(
+        self, tmp_path, monkeypatch, dataset, top, message
+    ):
+        # The file is checked once, where it is loaded, so the error is the
+        # caller's and no worker is forked to meet it.
+        import multiprocessing.pool
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a pool was created")
+
+        monkeypatch.setattr(multiprocessing.pool, "Pool", no_pool)
+        cpus(monkeypatch, 2)
+        path = write_surrogate_bike_csv(tmp_path / "b.csv", n_rows=100)
+        cfg = ExperimentConfig(
+            dataset=DatasetSpec(name="bike", path=str(path), **dataset),
+            noise=NoiseSpec(NoiseFamily.NONE),
+            models=(LossSpec.clf(100.0), LossSpec.mse()),
+            train=TrainConfig(epochs=1, batch_size=32),
+            folds=3,
+            replicates=2,
+        )
+        cfg = replace(cfg, **top)
+        assert len(_pair_runs(cfg, 2)) == 2
+        with pytest.raises(ValueError, match=message):
+            run_experiment(cfg)
+        with pytest.raises(ValueError, match=message):
+            run_replicate(cfg, 0)
+
     def test_subsample_larger_than_the_file_rejected(self, tmp_path):
         path = write_surrogate_bike_csv(tmp_path / "b.csv", n_rows=100)
         cfg = ExperimentConfig(

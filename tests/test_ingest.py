@@ -111,6 +111,16 @@ class TestLoadCsv:
         ds = load_dataset(p, SMALL_SCHEMA)
         assert ds.X[:, 0].tolist() == [1.5]
 
+    def test_utf8_byte_order_mark_and_cp1252_load_as_plain_utf8(self, tmp_path):
+        # Excel's "CSV UTF-8" format starts the file with a byte-order mark,
+        # right before the first header column.
+        text = "Temperature(\N{DEGREE SIGN}C),Season,Count\n1.5,A,10\n2.5,B,20\n"
+        plain = load_dataset(write(tmp_path, text, "plain.csv"), SMALL_SCHEMA)
+        for encoding in ("utf-8-sig", "cp1252"):
+            other = load_dataset(write(tmp_path, text, f"{encoding}.csv", encoding), SMALL_SCHEMA)
+            assert np.array_equal(other.X, plain.X) and np.array_equal(other.y, plain.y), encoding
+            assert {**other.meta, "source": None} == {**plain.meta, "source": None}, encoding
+
     def test_empty_data_rejected(self, tmp_path):
         with pytest.raises(IngestionError, match="no data rows"):
             load_dataset(write(tmp_path, "Temperature,Season,Count\n"), SMALL_SCHEMA)

@@ -1,5 +1,6 @@
 import io
 import json
+import shlex
 import tempfile
 import tracemalloc
 from pathlib import Path
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cauchybench.cli import cli_main
+from cauchybench.cli import _build_parser, cli_main
 from cauchybench.datagen import NoiseFamily, NoiseSpec, apply_noise, make_hc2, make_hc8
 from cauchybench.harness import (
     DatasetSpec,
@@ -538,6 +539,42 @@ class TestCli:
         assert cli_main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "r.json")]) == 2
         err = capsys.readouterr().err
         assert "diverged" in err and "non-finite" in err
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (["--preset", "hc2-negative", "--n", "5", "--folds", "10"], "got folds=10, n_samples=5"),
+            (["--config", "{config}"], "configured net expects 3 features, hc2 has 2"),
+        ],
+        ids=["folds-over-n", "net-width"],
+    )
+    def test_a_config_that_does_not_fit_its_data_exits_1_before_training(
+        self, tmp_path, capsys, monkeypatch, args, message
+    ):
+        def no_run(cfg, observer=None):
+            raise AssertionError("run_experiment was called")
+
+        monkeypatch.setattr("cauchybench.cli.run_experiment", no_run)
+        doc = typed_config_doc()
+        set_key(doc, "net.input_dim", 3)
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps(doc))
+        args = [arg.format(config=config) for arg in args]
+        assert cli_main(["run", *args, "--out", str(tmp_path / "r.json")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: invalid config") and message in err
+
+    def test_readme_cli_examples_parse(self):
+        # Each `cauchybench ...` line of README's CLI block goes through the
+        # real parser, so a renamed or removed flag fails here first.
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        block = readme.split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+        lines = [line for line in block.splitlines() if line.startswith("cauchybench ")]
+        assert len(lines) == 8
+        parser = _build_parser()
+        for line in lines:
+            args = parser.parse_args(shlex.split(line)[1:])
+            assert args.command == shlex.split(line)[1], line
 
 
 def typed_config_doc():
