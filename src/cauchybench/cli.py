@@ -7,7 +7,7 @@ Subcommands:
   influence  emit influence-curve CSV over a residual grid
   gen        export a synthetic dataset (optionally corrupted) to CSV
 
-Exit codes: 0 success, 1 usage error, 2 runtime failure.
+Exit codes: 0 success, 1 usage error (bad arguments or a bad input file), 2 runtime failure.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ import sys
 from . import __version__
 from .datagen import apply_noise, export_csv, make_hc2, make_hc8, noise_spec
 from .harness import config_from_dict, list_presets, preset_document, run_experiment
+from .ingest import IngestionError
 from .losses import LossSpec
 from .report import format_table, influence_csv, load_results, save_results
 
@@ -114,8 +115,6 @@ _OVERRIDES = {
 
 
 def _cmd_run(args) -> int:
-    if args.config and not os.path.exists(args.config):
-        raise _UsageError(f"no such config file: {args.config}")
     try:
         if args.config:
             with open(args.config) as fh:
@@ -147,8 +146,6 @@ def _cmd_run(args) -> int:
 
 
 def _load_results_arg(path) -> dict:
-    if not os.path.exists(path):
-        raise _UsageError(f"no such results file: {path}")
     try:
         return load_results(path)
     except ValueError as err:  # malformed JSON, or JSON that is no results document
@@ -229,7 +226,7 @@ def cli_main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return _COMMANDS[args.command](args)
-    except (_UsageError, FileNotFoundError) as err:
+    except (_UsageError, FileNotFoundError, IsADirectoryError, IngestionError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
     except (ValueError, RuntimeError, OSError) as err:

@@ -43,7 +43,7 @@ from typing import Callable
 import numpy as np
 
 from .datagen import HC2_RANGES, HC8_RANGES, Dataset, NoiseSpec, apply_noise, make_hc2, make_hc8, noise_spec
-from .ingest import SEOUL_BIKE_SCHEMA, load_dataset, schema_from_json
+from .ingest import SEOUL_BIKE_SCHEMA, IngestionError, load_dataset, schema_from_json
 from .losses import LossKind, LossSpec, _check_numbers, mae_score, rmse_score
 from .nets import NetworkConfig, TrainConfig, TrainingDiverged, train_folds
 from .ranktests import kruskal_wallis, wilcoxon_rank_sum
@@ -201,19 +201,19 @@ def kfold_split(n: int, k: int, seed) -> list[tuple[np.ndarray, np.ndarray]]:
 
 
 def _load_base(cfg: ExperimentConfig) -> Dataset | None:
-    """The bike CSV, checked against the config before any run is dealt;
-    None for synthetic data."""
+    """The bike CSV, checked against the config before any run is dealt
+    (a misfit is an IngestionError); None for synthetic data."""
     spec = cfg.dataset
     if spec.name != "bike":
         return None
     schema = schema_from_json(spec.schema_path) if spec.schema_path else SEOUL_BIKE_SCHEMA
     base = load_dataset(spec.path, schema)
     if spec.n_samples is not None and spec.n_samples > len(base):
-        raise ValueError(f"n_samples={spec.n_samples} exceeds the {len(base)} rows of {spec.path}")
+        raise IngestionError(f"n_samples={spec.n_samples} exceeds the {len(base)} rows of {spec.path}")
     if cfg.folds > len(base):  # a set n_samples was checked against folds with the config
-        raise ValueError(f"need 1 <= k <= n, got k={cfg.folds}, n={len(base)}")
+        raise IngestionError(f"need 1 <= k <= n, got k={cfg.folds}, n={len(base)}")
     if cfg.net is not None and cfg.net.input_dim != base.n_features:
-        raise ValueError(f"configured net expects {cfg.net.input_dim} features, data has {base.n_features}")
+        raise IngestionError(f"configured net expects {cfg.net.input_dim} features, data has {base.n_features}")
     return base
 
 

@@ -37,7 +37,7 @@ __all__ = [
 
 
 class IngestionError(ValueError):
-    """A CSV could not be loaded or encoded; message carries the location."""
+    """A CSV or schema that is malformed or unfit for the run; ``cauchybench`` exits 1 on it."""
 
 
 # Roles a schema column can play.
@@ -57,19 +57,19 @@ class ColumnSchema:
 
     def __post_init__(self):
         if self.role not in Role.ALL:
-            raise ValueError(f"unknown column role {self.role!r}")
+            raise IngestionError(f"unknown column role {self.role!r}")
 
 
 def _validate_schema(schema: list[ColumnSchema]) -> None:
     targets = [c for c in schema if c.role == Role.TARGET]
     features = [c for c in schema if c.role in (Role.NUMERIC, Role.CATEGORICAL)]
     if len(targets) != 1:
-        raise ValueError(f"schema must declare exactly one target column, found {len(targets)}")
+        raise IngestionError(f"schema must declare exactly one target column, found {len(targets)}")
     if not features:
-        raise ValueError("schema must declare at least one feature column")
+        raise IngestionError("schema must declare at least one feature column")
     names = [c.name for c in schema]
     if len(set(names)) != len(names):
-        raise ValueError("schema column names must be unique")
+        raise IngestionError("schema column names must be unique")
 
 
 # Default featurization of the Seoul bike file: drop the date, keep the
@@ -202,7 +202,10 @@ def load_dataset(path, schema=SEOUL_BIKE_SCHEMA) -> Dataset:
 def schema_from_json(path) -> list[ColumnSchema]:
     """Sidecar format: a JSON list of {"name": <string>, "role": ...} objects."""
     with open(path) as fh:
-        doc = json.load(fh)
+        try:
+            doc = json.load(fh)
+        except ValueError as err:
+            raise IngestionError(f"{path} is not JSON: {err}") from None
     if not isinstance(doc, list):
         raise IngestionError(f"{path}: a schema must be a JSON list of {{name, role}} objects")
     for i, entry in enumerate(doc):

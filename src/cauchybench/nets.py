@@ -399,43 +399,42 @@ def _bias_corrections(t: int, tc: TrainConfig) -> tuple[float, float]:
     return 1.0 - tc.beta1**t, 1.0 - tc.beta2**t
 
 
-def _adam_update(theta, g, m, v, s1, s2, c1, c2, tc: TrainConfig) -> None:
-    """Adam step in place on theta, m and v, through the scratch buffers
-    ``s1`` and ``s2`` of their shape, with the bias corrections ``c1``,
-    ``c2`` of its step number (floats, or arrays that broadcast against
-    theta)."""
+def _adam_update(theta, g, m, v, s, c1, c2, tc: TrainConfig) -> None:
+    """Adam step in place on theta, m and v, through the scratch buffer
+    ``s`` of their shape, with the bias corrections ``c1``, ``c2`` of its
+    step number (floats, or arrays that broadcast against theta). Once the
+    moments have read the gradient ``g``, it is scratch too: overwritten."""
     b1, b2, lr, eps = tc.beta1, tc.beta2, tc.learning_rate, tc.epsilon
     m *= b1
-    np.multiply(g, 1.0 - b1, out=s1)
-    m += s1
+    np.multiply(g, 1.0 - b1, out=s)
+    m += s
     v *= b2
-    np.multiply(g, 1.0 - b2, out=s1)
-    s1 *= g
-    v += s1
+    np.multiply(g, 1.0 - b2, out=s)
+    s *= g
+    v += s
     # theta -= lr * (m / c1) / (sqrt(v / c2) + eps)
-    np.divide(m, c1, out=s1)
-    s1 *= lr
-    np.divide(v, c2, out=s2)
-    np.sqrt(s2, out=s2)
-    s2 += eps
-    s1 /= s2
-    theta -= s1
+    np.divide(m, c1, out=s)
+    s *= lr
+    np.divide(v, c2, out=g)
+    np.sqrt(g, out=g)
+    g += eps
+    s /= g
+    theta -= s
 
 
 def adam_step(
     params: Parameters, grads: Parameters, state: AdamState, tc: TrainConfig
 ) -> tuple[Parameters, AdamState]:
-    """One bias-corrected Adam update; returns fresh (Parameters, AdamState)."""
+    """One bias-corrected Adam update; returns fresh (Parameters, AdamState), ``grads`` untouched."""
     t = state.t + 1
-    new, m, v = params.copy(), state.m.copy(), state.v.copy()
+    new, g, m, v = params.copy(), grads.copy(), state.m.copy(), state.v.copy()
     for arrays in zip(
         new.weights + new.biases,
-        grads.weights + grads.biases,
+        g.weights + g.biases,
         m.weights + m.biases,
         v.weights + v.biases,
     ):
-        scratch = np.empty_like(arrays[0]), np.empty_like(arrays[0])
-        _adam_update(*arrays, *scratch, *_bias_corrections(t, tc), tc)
+        _adam_update(*arrays, np.empty_like(arrays[0]), *_bias_corrections(t, tc), tc)
     return new, AdamState(m=m, v=v, t=t)
 
 
@@ -662,8 +661,8 @@ def train_folds(
         values = slice(0, width * (d + 1))
         batch = (order[:, cols], y_order[:, None, cols], steps[width], mean[:, values], scale[:, values])
         plan[i] = (*batch, pad, inv_count, active)
-    adam_scratch = np.empty_like(theta), np.empty_like(theta)
-    fold_arrays = list(zip(theta, grad, m, v, *adam_scratch))
+    adam_scratch = np.empty_like(theta)  # with grad, which _adam_update overwrites
+    fold_arrays = list(zip(theta, grad, m, v, adam_scratch))
     # Adam's bias corrections of every step number a fold can reach, one
     # (c1, c2) row each; an all-fold step takes its folds' rows as (F, 1)
     # columns of ``corrections_t``.
@@ -698,7 +697,7 @@ def train_folds(
                     t += 1
                     # the table covers every step, so "clip" never clips
                     np.take(corrections, t, axis=0, out=corrections_t, mode="clip")
-                    _adam_update(theta, grad, m, v, *adam_scratch, c1, c2, tc)
+                    _adam_update(theta, grad, m, v, adam_scratch, c1, c2, tc)
                 else:
                     for f in active:
                         t[f] += 1

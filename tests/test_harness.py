@@ -470,6 +470,29 @@ class TestReplicateGroups:
             assert run_lengths(cfg, 1) == [10] * 5, name
             assert run_lengths(cfg, 2) == [13, 13, 12, 12], name
 
+    @settings(max_examples=300, deadline=None)
+    @given(
+        replicates=st.integers(1, 16),
+        folds=st.integers(2, 12),
+        n_cpus=st.integers(1, 8),
+        n_models=st.integers(1, 7),
+        batch_size=st.integers(1, 256),
+        hidden=st.lists(st.integers(1, 20), min_size=1, max_size=3),
+    )
+    def test_dealing_rule_holds_at_any_shape(self, replicates, folds, n_cpus, n_models, batch_size, hidden):
+        models = (LossSpec.mse(), *map(LossSpec.clf, BIKE_CLF_GRID))[:n_models]
+        cfg = replace(
+            tiny_config(models=models, folds=folds, replicates=replicates, net=NetworkConfig(2, tuple(hidden))),
+            train=replace(TINY_TRAIN, batch_size=batch_size),
+        )
+        runs = _pair_runs(cfg, n_cpus)
+        assert all(type(run) is range and run.step == 1 for run in runs)
+        assert [p for run in runs for p in run] == list(range(replicates * folds))
+        # every run holds every fold index, which the bit-identity argument needs
+        assert min(map(len, runs)) >= folds and len(runs) <= replicates
+        assert max(map(len, runs)) - min(map(len, runs)) <= 1
+        assert len(runs) % n_cpus == 0 or len(runs) < n_cpus
+
     @pytest.mark.parametrize(
         "hidden, calls",
         [((10,), [12]), ((128,), [6, 6]), ((129,), [4, 4, 4])],

@@ -308,6 +308,15 @@ class TestAdam:
 
         assert_same_params(run(), run())
 
+    def test_grads_are_left_as_given(self):
+        # the trainer's Adam uses the gradient buffer as scratch; adam_step
+        # must not pass its caller's arrays to it
+        cfg = NetworkConfig(2, (3,))
+        p, g = random_params(cfg, 15), random_params(cfg, 16)
+        before = g.copy()
+        adam_step(p, g, init_adam_state(p), TrainConfig())
+        assert_same_params(g, before)
+
     def test_state_v_nonnegative(self):
         cfg = NetworkConfig(2, (3,))
         p = random_params(cfg, 13)

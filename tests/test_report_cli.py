@@ -17,6 +17,7 @@ from cauchybench.harness import (
     ExperimentConfig,
     config_from_dict,
     config_to_dict,
+    preset_document,
     run_experiment,
 )
 from cauchybench.nets import NetworkConfig
@@ -564,6 +565,56 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error: invalid config") and message in err
 
+    BIKE = ["run", "--preset", "bike-negative", "--data"]
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (["run", "--config", "{tmp}/missing.json"], "No such file or directory"),
+            (["table", "{tmp}/missing.json"], "No such file or directory"),
+            (["compare", "{tmp}/missing.json"], "No such file or directory"),
+            ([*BIKE, "{tmp}/missing.csv"], "no such file"),
+            ([*BIKE, "{csv}", "--schema", "{tmp}/missing.json"], "No such file or directory"),
+            ([*BIKE, "{tmp}/short.csv"], "header has no column matching 'Rented Bike Count'"),
+            ([*BIKE, "{csv}", "--schema", "{tmp}/dict.json"], "a schema must be a JSON list"),
+            ([*BIKE, "{csv}", "--schema", "{tmp}/text.json"], "is not JSON"),
+            ([*BIKE, "{csv}", "--schema", "{tmp}/role.json"], "unknown column role 'label'"),
+            ([*BIKE, "{csv}", "--schema", "{tmp}/no_target.json"], "exactly one target column, found 0"),
+            ([*BIKE, "{csv}", "--n", "100000"], "n_samples=100000 exceeds the 975 rows"),
+            ([*BIKE, "{csv}", "--folds", "5000"], "got k=5000, n=975"),
+            (["run", "--config", "{tmp}/wide.json"], "configured net expects 3 features, data has 17"),
+            ([*BIKE, "{tmp}"], "Is a directory"),
+            (["run", "--config", "{tmp}"], "Is a directory"),
+        ],
+        ids=["config", "table", "compare", "data", "schema", "header", "sidecar", "sidecar-not-json",
+             "sidecar-role", "sidecar-no-target", "n-over-rows", "folds-over-rows", "net-width",
+             "data-directory", "config-directory"],
+    )
+    def test_a_bad_input_file_exits_1_before_training(
+        self, tmp_path, capsys, monkeypatch, bike_975, args, message
+    ):
+        def no_training(*args):
+            raise AssertionError("train_folds was called")
+
+        monkeypatch.setattr("cauchybench.harness.train_folds", no_training)
+        (tmp_path / "short.csv").write_text("Date,Hour\n01/01/2018,0\n")
+        (tmp_path / "dict.json").write_text(json.dumps({"Date": "dropped"}))
+        (tmp_path / "text.json").write_text("{not json")
+        (tmp_path / "role.json").write_text(json.dumps([{"name": "Date", "role": "label"}]))
+        (tmp_path / "no_target.json").write_text(json.dumps([{"name": "Hour", "role": "numeric_feature"}]))
+        doc = {**preset_document("bike-negative"), "net": {"input_dim": 3, "hidden_layers": [14, 14]}}
+        doc["dataset"]["path"] = str(bike_975)
+        (tmp_path / "wide.json").write_text(json.dumps(doc))
+        out = tmp_path / "r.json"
+        args = [arg.format(tmp=tmp_path, csv=bike_975) for arg in args]
+        if args[0] == "run":
+            args += ["--out", str(out)]
+        assert cli_main(args) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and message in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
     def test_readme_cli_examples_parse(self):
         # Each `cauchybench ...` line of README's CLI block goes through the
         # real parser, so a renamed or removed flag fails here first.
@@ -575,6 +626,14 @@ class TestCli:
         for line in lines:
             args = parser.parse_args(shlex.split(line)[1:])
             assert args.command == shlex.split(line)[1], line
+
+
+@pytest.fixture(scope="module")
+def bike_975(tmp_path_factory):
+    """The 975-row surrogate bike CSV the benchmark's bike workload reads."""
+    from ._surrogate import write_surrogate_bike_csv
+
+    return write_surrogate_bike_csv(tmp_path_factory.mktemp("bike") / "bike.csv", n_rows=975)
 
 
 def typed_config_doc():
@@ -700,7 +759,7 @@ class TestConfigNumberTypes:
         for doc, where in (([{"name": "Date", "role": "dropped"}, {"role": "target"}], "entry 1"),
                            ({"Date": "dropped"}, "JSON list")):
             schema.write_text(json.dumps(doc))
-            assert cli_main(args) == 2
+            assert cli_main(args) == 1
             err = capsys.readouterr().err
             assert err.startswith("error: ") and where in err
             assert not out.exists()
