@@ -17,8 +17,9 @@ The protocol for one experiment cell:
     targets, so no fold's features are copied for training),
   * fold MAE/RMSE against the clean test fold are averaged into one
     replicate score per model, and replicate scores feed the rank tests;
-    replicates share nothing but the master seed, so they run in forked
-    worker processes, one per usable CPU at most. The unit of work is a
+    replicates share nothing but the master seed, so they run in worker
+    processes forked straight from the caller (``_forked``; no pool and no
+    initializer), one per usable CPU at most. The unit of work is a
     contiguous run of (replicate, fold) pairs (``_run_pairs``), trained in
     one ``train_folds`` call over the stacked clean feature matrices of
     the replicates it touches; ``_pair_runs`` deals the runs so that no
@@ -33,12 +34,13 @@ same stream twice, so no two stages can share entropy by accident.
 from __future__ import annotations
 
 import os
+import pickle
 import time
-from contextlib import nullcontext
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, fields, replace
 from functools import partial
 from itertools import combinations
-from typing import Callable
+from typing import Callable, NoReturn
 
 import numpy as np
 
@@ -396,20 +398,90 @@ def _pair_runs(cfg: ExperimentConfig, cpus: int) -> list[range]:
     return [range(a, b) for a, b in zip(starts, starts[1:])]
 
 
-# A pool worker's job, the ``_run_pairs`` of one run_experiment call bound
-# to its config, loaded data and observer flag. The pool's initializer sets
-# it in each forked worker, which inherits it unpickled, so a task carries
-# only its range of pairs. It is never set in the calling process.
-_worker_job: Callable[[range], tuple] | None = None
+@contextmanager
+def _forked(job: Callable[[range], tuple], runs: list[range], workers: int):
+    """``job(run)`` for each of ``runs``, in order, from ``workers`` children
+    forked from this process: child w runs runs w, w + workers, ... in
+    turn and sends each output down a pipe of its own, and this process
+    reads run i from child i mod workers. A child inherits ``job``, so
+    nothing is sent to it. A child's exception is raised here; a child
+    that ends before sending its outputs is a RuntimeError naming its exit
+    status. Every child is reaped before the block is left, so their CPU
+    time is this process's children's; one left by an exception is killed
+    first, since its outputs are no longer wanted."""
+    # every run builds seed streams: numpy.random loads once here, not in each child
+    import numpy.random  # noqa: F401
+
+    pids, pipes = [], {}  # pipes: pid -> the pipe its outputs come down, until it is reaped
+    try:
+        for w in range(workers):
+            read, write = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                os.close(read)
+                _serve(job, runs[w::workers], write)
+            os.close(write)
+            pids.append(pid)
+            pipes[pid] = os.fdopen(read, "rb")
+        yield (_receive(pipes, pids[i % workers]) for i in range(len(runs)))
+    except BaseException:
+        import signal
+
+        for pid in pipes:
+            os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        for pid, pipe in pipes.items():
+            pipe.close()
+            os.waitpid(pid, 0)
 
 
-def _set_worker_job(job: Callable[[range], tuple]) -> None:
-    global _worker_job
-    _worker_job = job
+def _serve(job: Callable[[range], tuple], runs: list[range], fd: int) -> NoReturn:
+    """A forked child's whole life: the outputs of ``runs``, in order, or the
+    first exception, pickled down ``fd``; then ``os._exit``, so nothing of
+    the parent's that follows the fork runs twice."""
+    status = 1
+    try:
+        with os.fdopen(fd, "wb") as pipe:
+            for run in runs:
+                try:
+                    out = job(run)
+                except Exception as err:
+                    out = _picklable(err)
+                pipe.write(pickle.dumps(out, pickle.HIGHEST_PROTOCOL))  # whole, or not at all
+                pipe.flush()
+                if isinstance(out, BaseException):
+                    break
+        status = 0
+    finally:
+        os._exit(status)
 
 
-def _run_worker_job(pairs: range) -> tuple:
-    return _worker_job(pairs)
+def _picklable(err: Exception) -> Exception:
+    """``err`` if it comes back whole through pickle, else a RuntimeError
+    carrying its traceback's text."""
+    try:
+        pickle.loads(pickle.dumps(err, pickle.HIGHEST_PROTOCOL))
+        return err
+    except Exception:
+        import traceback
+
+        return RuntimeError("a worker process raised:\n" + "".join(traceback.format_exception(err)))
+
+
+def _receive(pipes: dict, pid: int) -> tuple:
+    """The next output from child ``pid``; an exception it sent is raised."""
+    try:
+        out = pickle.load(pipes[pid])
+    except (EOFError, pickle.UnpicklingError):
+        pipes.pop(pid).close()
+        status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+        raise RuntimeError(
+            f"worker process {pid} ended with status {status} before sending its outputs"
+        ) from None
+    if isinstance(out, BaseException):
+        raise out
+    return out
 
 
 def _usable_cpus() -> int:
@@ -426,13 +498,16 @@ def run_experiment(cfg: ExperimentConfig, observer: Callable[[CellInfo], None] |
 
     The replicates' (replicate, fold) pairs run as contiguous runs
     (``_pair_runs``, which says why every model has the bits a serial run
-    over ``run_replicate`` gives it), one ``_run_pairs`` job each, in up
-    to min(runs, usable CPUs) forked worker processes. This process issues
-    each replicate's data and folds streams once, without building them;
-    each run's own streams are merged here and its cells replayed to
-    ``observer`` (``_take_runs``), so the observer runs in this process,
-    on the cells in (replicate, fold, model) order, each run's once it is
-    back.
+    over ``run_replicate`` gives it), one ``_run_pairs`` job each: in this
+    process when there is one usable CPU or one run, else in min(runs,
+    usable CPUs) children forked from it (``_forked``), which inherit the
+    job with its config and loaded data. This process imports
+    ``numpy.random`` just before the fork, so the children share it
+    instead of each loading it. It issues each replicate's data and folds
+    streams once, without building them; each run's own streams are merged
+    here and its cells replayed to ``observer`` (``_take_runs``), so the
+    observer runs in this process, on the cells in (replicate, fold,
+    model) order, each run's once it is back.
     """
     started = time.time()
     ledger = SeedLedger(cfg.master_seed)
@@ -443,16 +518,13 @@ def run_experiment(cfg: ExperimentConfig, observer: Callable[[CellInfo], None] |
     cpus = _usable_cpus()
     runs = _pair_runs(cfg, cpus)
     workers = min(len(runs), cpus)
-    pool = nullcontext()
-    if workers > 1:
-        import multiprocessing  # here, so that importing the package does not pay for it
-
+    if workers == 1:
+        pair_scores = _take_runs(map(job, runs), ledger, observer)
+    else:
         # fork, not spawn: a spawned worker imports numpy and the package
         # again, which costs more than a small experiment's second core saves
-        pool = multiprocessing.get_context("fork").Pool(workers, _set_worker_job, (job,))
-    with pool:
-        outputs = pool.imap(_run_worker_job, runs) if workers > 1 else map(job, runs)
-        pair_scores = _take_runs(outputs, ledger, observer)
+        with _forked(job, runs, workers) as outputs:
+            pair_scores = _take_runs(outputs, ledger, observer)
     per_replicate = [pair_scores[r * cfg.folds : (r + 1) * cfg.folds] for r in range(cfg.replicates)]
     labels = cfg.model_labels
     cells = {m: [[pair[m] for pair in rep] for rep in per_replicate] for m in labels}

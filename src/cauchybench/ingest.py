@@ -17,6 +17,7 @@ table and schema.
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -105,12 +106,29 @@ def _read_text(path: Path) -> str:
         return raw.decode("cp1252")
 
 
+def _csv_rows(lines: list[str], path: Path):
+    """The CSV's rows, header first. A row the csv module cannot parse, such
+    as one with a field over its size limit, is an IngestionError naming its
+    1-based data row."""
+    reader = csv.reader(lines)
+    for row_num in itertools.count():
+        try:
+            row = next(reader)
+        except StopIteration:
+            return
+        except csv.Error as err:
+            where = f"row {row_num}" if row_num else "header"
+            raise IngestionError(f"{path}: {where}: {err}") from None
+        yield row
+
+
 def load_dataset(path, schema=SEOUL_BIKE_SCHEMA) -> Dataset:
     """Parse a CSV and encode it as a Dataset whose meta records the source path.
 
     Header matching is order-insensitive and ignores unit suffixes. Any
     numeric cell that does not parse as a finite number raises
-    IngestionError naming its 1-based data row and column. Numeric
+    IngestionError naming its 1-based data row and column; a row the csv
+    module refuses raises one naming the row. Numeric
     features pass through; each categorical feature becomes one indicator
     column per category, categories sorted lexicographically.
     """
@@ -120,7 +138,7 @@ def load_dataset(path, schema=SEOUL_BIKE_SCHEMA) -> Dataset:
     path = Path(path)
     if not path.exists():
         raise IngestionError(f"no such file: {path}")
-    reader = csv.reader(_read_text(path).splitlines())
+    reader = _csv_rows(_read_text(path).splitlines(), path)
     try:
         header = next(reader)
     except StopIteration:

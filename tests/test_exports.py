@@ -1,8 +1,8 @@
 """The public surface: every name a module exports exists, every public
 top-level name is exported, and the package namespace holds no public
 name but its modules, so each name has one import path; importing the
-CLI, which loads every module a run does, loads no scipy and no process
-pool, and scipy is a test dependency only; the benchmark's traced run
+CLI, which loads every module a run does, loads no scipy and no
+multiprocessing, and scipy is a test dependency only; the benchmark's traced run
 finds every function it wraps or replays; only the entry point sets the
 OpenBLAS thread default."""
 
@@ -77,9 +77,9 @@ def test_scipy_is_a_test_dependency_only():
 
 
 def test_import_loads_no_process_pool():
-    # run_experiment imports multiprocessing only where it starts its pool,
-    # so `cauchybench --version` does not pay for it.
-    code = "import sys, cauchybench.cli; print('multiprocessing.pool' in sys.modules)"
+    # run_experiment forks its workers with os.fork, so neither importing the
+    # package nor a run pays for multiprocessing.
+    code = "import sys, cauchybench.cli; print('multiprocessing' in sys.modules)"
     src = str(Path(cauchybench.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src}
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)

@@ -2,8 +2,10 @@ import importlib.util
 import os
 import pickle
 import re
+import signal
 import subprocess
 import sys
+import time
 from dataclasses import replace
 from pathlib import Path
 
@@ -376,54 +378,146 @@ class TestReplicatePool:
         with pytest.raises(TrainingDiverged) as exc:
             run_experiment(cfg)
         assert re.search(r"model=MSE fold=0 replicate=0\)$", str(exc.value))
-        # the trainer's reason crosses the pool too
+        # the trainer's reason crosses from the child too
         assert re.search(r"\(non-finite (loss|prediction); model=", str(exc.value))
         assert str(exc.value).count("model=") == 1
         assert str(exc.value).count("training diverged at epoch") == 1
 
-    def test_a_pool_task_carries_only_its_pairs(self, tmp_path, monkeypatch):
-        # The forked workers inherit the config and the loaded bike data, so
-        # a task is the job function's name and a range of pairs.
-        import multiprocessing.pool
+    def test_a_child_receives_nothing_and_sends_only_its_outputs(self, tmp_path, monkeypatch):
+        # The forked children inherit the job, with its config and the loaded
+        # bike data; each pickles only its runs' outputs, one per run, back.
+        log = tmp_path / "sent.log"
+        parent, dumps = os.getpid(), pickle.dumps
 
-        class Sent(Exception):
-            pass
-
-        sizes = []
-
-        def imap(pool, func, iterable, chunksize=1):
-            sizes.extend(len(pickle.dumps((func, (task,), {}))) for task in iterable)
-            raise Sent
+        def spy(obj, *args, **kwargs):
+            out = dumps(obj, *args, **kwargs)
+            with open(log, "a") as f:
+                f.write(f"{os.getpid()} {len(out)} {len(obj[0])}\n")
+            return out
 
         cfg = benchmark_workload("bike-outliers")
         path = write_surrogate_bike_csv(tmp_path / "bike.csv", n_rows=975)
-        cfg = replace(cfg, dataset=replace(cfg.dataset, path=str(path)))
-        monkeypatch.setattr(multiprocessing.pool.Pool, "imap", imap)
+        cfg = replace(cfg, dataset=replace(cfg.dataset, path=str(path)), train=replace(cfg.train, epochs=1))
+        monkeypatch.setattr(pickle, "dumps", spy)
         cpus(monkeypatch, 2)
-        with pytest.raises(Sent):
-            run_experiment(cfg)
-        assert len(sizes) == 2 and max(sizes) < 1024, sizes
+        run_experiment(cfg)
+        sent = [tuple(map(int, line.split())) for line in log.read_text().splitlines()]
+        assert parent not in {pid for pid, _, _ in sent}
+        assert len({pid for pid, _, _ in sent}) == 2
+        assert sorted(pairs for _, _, pairs in sent) == [4, 5]  # the runs' pair counts
+        assert max(size for _, size, _ in sent) < 4096, sent
 
-    def test_the_pooled_parent_loads_no_numpy_random(self):
+    def test_the_forking_parent_loads_numpy_random_and_no_multiprocessing(self):
         # The parent only marks each replicate's data and folds streams as
-        # issued; the workers build every seed stream.
+        # issued, but loads numpy.random once before it forks, so that no
+        # child loads it on its own.
         code = (
             "import os, sys\n"
             "os.sched_getaffinity = lambda pid: {0, 1}\n"
+            "fork, loaded = os.fork, []\n"
+            "def spy():\n"
+            "    loaded.append('numpy.random' in sys.modules)\n"
+            "    return fork()\n"
+            "os.fork = spy\n"
             "from cauchybench.harness import config_from_dict, run_experiment\n"
             "cfg = config_from_dict({'dataset': {'name': 'hc2', 'n_samples': 60},\n"
             "    'noise': {'family': 'gaussian', 'sigma': 5.0},\n"
             "    'models': [{'kind': 'mse'}, {'kind': 'clf', 'c': 1.0}],\n"
             "    'train': {'epochs': 2, 'batch_size': 16}, 'folds': 3, 'replicates': 3})\n"
+            "before = 'numpy.random' in sys.modules\n"
             "run_experiment(cfg, observer=lambda cell: None)\n"
-            "print('multiprocessing.pool' in sys.modules, 'numpy.random' in sys.modules)\n"
+            "print(before, loaded, 'multiprocessing' in sys.modules)\n"
         )
         src = str(Path(__file__).resolve().parents[1] / "src")
         out = subprocess.run(
             [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True
         )
         assert out.returncode == 0, out.stderr[-2000:]
-        assert out.stdout.split() == ["True", "False"]
+        assert out.stdout.strip() == "False [True, True] False"
+
+
+def no_child_left():
+    """Every child this process forked has been reaped."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.fixture
+def within_seconds():
+    """Fail a test whose call hangs, rather than the whole run."""
+
+    def hung(signum, frame):
+        raise TimeoutError("no result within 30 s")
+
+    previous = signal.signal(signal.SIGALRM, hung)
+    signal.alarm(30)
+    yield
+    signal.alarm(0)
+    signal.signal(signal.SIGALRM, previous)
+
+
+class TestForkedChildren:
+    """run_experiment forks its children itself: whatever way it ends, no
+    child is left, and a child that fails is reported, not waited for."""
+
+    CFG = TestReplicatePool.CFG
+
+    def test_no_child_is_left_after_a_run(self, monkeypatch, within_seconds):
+        cpus(monkeypatch, 2)
+        run_experiment(self.CFG)
+        no_child_left()
+
+    def test_no_child_is_left_after_a_divergence(self, monkeypatch, within_seconds):
+        cpus(monkeypatch, 2)
+        cfg = replace(self.CFG, train=TrainConfig(epochs=3, learning_rate=1e80))
+        with pytest.raises(TrainingDiverged):
+            run_experiment(cfg)
+        no_child_left()
+
+    def test_no_child_is_left_when_the_observer_raises(self, monkeypatch, within_seconds):
+        # The first run's first cell fails the observer while the other
+        # child is still busy: that child is stopped, not waited for.
+        from cauchybench import harness
+
+        run_pairs = harness._run_pairs
+
+        def first_run_only(cfg, base, collect, pairs):
+            if pairs.start:
+                time.sleep(60)
+            return run_pairs(cfg, base, collect, pairs)
+
+        def observer(cell):
+            raise KeyError("observer failed")
+
+        monkeypatch.setattr(harness, "_run_pairs", first_run_only)
+        cpus(monkeypatch, 2)
+        with pytest.raises(KeyError, match="observer failed"):
+            run_experiment(self.CFG, observer=observer)
+        no_child_left()
+
+    def test_a_child_that_exits_without_its_outputs_is_an_error(self, monkeypatch, within_seconds):
+        from cauchybench import harness
+
+        monkeypatch.setattr(harness, "_run_pairs", lambda *args: os._exit(3))
+        cpus(monkeypatch, 2)
+        with pytest.raises(RuntimeError, match=r"ended with status 3 before sending its outputs"):
+            run_experiment(self.CFG)
+        no_child_left()
+
+    def test_an_unpicklable_exception_crosses_as_its_traceback(self, monkeypatch, within_seconds):
+        from cauchybench import harness
+
+        class Local(Exception):  # a local class does not pickle
+            pass
+
+        def fail(*args):
+            raise Local("the job's own message")
+
+        monkeypatch.setattr(harness, "_run_pairs", fail)
+        cpus(monkeypatch, 2)
+        with pytest.raises(RuntimeError, match=r"(?s)Traceback.*Local: the job's own message"):
+            run_experiment(self.CFG)
+        no_child_left()
 
 
 def benchmark_workload(name):
@@ -873,17 +967,15 @@ class TestBikeExperiment:
         ],
         ids=["n_samples", "folds", "net-width"],
     )
-    def test_a_config_that_does_not_fit_the_file_fails_before_the_pool(
+    def test_a_config_that_does_not_fit_the_file_fails_before_any_fork(
         self, tmp_path, monkeypatch, dataset, top, message
     ):
         # The file is checked once, where it is loaded, so the error is the
         # caller's and no worker is forked to meet it.
-        import multiprocessing.pool
+        def no_fork():
+            raise AssertionError("a process was forked")
 
-        def no_pool(*args, **kwargs):
-            raise AssertionError("a pool was created")
-
-        monkeypatch.setattr(multiprocessing.pool, "Pool", no_pool)
+        monkeypatch.setattr("os.fork", no_fork)
         cpus(monkeypatch, 2)
         path = write_surrogate_bike_csv(tmp_path / "b.csv", n_rows=100)
         cfg = ExperimentConfig(

@@ -64,6 +64,15 @@ class TestLoadCsv:
             load_dataset(p, SMALL_SCHEMA)
         assert str(exc.value) == f"{p}: row 3, column {column!r}: cannot parse {cell!r} as a finite number"
 
+    @pytest.mark.parametrize("row, where", [(0, "header"), (2, "row 2")])
+    def test_a_row_the_csv_module_refuses_names_the_row(self, tmp_path, row, where):
+        lines = ["Temperature,Season,Count", "1,A,10", "2,B,20", "3,A,30"]
+        lines[row] = "x" * 200_000 + lines[row]  # a field past the csv module's size limit
+        p = write(tmp_path, "\n".join(lines) + "\n")
+        with pytest.raises(IngestionError) as exc:
+            load_dataset(p, SMALL_SCHEMA)
+        assert str(exc.value) == f"{p}: {where}: field larger than field limit (131072)"
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(IngestionError, match="no such file"):
             load_dataset(tmp_path / "nope.csv", SMALL_SCHEMA)

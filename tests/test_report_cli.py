@@ -585,10 +585,11 @@ class TestCli:
             (["run", "--config", "{tmp}/wide.json"], "configured net expects 3 features, data has 17"),
             ([*BIKE, "{tmp}"], "Is a directory"),
             (["run", "--config", "{tmp}"], "Is a directory"),
+            ([*BIKE, "{tmp}/big.csv"], "big.csv: row 3: field larger than field limit (131072)"),
         ],
         ids=["config", "table", "compare", "data", "schema", "header", "sidecar", "sidecar-not-json",
              "sidecar-role", "sidecar-no-target", "n-over-rows", "folds-over-rows", "net-width",
-             "data-directory", "config-directory"],
+             "data-directory", "config-directory", "field-over-csv-limit"],
     )
     def test_a_bad_input_file_exits_1_before_training(
         self, tmp_path, capsys, monkeypatch, bike_975, args, message
@@ -605,6 +606,9 @@ class TestCli:
         doc = {**preset_document("bike-negative"), "net": {"input_dim": 3, "hidden_layers": [14, 14]}}
         doc["dataset"]["path"] = str(bike_975)
         (tmp_path / "wide.json").write_text(json.dumps(doc))
+        lines = bike_975.read_bytes().splitlines(keepends=True)
+        lines[3] = b"x" * 200_000 + lines[3]  # data row 3's first field, past the csv module's limit
+        (tmp_path / "big.csv").write_bytes(b"".join(lines))
         out = tmp_path / "r.json"
         args = [arg.format(tmp=tmp_path, csv=bike_975) for arg in args]
         if args[0] == "run":
