@@ -406,9 +406,10 @@ def _forked(job: Callable[[range], tuple], runs: list[range], workers: int):
     reads run i from child i mod workers. A child inherits ``job``, so
     nothing is sent to it. A child's exception is raised here; a child
     that ends before sending its outputs is a RuntimeError naming its exit
-    status. Every child is reaped before the block is left, so their CPU
-    time is this process's children's; one left by an exception is killed
-    first, since its outputs are no longer wanted."""
+    status, and a failed fork is raised as it is. Every child is reaped
+    before the block is left, so their CPU time is this process's
+    children's; one left by an exception is killed first, since its
+    outputs are no longer wanted."""
     # every run builds seed streams: numpy.random loads once here, not in each child
     import numpy.random  # noqa: F401
 
@@ -416,7 +417,12 @@ def _forked(job: Callable[[range], tuple], runs: list[range], workers: int):
     try:
         for w in range(workers):
             read, write = os.pipe()
-            pid = os.fork()
+            try:
+                pid = os.fork()
+            except OSError:  # EAGAIN, ENOMEM: no child holds this pipe
+                os.close(read)
+                os.close(write)
+                raise
             if pid == 0:
                 os.close(read)
                 _serve(job, runs[w::workers], write)

@@ -4,7 +4,7 @@ name but its modules, so each name has one import path; importing the
 CLI, which loads every module a run does, loads no scipy and no
 multiprocessing, and scipy is a test dependency only; the benchmark's traced run
 finds every function it wraps or replays; only the entry point sets the
-OpenBLAS thread default."""
+OpenBLAS thread default and freezes the import-time heap."""
 
 import ast
 import importlib
@@ -121,3 +121,18 @@ def test_openblas_threads_default_only_at_the_entry_point(module, given, expecte
         env["OPENBLAS_NUM_THREADS"] = given
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == str(expected)
+
+
+@pytest.mark.parametrize(
+    "module, frozen",
+    [("cauchybench.__main__", True), ("cauchybench.cli", False), ("cauchybench.harness", False)],
+)
+def test_gc_freeze_only_at_the_entry_point(module, frozen):
+    # The entry point moves what importing numpy and the package leaves to
+    # the permanent generation; importing a library module leaves the
+    # caller's garbage collector alone.
+    code = f"import gc, {module}; print(gc.get_freeze_count())"
+    src = str(Path(cauchybench.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert (int(out.stdout) > 0) == frozen

@@ -1,3 +1,4 @@
+import errno
 import importlib.util
 import os
 import pickle
@@ -517,6 +518,28 @@ class TestForkedChildren:
         cpus(monkeypatch, 2)
         with pytest.raises(RuntimeError, match=r"(?s)Traceback.*Local: the job's own message"):
             run_experiment(self.CFG)
+        no_child_left()
+
+    def test_a_failed_fork_closes_its_pipe_and_leaves_no_child(self, monkeypatch, within_seconds):
+        # The second fork fails as it does when the process table or memory
+        # runs out: the error reaches the caller, the first child is killed
+        # and reaped, and neither end of the second child's pipe stays open.
+        fork, forked = os.fork, []
+
+        def fork_once():
+            if forked:
+                raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+            forked.append(os.getpid())
+            return fork()
+
+        fds = set(os.listdir("/proc/self/fd"))
+        monkeypatch.setattr("os.fork", fork_once)
+        cpus(monkeypatch, 2)
+        with pytest.raises(OSError) as exc:
+            run_experiment(self.CFG)
+        assert exc.value.errno == errno.EAGAIN
+        assert forked == [os.getpid()]  # one real child
+        assert set(os.listdir("/proc/self/fd")) == fds
         no_child_left()
 
 
