@@ -4,7 +4,7 @@ Built around the Seoul bike sharing demand file (hourly rental counts
 with weather and calendar covariates) but schema-driven, so any CSV with
 one target column can be loaded. Headers match schema names
 order-insensitively, with parenthesized unit suffixes stripped
-("Temperature(\N{DEGREE SIGN}C)" matches "Temperature"); the published
+("Temperature(°C)" matches "Temperature"); the published
 bike file carries a degree sign in a single-byte encoding, so decoding
 falls back from UTF-8 to cp1252. A leading UTF-8 byte-order mark, which
 Excel's "CSV UTF-8" format writes, is dropped.

@@ -18,8 +18,8 @@ The weights are viewed as (F, M, out, in) and the biases as (F, M, out),
 and layer 1 also as (F, M·h, d+1). Batches are gathered with a last
 column of ones, so the models of a fold, which share the batch, make one
 layer-1 GEMM that adds the bias, and one weight-gradient GEMM whose last
-column is the bias gradient. Hidden pre-activations, activations and
-deltas live in reused fold-major (F, batch, M, h) buffers (model-major
+column is the bias gradient. ReLU outputs (made in place), deltas and
+masks live in reused fold-major (F, batch, M, h) buffers (model-major
 for layers of fewer than 4 units, see ``_hidden_rows``): elementwise
 passes run over contiguous rows, and the later layers' products run per
 (fold, model) pair, with the arithmetic of that model alone. Behind a
@@ -195,8 +195,8 @@ def _merge(a: np.ndarray, axis: int) -> np.ndarray:
 
 
 def _hidden_rows(n_folds: int, width: int, n_models: int, hidden: Sequence[int]) -> list[list[np.ndarray]]:
-    """The four kinds of hidden buffers a step uses: pre-activations, ReLU
-    outputs, deltas and ReLU masks (bool). Each kind holds one
+    """The three kinds of hidden buffers a step uses: activations (the
+    ReLU runs in place), deltas and ReLU masks (bool). Each kind holds one
     (F, width, M, h) buffer per hidden layer, fold-major: a fold's batch
     rows each hold all M models' units, so elementwise passes and the
     layer-1 GEMM see one contiguous (width, M·h) block per fold.
@@ -215,7 +215,7 @@ def _hidden_rows(n_folds: int, width: int, n_models: int, hidden: Sequence[int])
             else np.empty((n_folds, n_models, width, h), dtype).swapaxes(1, 2)
             for h in hidden
         ]
-        for dtype in (float, float, float, bool)
+        for dtype in (float, float, bool)
     ]
 
 
@@ -241,15 +241,14 @@ class _Step:
     biases, of which the step reads layer 1's only through its blocks.
     ``x`` (F, w, d+1) holds the batches, with a last column of ones, so
     layer 1's products carry its bias: the forward product adds it and
-    the backward product's last column is its gradient. ``bufs`` holds four
+    the backward product's last column is its gradient. ``bufs`` holds three
     lists of (F, w, M, h) rows per hidden layer (see ``_hidden_rows``):
-    pre-activations, ReLU outputs, deltas and ReLU masks. ``blocks``,
+    activations (ReLU in place), deltas and ReLU masks. ``blocks``,
     zeros of shape (F, M, M, h) for the last hidden layer's h, is scratch
     for the output layer's block-diagonal weights. The step owns a
     contiguous copy of each hidden-to-hidden layer's transposed weights,
-    the outputs ``out`` (F, M, w, 1) and the residuals ``r``, their
-    squares ``rr``, the losses, dL/dprediction ``g`` and loss-kernel
-    scratch, each (F, M, w).
+    the outputs ``out`` (F, M, w, 1) and, each (F, M, w), the residuals
+    ``r``, their squares ``rr``, dL/dprediction ``g`` and loss scratch.
     """
 
     def __init__(self, params, grads, x, bufs, blocks):
@@ -258,29 +257,27 @@ class _Step:
         n_folds, width, _ = x.shape
         n_models = first.shape[1]
         self.x, self.x_rows = x, _merge(x, 1)  # (F, w, d+1) and (F, w·(d+1))
-        self.pre_acts, self.acts, deltas, masks = bufs
+        self.acts, deltas, masks = bufs
         self.out = np.empty((n_folds, n_models, width, 1))
         self.preds = self.out[..., 0]
-        self.r, self.rr, self.loss, self.g, self.scratch = (np.empty(self.preds.shape) for _ in range(5))
-        self.loss_sum = np.empty((n_folds, n_models))
-        self.finite = np.empty((n_folds, n_models), bool)
+        self.r, self.rr, self.g, self.scratch = (np.empty(self.preds.shape) for _ in range(4))
 
         self.forward = fwd = []
-        z = self.pre_acts[0]
-        if _one_gemm(x, z):
-            fwd.append(partial(np.matmul, x, _merge(first, 1).swapaxes(1, 2), out=_merge(z, 2)))
+        act = self.acts[0]
+        if _one_gemm(x, act):
+            fwd.append(partial(np.matmul, x, _merge(first, 1).swapaxes(1, 2), out=_merge(act, 2)))
         else:  # per pair (F, M, w, d+1); the batch is shared by the fold's models
-            fwd.append(partial(np.matmul, x[:, None], first.swapaxes(-1, -2), out=z.swapaxes(1, 2)))
-        fwd.append(partial(np.maximum, z, 0.0, out=self.acts[0]))
-        a = self.acts[0].swapaxes(1, 2)
-        for w, b, z, act in zip(weights[1:-1], biases[1:-1], self.pre_acts[1:], self.acts[1:]):
+            fwd.append(partial(np.matmul, x[:, None], first.swapaxes(-1, -2), out=act.swapaxes(1, 2)))
+        fwd.append(partial(np.maximum, act, 0.0, out=act))
+        a = act.swapaxes(1, 2)
+        for w, b, act in zip(weights[1:-1], biases[1:-1], self.acts[1:]):
             # a GEMM against a contiguous Wᵀ runs faster than against the
             # strided transposed view
             w_t = np.empty(w.swapaxes(-1, -2).shape)
             fwd.append(partial(np.copyto, w_t, w.swapaxes(-1, -2)))
-            fwd.append(partial(np.matmul, a, w_t, out=z.swapaxes(1, 2)))
-            fwd.append(partial(np.add, z, b[:, None], out=z))
-            fwd.append(partial(np.maximum, z, 0.0, out=act))
+            fwd.append(partial(np.matmul, a, w_t, out=act.swapaxes(1, 2)))
+            fwd.append(partial(np.add, act, b[:, None], out=act))
+            fwd.append(partial(np.maximum, act, 0.0, out=act))
             a = act.swapaxes(1, 2)
         fwd.append(partial(np.matmul, a, weights[-1].swapaxes(-1, -2), out=self.out))
         fwd.append(partial(np.add, self.out, biases[-1][..., None, :], out=self.out))
@@ -309,7 +306,7 @@ class _Step:
             bwd.append(partial(np.multiply, g_col, w_out.swapaxes(1, 2), out=deltas[-1]))
         for i in range(last - 1, -1, -1):
             delta = deltas[i]
-            bwd.append(partial(np.greater, self.pre_acts[i], 0.0, out=masks[i]))
+            bwd.append(partial(np.greater, self.acts[i], 0.0, out=masks[i]))
             bwd.append(partial(np.multiply, delta, masks[i], out=delta))
             if i == 0:  # the last column of grad_first is the bias gradient
                 if _one_gemm(x, delta):
@@ -328,8 +325,8 @@ class _Step:
 
 def _forward(step: _Step) -> None:
     """Forward pass of every (fold, model) pair over its fold's batch:
-    the hidden layers' pre-activations and ReLU outputs go to
-    ``step.pre_acts`` and ``step.acts``, the outputs to ``step.out``."""
+    each hidden layer's pre-activations go to ``step.acts``, where its
+    ReLU overwrites them in place, and the outputs to ``step.out``."""
     for call in step.forward:
         call()
 
@@ -337,8 +334,8 @@ def _forward(step: _Step) -> None:
 def _backward(step: _Step) -> None:
     """Batch sums of every pair's parameter gradients, from dL/dprediction
     in ``step.g`` and the rows ``_forward`` left, written into the
-    gradient views the step was built on. The ReLU subgradient
-    at exactly 0 is taken as 0."""
+    gradient views the step was built on. A mask read from the ReLU
+    outputs takes the subgradient at exactly 0 (and at NaN) as 0."""
     for call in step.backward:
         call()
 
@@ -349,8 +346,8 @@ def forward(params: Parameters, X) -> tuple[np.ndarray, _Step]:
     Returns (predictions, cache): the (n,) predictions and the step of
     ``params`` alone (F = M = 1) that made them, run on a copy of
     ``params`` laid out as ``train_folds`` lays out its buffer. The step
-    holds every hidden layer's pre-activations and ReLU outputs
-    (``cache.pre_acts``, ``cache.acts``, each (1, n, 1, h)), ``params`` as
+    holds every hidden layer's ReLU outputs, made in place (``cache.acts``,
+    each (1, n, 1, h)), ``params`` as
     ``cache.params`` and, as ``cache.grads``, Parameters views of the
     zero gradient buffer ``backward`` writes into.
     """
@@ -527,14 +524,13 @@ def _check_finite_loss(step: _Step, columns, pad, epoch: int) -> None:
     their squares ``step.rr`` are in place: raises TrainingDiverged when
     some pair's prediction or batch loss (padding rows masked out) is
     non-finite; when several are, it names the first fold, then the first
-    model."""
-    _loss_into(step.r, step.rr, columns, step.loss)
+    model. The losses go to ``step.scratch``, free after ``_grad_into``."""
+    _loss_into(step.r, step.rr, columns, step.scratch)
     if pad is not None:
-        np.copyto(step.loss, 0.0, where=pad)
-    np.add.reduce(step.loss, axis=-1, out=step.loss_sum)
-    np.isfinite(step.loss_sum, out=step.finite)
-    if not step.finite.all():
-        f, k = divmod(int(np.argmin(step.finite)), step.finite.shape[1])
+        np.copyto(step.scratch, 0.0, where=pad)
+    finite_loss = np.isfinite(np.add.reduce(step.scratch, axis=-1))
+    if not finite_loss.all():
+        f, k = divmod(int(np.argmin(finite_loss)), finite_loss.shape[1])
         preds = step.preds[f, k] if pad is None else step.preds[f, k, ~pad[f, 0]]
         finite = np.all(np.isfinite(preds))
         raise TrainingDiverged(

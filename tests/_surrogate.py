@@ -14,8 +14,8 @@ import os
 import numpy as np
 
 HEADER = (
-    "Date,Rented Bike Count,Hour,Temperature(\N{DEGREE SIGN}C),Humidity(%),"
-    "Wind speed (m/s),Visibility (10m),Dew point temperature(\N{DEGREE SIGN}C),"
+    "Date,Rented Bike Count,Hour,Temperature(°C),Humidity(%),"
+    "Wind speed (m/s),Visibility (10m),Dew point temperature(°C),"
     "Solar Radiation (MJ/m2),Rainfall(mm),Snowfall (cm),Seasons,Holiday,Functioning Day"
 )
 

@@ -1,10 +1,11 @@
 """The public surface: every name a module exports exists, every public
 top-level name is exported, and the package namespace holds no public
 name but its modules, so each name has one import path; importing the
-CLI, which loads every module a run does, loads no scipy and no
-multiprocessing, and scipy is a test dependency only; the benchmark's traced run
-finds every function it wraps or replays; only the entry point sets the
-OpenBLAS thread default and freezes the import-time heap."""
+CLI, which loads every module a run does, loads no scipy, no
+multiprocessing and no unicodedata, and scipy is a test dependency only;
+the benchmark's traced run finds every function it wraps or replays;
+only the entry point sets the OpenBLAS thread default and freezes the
+import-time heap."""
 
 import ast
 import importlib
@@ -82,6 +83,18 @@ def test_import_loads_no_process_pool():
     code = "import sys, cauchybench.cli; print('multiprocessing' in sys.modules)"
     src = str(Path(cauchybench.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
+
+
+def test_import_loads_no_unicodedata(tmp_path):
+    # Compiling a \N{...} escape imports unicodedata, so a module that spells
+    # a character that way costs every process without a bytecode cache. An
+    # empty cache prefix, never written, makes the child compile every module.
+    code = "import sys, cauchybench.cli; print('unicodedata' in sys.modules)"
+    src = str(Path(cauchybench.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src, "PYTHONPYCACHEPREFIX": str(tmp_path)}
+    env["PYTHONDONTWRITEBYTECODE"] = "1"
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "False"
 

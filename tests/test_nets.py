@@ -199,9 +199,8 @@ def safe_case(cfg, seed):
     while True:
         p = random_params(cfg, rng.integers(1 << 31))
         x = rng.normal(size=(1, cfg.input_dim))
-        _, cache = forward(p, x)
-        margin = min(np.min(np.abs(z)) for z in cache.pre_acts)
-        if margin > 1e-4:
+        pre = _reference_net.forward(p.weights, p.biases, x[0])[2]
+        if min(np.min(np.abs(z)) for z in pre) > 1e-4:
             return p, x
 
 
@@ -224,6 +223,25 @@ class TestBackward:
             assert np.allclose(2 * a, b)
         for a, b in zip(g1.biases, g2.biases):
             assert np.allclose(2 * a, b)
+
+    @pytest.mark.parametrize("zero", [0.0, -0.0], ids=["+0", "-0"])
+    @pytest.mark.parametrize("hidden, layer", [((5,), 0), ((2,), 0), ((6, 5), 0), ((6, 5), 1), ((6, 3), 1)])
+    def test_a_unit_at_the_relu_kink_gets_zero_gradient(self, hidden, layer, zero):
+        # Zero weights and bias put the unit's pre-activation exactly at the
+        # kink on every row, where the subgradient is taken as 0: no gradient
+        # reaches its incoming weights or bias, and its output is 0, so its
+        # outgoing weight gets none either. The finite-difference tests stay
+        # off the kink.
+        cfg, unit = NetworkConfig(3, hidden), 1
+        p = random_params(cfg, 7)
+        p.biases[layer] += 3.0  # the layer's other units are live
+        p.weights[layer][unit], p.biases[layer][unit] = zero, zero
+        X = np.random.default_rng(8).normal(size=(6, 3))
+        _, cache = forward(p, X)
+        g = backward(p, cache, np.random.default_rng(9).normal(size=6))
+        assert np.all(g.weights[layer][unit] == 0.0) and g.biases[layer][unit] == 0.0
+        assert np.all(g.weights[layer + 1][:, unit] == 0.0)
+        assert np.any(g.weights[layer] != 0.0) and np.any(g.weights[layer + 1] != 0.0)
 
     @pytest.mark.parametrize("hidden", [(10,), (14, 14)])
     @pytest.mark.parametrize(
