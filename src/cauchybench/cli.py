@@ -7,7 +7,9 @@ Subcommands:
   influence  emit influence-curve CSV over a residual grid
   gen        export a synthetic dataset (optionally corrupted) to CSV
 
-Exit codes: 0 success, 1 usage error (bad arguments or a bad input file), 2 runtime failure.
+Exit codes: 0 success, 1 usage error (bad arguments or a bad input file), 2 runtime failure,
+143 terminated by SIGTERM (``main`` turns the signal into SystemExit, so a run's forked
+workers are killed and reaped and a half-written results file is removed).
 """
 
 from __future__ import annotations
@@ -17,10 +19,11 @@ import json
 import os
 import re
 import sys
+from dataclasses import replace
 
 from . import __version__
 from .datagen import apply_noise, export_csv, make_hc2, make_hc8, noise_spec
-from .harness import config_from_dict, list_presets, preset_document, run_experiment
+from .harness import SeedLedger, config_from_dict, list_presets, preset_document, run_experiment
 from .ingest import IngestionError
 from .losses import LossSpec
 from .report import format_table, influence_csv, load_results, save_results
@@ -202,6 +205,8 @@ def _cmd_gen(args) -> int:
     try:
         given = {k: getattr(args, k) for k in ("sigma", "x0", "tau") if getattr(args, k) is not None}
         noise = noise_spec({"family": args.noise, "seed": args.seed, **given}, "--{}")
+        # the noise draws from a stream of its own, not the one that made the inputs
+        noise = replace(noise, seed=SeedLedger(args.seed).derive_int("noise", 0, 0))
         ds = maker(args.n, args.seed)
         ds.y = apply_noise(ds.y, noise)
     except ValueError as err:
@@ -234,5 +239,12 @@ def cli_main(argv=None) -> int:
         return 2
 
 
+def _exit_on_signal(signum, frame):
+    raise SystemExit(128 + signum)
+
+
 def main() -> None:
+    import signal
+
+    signal.signal(signal.SIGTERM, _exit_on_signal)
     sys.exit(cli_main())

@@ -374,7 +374,7 @@ _GROUP_FLOATS = 2**15
 def _pair_runs(cfg: ExperimentConfig, cpus: int) -> list[range]:
     """The R x k (replicate, fold) pairs, numbered replicate x k + fold, in
     contiguous runs whose lengths differ by at most one: one
-    ``train_folds`` call and one pool job each.
+    ``train_folds`` call and one ``_run_pairs`` job each.
 
     Replicates group g = min(ceil(R / cpus), max(1, _GROUP_FLOATS // s))
     to a call, where s = folds x batch_size x models x (sum of hidden
@@ -445,7 +445,12 @@ def _forked(job: Callable[[range], tuple], runs: list[range], workers: int):
 def _serve(job: Callable[[range], tuple], runs: list[range], fd: int) -> NoReturn:
     """A forked child's whole life: the outputs of ``runs``, in order, or the
     first exception, pickled down ``fd``; then ``os._exit``, so nothing of
-    the parent's that follows the fork runs twice."""
+    the parent's that follows the fork runs twice. SIGTERM ends it by the
+    default action, whatever handler the parent set, so the parent reports
+    the signal as the child's status."""
+    import signal
+
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
     status = 1
     try:
         with os.fdopen(fd, "wb") as pipe:

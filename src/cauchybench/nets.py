@@ -35,8 +35,8 @@ a table of every step number, built once per call. A step computes the
 gradient half of the loss kernel only; the loss half and the exact
 divergence check run only on a step whose largest squared residual is
 NaN or above ``_finite_loss_bound``, at or below which no loss can be
-non-finite. Short last batches are padded and masked, and
-a fold with one batch fewer than its peers sits out the extra step.
+non-finite. Short last batches are padded and masked, and a fold with
+one batch fewer than its peers is masked out of the extra step's update.
 ``train`` is the one-fold, one-model case. ``forward`` builds and runs
 the step of one model over one batch (F = M = 1) and returns it as the
 cache that ``backward`` replays; ``TrainedModel.predict`` keeps only its
@@ -396,19 +396,21 @@ def _bias_corrections(t: int, tc: TrainConfig) -> tuple[float, float]:
     return 1.0 - tc.beta1**t, 1.0 - tc.beta2**t
 
 
-def _adam_update(theta, g, m, v, s, c1, c2, tc: TrainConfig) -> None:
+def _adam_update(theta, g, m, v, s, c1, c2, tc: TrainConfig, where=True) -> None:
     """Adam step in place on theta, m and v, through the scratch buffer
     ``s`` of their shape, with the bias corrections ``c1``, ``c2`` of its
     step number (floats, or arrays that broadcast against theta). Once the
-    moments have read the gradient ``g``, it is scratch too: overwritten."""
+    moments have read the gradient ``g``, it is scratch too: overwritten.
+    Only where the mask ``where`` (broadcast against theta) is True are
+    theta, m and v written; elsewhere they keep their bits."""
     b1, b2, lr, eps = tc.beta1, tc.beta2, tc.learning_rate, tc.epsilon
-    m *= b1
+    np.multiply(m, b1, out=m, where=where)
     np.multiply(g, 1.0 - b1, out=s)
-    m += s
-    v *= b2
+    np.add(m, s, out=m, where=where)
+    np.multiply(v, b2, out=v, where=where)
     np.multiply(g, 1.0 - b2, out=s)
     s *= g
-    v += s
+    np.add(v, s, out=v, where=where)
     # theta -= lr * (m / c1) / (sqrt(v / c2) + eps)
     np.divide(m, c1, out=s)
     s *= lr
@@ -416,7 +418,7 @@ def _adam_update(theta, g, m, v, s, c1, c2, tc: TrainConfig) -> None:
     np.sqrt(g, out=g)
     g += eps
     s /= g
-    theta -= s
+    np.subtract(theta, s, out=theta, where=where)
 
 
 def adam_step(
@@ -489,15 +491,15 @@ def _step_plan(sizes: np.ndarray, batch_size: int) -> list[tuple]:
     """Per step of an epoch: the columns of the folds' shuffled row orders
     it takes, the (F, 1, width) mask of padding rows (None when no fold is
     short there), each fold's 1 / batch size as an (F, 1) column, and the
-    folds that take the step (None when all do; the others have no rows
-    left)."""
+    mask of the folds that take the step: True when all do, else an
+    (F, 1) bool column, False for the folds with no rows left."""
     plan = []
     for lo in range(0, int(sizes.max()), batch_size):
         count = np.clip(sizes - lo, 0, batch_size)
         width = int(count.max())
         pad = None if count.min() == width else np.arange(width) >= count[:, None, None]
-        active = None if count.min() > 0 else np.flatnonzero(count).tolist()
-        plan.append((slice(lo, lo + width), pad, (1.0 / np.maximum(count, 1))[:, None], active))
+        takes = True if count.min() > 0 else (count > 0)[:, None]
+        plan.append((slice(lo, lo + width), pad, (1.0 / np.maximum(count, 1))[:, None], takes))
     return plan
 
 
@@ -561,16 +563,18 @@ def train_folds(
     column of ones appended, layer 1's bias input (``X`` itself is never
     written). Step j of an epoch takes batch j of every fold. A batch
     shorter than its peers is padded with its fold's first row, masked
-    out of the loss and the gradient; a fold with no batch j left keeps
-    its parameters, Adam moments and step counter. So each model equals training its fold alone (the same rows
-    as a matrix of their own), bit for bit where the folds' batch layouts
-    agree and to rounding where padding changes the length of a batch
-    sum. Layer 1's bias rides in its products as their last term over k;
-    where layer 1 runs as one GEMM per fold (see ``_one_gemm``), that
-    gives the bits of a separate bias add and batch sum. When the last
-    hidden layer has at least 4 units, the output layer's delta is one
-    GEMM per fold against its weights laid out block-diagonally, which
-    leaves every parameter's bits as the broadcast product g·W does.
+    out of the loss and the gradient; a fold with no batch j left is
+    masked out of the step's one Adam update, so it keeps its parameters,
+    Adam moments and step counter. So each model equals training its fold
+    alone (the same rows as a matrix of their own), bit for bit where the
+    folds' batch layouts agree and to rounding where padding changes the
+    length of a batch sum. Layer 1's bias rides in its products as their
+    last term over k; where layer 1 runs as one GEMM per fold (see
+    ``_one_gemm``), that gives the bits of a separate bias add and batch
+    sum. When the last hidden layer has at least 4 units, the output
+    layer's delta is one GEMM per fold against its weights laid out
+    block-diagonally, which leaves every parameter's bits as the
+    broadcast product g·W does.
 
     A non-finite entry of ``X`` or of a fold's targets is a ValueError.
     Raises TrainingDiverged (carrying the epoch, the index of the fold in
@@ -649,23 +653,22 @@ def train_folds(
     bufs = _hidden_rows(n_folds, tc.batch_size, n_models, net.hidden_layers)
     blocks = np.zeros((n_folds, n_models, n_models, net.hidden_layers[-1]))
     steps = {}
-    for i, (cols, pad, inv_count, active) in enumerate(plan):
+    for i, (cols, pad, inv_count, takes) in enumerate(plan):
         width = cols.stop - cols.start
         if width not in steps:
             bufs_w = [[buf[:, :width] for buf in kind] for kind in bufs]
             steps[width] = _Step(params, grads, x_buf[:, :width], bufs_w, blocks)
         values = slice(0, width * (d + 1))
         batch = (order[:, cols], y_order[:, None, cols], steps[width], mean[:, values], scale[:, values])
-        plan[i] = (*batch, pad, inv_count, active)
+        plan[i] = (*batch, pad, inv_count, takes)
     adam_scratch = np.empty_like(theta)  # with grad, which _adam_update overwrites
-    fold_arrays = list(zip(theta, grad, m, v, adam_scratch))
     # Adam's bias corrections of every step number a fold can reach, one
-    # (c1, c2) row each; an all-fold step takes its folds' rows as (F, 1)
-    # columns of ``corrections_t``.
+    # (c1, c2) row each; a step takes its folds' rows, by their step
+    # counters ``t``, as (F, 1) columns of ``corrections_t``.
     corrections = np.array([_bias_corrections(k, tc) for k in range(tc.epochs * len(plan) + 1)])
-    t = np.zeros(n_folds, dtype=np.intp)
-    corrections_t = np.empty((n_folds, 2))
-    c1, c2 = corrections_t[:, :1], corrections_t[:, 1:]
+    t = np.zeros((n_folds, 1), dtype=np.intp)
+    corrections_t = np.empty((n_folds, 1, 2))
+    c1, c2 = corrections_t[..., 0], corrections_t[..., 1]
     bound = _finite_loss_bound(columns, tc.batch_size)
 
     # Overflow in a step is the divergence signal itself, not an anomaly.
@@ -674,7 +677,7 @@ def train_folds(
             for f, (shuffle, idx, y) in enumerate(zip(shuffles, rows, ys)):
                 perm = shuffle.permutation(sizes[f])
                 order[f, : sizes[f]], y_order[f, : sizes[f]] = idx[perm], y[perm]
-            for batch_rows, yb, step, mean_w, scale_w, pad, inv_count, active in plan:
+            for batch_rows, yb, step, mean_w, scale_w, pad, inv_count, takes in plan:
                 # every index was checked against X above, so "clip" never clips
                 X1.take(batch_rows, axis=0, out=step.x, mode="clip")
                 step.x_rows -= mean_w
@@ -689,15 +692,10 @@ def train_folds(
                     _check_finite_loss(step, columns, pad, epoch)
                 _backward(step)
                 grad *= inv_count
-                if active is None:
-                    t += 1
-                    # the table covers every step, so "clip" never clips
-                    np.take(corrections, t, axis=0, out=corrections_t, mode="clip")
-                    _adam_update(theta, grad, m, v, adam_scratch, c1, c2, tc)
-                else:
-                    for f in active:
-                        t[f] += 1
-                        _adam_update(*fold_arrays[f], *corrections[t[f]], tc)
+                t += takes
+                # the table covers every step, so "clip" never clips
+                np.take(corrections, t, axis=0, out=corrections_t, mode="clip")
+                _adam_update(theta, grad, m, v, adam_scratch, c1, c2, tc, takes)
 
     return [
         [

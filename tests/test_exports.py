@@ -149,3 +149,13 @@ def test_gc_freeze_only_at_the_entry_point(module, frozen):
     env = {**os.environ, "PYTHONPATH": src}
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert (int(out.stdout) > 0) == frozen
+
+
+@pytest.mark.parametrize("module", ["cauchybench.__main__", "cauchybench.cli"])
+def test_import_leaves_sigterm_alone(module):
+    # Only calling the entry point's main() sets a SIGTERM handler.
+    code = f"import signal, {module}; print(signal.getsignal(signal.SIGTERM) is signal.SIG_DFL)"
+    src = str(Path(cauchybench.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "True"

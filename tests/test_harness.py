@@ -505,6 +505,22 @@ class TestForkedChildren:
             run_experiment(self.CFG)
         no_child_left()
 
+    def test_a_child_ended_by_sigterm_reports_the_signal(self, monkeypatch, within_seconds):
+        # A child inherits the entry point's SIGTERM handler, which would
+        # turn the signal into its exit status 1; it dies of the signal.
+        from cauchybench import harness
+        from cauchybench.cli import _exit_on_signal
+
+        monkeypatch.setattr(harness, "_run_pairs", lambda *args: os.kill(os.getpid(), signal.SIGTERM))
+        cpus(monkeypatch, 2)
+        previous = signal.signal(signal.SIGTERM, _exit_on_signal)
+        try:
+            with pytest.raises(RuntimeError, match=r"ended with status -15 before sending its outputs"):
+                run_experiment(self.CFG)
+        finally:
+            signal.signal(signal.SIGTERM, previous)
+        no_child_left()
+
     def test_an_unpicklable_exception_crosses_as_its_traceback(self, monkeypatch, within_seconds):
         from cauchybench import harness
 

@@ -1,7 +1,12 @@
 import io
 import json
+import os
 import shlex
+import signal
+import subprocess
+import sys
 import tempfile
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -15,6 +20,7 @@ from cauchybench.datagen import NoiseFamily, NoiseSpec, apply_noise, make_hc2, m
 from cauchybench.harness import (
     DatasetSpec,
     ExperimentConfig,
+    SeedLedger,
     config_from_dict,
     config_to_dict,
     preset_document,
@@ -277,7 +283,8 @@ class TestCli:
         ),
     )
     def test_gen_output_round_trips_through_ingest(self, dataset, n, seed, noise):
-        # What `gen` writes, ingest reads back as make_* plus apply_noise, bit for bit.
+        # What `gen` writes, ingest reads back as make_* plus apply_noise
+        # with the derived noise seed, bit for bit.
         family, params = noise
         flags = [arg for k, v in params.items() for arg in (f"--{k}", repr(v))]
         with tempfile.TemporaryDirectory() as tmp:
@@ -286,9 +293,23 @@ class TestCli:
             assert cli_main([*args, *flags, "--out", str(out)]) == 0
             ds = load_gen_csv(out, 2 if dataset == "hc2" else 8)
         want = (make_hc2 if dataset == "hc2" else make_hc8)(n, seed)
-        want_y = apply_noise(want.y, NoiseSpec(family, seed=seed, **params))
+        noise_seed = SeedLedger(seed).derive_int("noise", 0, 0)
+        want_y = apply_noise(want.y, NoiseSpec(family, seed=noise_seed, **params))
         assert ds.X.tobytes() == want.X.tobytes()
         assert ds.y.tobytes() == want_y.tobytes()
+
+    def test_gen_noise_draws_from_a_stream_of_its_own(self, tmp_path, capsys):
+        # Seeded with --seed itself, the Cauchy noise of row i would be
+        # tan(pi (u_i - 1/2)) of the uniform that made the row's inputs.
+        out = tmp_path / "d.csv"
+        args = ["gen", "--dataset", "hc2", "--n", "6", "--seed", "0", "--noise", "cauchy", "--tau", "1"]
+        assert cli_main([*args, "--out", str(out)]) == 0
+        capsys.readouterr()
+        y = load_gen_csv(out, 2).y
+        clean = make_hc2(6, 0).y
+        derived = NoiseSpec(NoiseFamily.CAUCHY, tau=1.0, seed=SeedLedger(0).derive_int("noise", 0, 0))
+        assert y.tobytes() == apply_noise(clean, derived).tobytes()
+        assert not np.any(y == apply_noise(clean, NoiseSpec(NoiseFamily.CAUCHY, tau=1.0, seed=0)))
 
     def test_negative_exponent_form_is_a_value(self, tmp_path, capsys):
         out = tmp_path / "d.csv"
@@ -630,6 +651,74 @@ class TestCli:
         for line in lines:
             args = parser.parse_args(shlex.split(line)[1:])
             assert args.command == shlex.split(line)[1], line
+
+
+def _children(pid: int) -> set[int]:
+    try:
+        with open(f"/proc/{pid}/task/{pid}/children") as fh:
+            return {int(child) for child in fh.read().split()}
+    except FileNotFoundError:
+        return set()
+
+
+def _catches_sigterm(pid: int) -> bool:
+    try:
+        with open(f"/proc/{pid}/status") as fh:
+            caught = next(line for line in fh if line.startswith("SigCgt:"))
+    except FileNotFoundError:
+        return False
+    return bool(int(caught.split()[1], 16) >> (signal.SIGTERM - 1) & 1)
+
+
+def test_sigterm_ends_a_run_with_its_workers(tmp_path):
+    # `timeout`, `kill` and CI cancellation send SIGTERM. The entry point
+    # exits with 128 + 15, after killing and reaping its forked workers,
+    # and leaves no temporary results file behind.
+    doc = preset_document("hc2-negative")
+    doc["dataset"]["n_samples"] = 2000
+    doc.update(replicates=4, folds=3)
+    doc["train"] = {"epochs": 6000}
+    config = tmp_path / "long.json"
+    config.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    out.mkdir()
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    # The run gets at most 2 CPUs. With 2 it forks 2 workers, which it does
+    # only after the entry point has set its handlers; with one it trains alone.
+    cpus = sorted(os.sched_getaffinity(0))[:2]
+    forks = len(cpus) == 2
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "cauchybench", "run", "--config", str(config), "--out", str(out / "r.json")],
+        env={**os.environ, "PYTHONPATH": src}, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
+        preexec_fn=lambda: os.sched_setaffinity(0, cpus),
+    )
+    children = set()
+    try:
+        deadline = time.monotonic() + 60
+        while proc.poll() is None and time.monotonic() < deadline:
+            children |= _children(proc.pid)
+            if (len(children) >= 2) if forks else _catches_sigterm(proc.pid):
+                break
+            time.sleep(0.05)
+        assert proc.poll() is None, proc.stderr.read().decode()[-2000:]
+        assert len(children) == (2 if forks else 0)
+        proc.send_signal(signal.SIGTERM)
+        assert proc.wait(timeout=30) == 128 + signal.SIGTERM
+        deadline = time.monotonic() + 5
+        while any(os.path.exists(f"/proc/{child}") for child in children) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert not [child for child in children if os.path.exists(f"/proc/{child}")]
+        assert list(out.iterdir()) == []
+    finally:
+        for child in children:
+            try:
+                os.kill(child, signal.SIGKILL)
+            except ProcessLookupError:
+                pass
+        if proc.poll() is None:
+            proc.kill()
+            proc.wait()
+        proc.stderr.close()
 
 
 @pytest.fixture(scope="module")
