@@ -37,7 +37,7 @@ import os
 import pickle
 import time
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import MISSING, asdict, dataclass, fields, replace
 from functools import partial
 from itertools import combinations
 from typing import Callable, NoReturn
@@ -46,7 +46,7 @@ import numpy as np
 
 from .datagen import HC2_RANGES, HC8_RANGES, Dataset, NoiseSpec, apply_noise, make_hc2, make_hc8, noise_spec
 from .ingest import SEOUL_BIKE_SCHEMA, IngestionError, load_dataset, schema_from_json
-from .losses import LossKind, LossSpec, _check_numbers, mae_score, rmse_score
+from .losses import LossSpec, _check_numbers, mae_score, rmse_score
 from .nets import NetworkConfig, TrainConfig, TrainingDiverged, train_folds
 from .ranktests import kruskal_wallis, wilcoxon_rank_sum
 from .report import RESULTS_SCHEMA
@@ -128,7 +128,7 @@ class ExperimentConfig:
         for spec in self.models:
             if spec.label in seen:
                 first = seen[spec.label]
-                constants = "" if spec.kind is LossKind.MSE else f" (c = {first.c!r} and {spec.c!r})"
+                constants = "" if spec.c is None else f" (c = {first.c!r} and {spec.c!r})"
                 raise ValueError(f"duplicate model specs: two models share the label {spec.label}{constants}")
             seen[spec.label] = spec
         for name, spec in (("train", self.train), ("noise", self.noise)):
@@ -571,30 +571,38 @@ def config_to_dict(cfg: ExperimentConfig) -> dict:
     del doc["train"]["seed"]  # train and noise seeds derive from master_seed
     doc["noise"] = cfg.noise.describe()
     del doc["noise"]["seed"]
-    doc["models"] = [
-        {"kind": m.kind.value, **({"c": m.c} if m.kind is LossKind.CLF else {})}
-        for m in cfg.models
-    ]
+    doc["models"] = [{"kind": "mse"} if m.c is None else {"kind": "clf", "c": m.c} for m in cfg.models]
     if cfg.net is not None:
         doc["net"]["hidden_layers"] = list(cfg.net.hidden_layers)
     return doc
 
 
 def _fields_of(doc, cls, path: str) -> dict:
-    """``doc`` checked to be an object whose keys are all fields of ``cls``."""
+    """``doc`` checked to be an object whose keys are all fields of ``cls``
+    and that holds every field without a default."""
+    return _keys_of(doc, path, {f.name: f.default is MISSING for f in fields(cls)})
+
+
+def _keys_of(doc, path: str, keys: dict[str, bool]) -> dict:
+    """``doc`` checked to be an object whose keys are all in ``keys`` and
+    that holds each key that ``keys`` marks as required."""
     if not isinstance(doc, dict):
         raise ValueError(f"config {path or 'document'} must be an object")
-    allowed = {f.name for f in fields(cls)}
+    prefix = f"{path}." if path else ""
     for key in doc:
-        if key not in allowed:
-            dotted = f"{path}.{key}" if path else key
-            raise ValueError(f"unknown config key {dotted!r}")
+        if key not in keys:
+            raise ValueError(f"unknown config key {prefix + key!r}")
+    for key, required in keys.items():
+        if required and key not in doc:
+            raise ValueError(f"missing config key {prefix + key!r}")
     return doc
 
 
 def _model_from_dict(doc, path: str) -> LossSpec:
-    m = _fields_of(doc, LossSpec, path)
-    is_clf = LossKind(m["kind"]) is LossKind.CLF
+    m = _keys_of(doc, path, {"kind": True, "c": False})
+    if m["kind"] not in ("mse", "clf"):
+        raise ValueError(f"config key '{path}.kind' must be 'mse' or 'clf', got {m['kind']!r}")
+    is_clf = m["kind"] == "clf"
     if is_clf != ("c" in m):
         raise ValueError(f"config {path}: a CLF model needs 'c' and an MSE model takes none")
     return LossSpec.clf(m["c"]) if is_clf else LossSpec.mse()
@@ -602,9 +610,10 @@ def _model_from_dict(doc, path: str) -> LossSpec:
 
 def config_from_dict(doc: dict) -> ExperimentConfig:
     """The inverse of ``config_to_dict``; a missing key takes the dataclass
-    default, and an unknown key at any level, or a noise parameter its
-    family does not read, is an error naming its dotted path (e.g.
-    ``dataset.n_sample``, ``noise.tau`` with Gaussian noise)."""
+    default, and a missing key that has none, an unknown key at any level,
+    or a noise parameter its family does not read, is an error naming its
+    dotted path (e.g. ``models[0].kind``, ``dataset.n_sample``,
+    ``noise.tau`` with Gaussian noise)."""
     top = dict(_fields_of(doc, ExperimentConfig, ""))
     top["dataset"] = DatasetSpec(**_fields_of(top["dataset"], DatasetSpec, "dataset"))
     top["noise"] = noise_spec(_fields_of(top["noise"], NoiseSpec, "noise"), "config key 'noise.{}'")

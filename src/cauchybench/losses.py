@@ -23,12 +23,10 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
 __all__ = [
-    "LossKind",
     "LossSpec",
     "clf_loss",
     "mse_loss",
@@ -39,38 +37,30 @@ __all__ = [
 ]
 
 
-class LossKind(str, Enum):
-    MSE = "mse"
-    CLF = "clf"
-
-
 @dataclass(frozen=True)
 class LossSpec:
-    """Loss identity plus the Cauchy constant c (ignored for MSE)."""
+    """A model's loss: the Cauchy loss with constant ``c``, or MSE when
+    ``c`` is None."""
 
-    kind: LossKind
-    c: float = 1.0
+    c: float | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "kind", LossKind(self.kind))
-        if self.kind is LossKind.CLF:
+        if self.c is not None:
             _check_real("c", self.c)
             _check_clf_constant(self.c)  # rejects a non-finite c with its own reason
 
     @property
     def label(self) -> str:
         """Display name, e.g. 'MSE', 'CLF_0.1', 'CLF_10000'."""
-        if self.kind is LossKind.MSE:
-            return "MSE"
-        return f"CLF_{self.c:g}"
+        return "MSE" if self.c is None else f"CLF_{self.c:g}"
 
     @staticmethod
     def mse() -> "LossSpec":
-        return LossSpec(LossKind.MSE)
+        return LossSpec()
 
     @staticmethod
     def clf(c: float) -> "LossSpec":
-        return LossSpec(LossKind.CLF, c)
+        return LossSpec(c)
 
 
 def _check_clf_constant(c) -> None:
@@ -133,8 +123,9 @@ def _as_result(value):
 
 def _loss_constants(spec: LossSpec) -> tuple:
     """The kernel's constants of one loss: whether it is MSE, then c, c^2,
-    c^2 / 2 and -c^2 (MSE carries c = 1)."""
-    is_mse = spec.kind is LossKind.MSE
+    c^2 / 2 and -c^2. MSE (c None) takes c = 1: its rows read none of the
+    four, and the CLF values computed and discarded for them stay finite."""
+    is_mse = spec.c is None
     c = 1.0 if is_mse else float(spec.c)
     return is_mse, c, c * c, 0.5 * c * c, -(c * c)
 

@@ -102,7 +102,7 @@ def test_c2_gradient_correctness():
     shapes = [NetworkConfig(2, (10,)), NetworkConfig(8, (14, 14))]
     for spec in (LossSpec.mse(), LossSpec.clf(1.0)):
         loss_fn = (
-            mse_loss if spec.kind.value == "mse" else lambda y, yh: clf_loss(y, yh, spec.c)
+            mse_loss if spec.c is None else lambda y, yh: clf_loss(y, yh, spec.c)
         )
         for net_cfg in shapes:
             for _ in range(10):  # 10 per shape -> 20 nets per loss

@@ -892,12 +892,12 @@ class TestPresetsAndConfig:
         with pytest.raises(ValueError, match=r"models\[1\].*'c'"):
             config_from_dict(doc)
         doc["models"][1] = {"kind": "huber", "c": 1.0}
-        with pytest.raises(ValueError, match="huber"):
+        with pytest.raises(ValueError, match=r"'models\[1\]\.kind' must be 'mse' or 'clf', got 'huber'"):
             config_from_dict(doc)
 
     def test_mse_model_takes_no_constant(self):
         doc = config_to_dict(tiny_config())
-        assert doc["models"][0] == {"kind": "mse"}
+        assert doc["models"] == [{"kind": "mse"}, {"kind": "clf", "c": 1.0}]
         doc["models"][0]["c"] = 5.0
         with pytest.raises(ValueError, match=r"models\[0\].*MSE model takes none"):
             config_from_dict(doc)

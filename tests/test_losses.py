@@ -1,5 +1,6 @@
 import math
 import warnings
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -127,7 +128,7 @@ class TestLossGrad:
         residuals = 10 ** rng.uniform(-3, 4, size=40)
         for r in residuals:
             for spec in (LossSpec.mse(), LossSpec.clf(0.1), LossSpec.clf(1.0), LossSpec.clf(100.0)):
-                if spec.kind.value == "mse":
+                if spec.c is None:
                     fd = fd_grad(mse_loss, r, 0.0)
                 else:
                     fd = fd_grad(lambda y, yh: clf_loss(y, yh, spec.c), r, 0.0)
@@ -215,6 +216,13 @@ class TestLossSpec:
         assert LossSpec.clf(0.1).label == "CLF_0.1"
         assert LossSpec.clf(10000.0).label == "CLF_10000"
 
+    def test_one_field_and_none_is_mse(self):
+        assert [f.name for f in fields(LossSpec)] == ["c"]
+        assert LossSpec.mse() == LossSpec() and LossSpec.mse().c is None
+        assert LossSpec().label == "MSE"
+        assert LossSpec.clf(2.0) == LossSpec(2.0) and LossSpec.clf(2.0).c == 2.0
+        assert LossSpec.clf(2.0) != LossSpec.mse()
+
     def test_positivity_iff_nonzero_residual(self):
         rng = np.random.default_rng(11)
         for r in rng.normal(scale=5, size=30):
@@ -224,10 +232,16 @@ class TestLossSpec:
             assert mse_loss(r, 0.0) > 0
 
     def test_invalid_clf_constant(self):
-        with pytest.raises(ValueError):
-            LossSpec.clf(0.0)
-        with pytest.raises(ValueError):
-            LossSpec.clf(-3.0)
+        for c, reason in (
+            (0.0, r"c\^2 a finite normal float"),
+            (-3.0, "> 0"),
+            (math.nan, "finite normal"),
+            (True, "c must be a number"),
+            ("1", "c must be a number"),
+        ):
+            for make in (LossSpec, LossSpec.clf):
+                with pytest.raises(ValueError, match=reason):
+                    make(c)
 
     @pytest.mark.parametrize("c", [5e102, 1e-153])
     def test_constants_near_both_ends_accepted(self, c):

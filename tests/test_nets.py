@@ -250,7 +250,7 @@ class TestBackward:
     def test_matches_finite_differences(self, hidden, spec):
         dims = {(10,): 2, (14, 14): 8}
         cfg = NetworkConfig(dims[hidden], hidden)
-        loss_fn = mse_loss if spec.kind.value == "mse" else lambda y, yh: clf_loss(y, yh, spec.c)
+        loss_fn = mse_loss if spec.c is None else lambda y, yh: clf_loss(y, yh, spec.c)
         for trial in range(10):
             p, x = safe_case(cfg, 1000 * trial + 17)
             y = float(np.random.default_rng(trial).normal())
@@ -690,9 +690,8 @@ class TestTrainFolds:
         for (rows, y, tc), models in zip(folds, trained):
             for spec, got in zip(MIXED_SPECS, models):
                 assert_same_params(got.params, train(Dataset(X[rows], y), net, spec, tc).params)
-                c = None if spec.kind.value == "mse" else spec.c
                 weights, biases = _reference_net.train(
-                    X[rows], y, net.layer_sizes, c, tc.seed, tc.epochs, tc.batch_size, tc.learning_rate
+                    X[rows], y, net.layer_sizes, spec.c, tc.seed, tc.epochs, tc.batch_size, tc.learning_rate
                 )
                 for a, b in zip(got.params.weights + got.params.biases, weights + biases):
                     np.testing.assert_allclose(a, b, rtol=1e-10, atol=0.0)
@@ -963,9 +962,8 @@ class TestAgainstReferenceTrainer:
         trained = train_folds(X, folds, net, self.SPECS)
         for (rows, y, tc), models in zip(folds, trained):
             for spec, model in zip(self.SPECS, models):
-                c = None if spec.kind.value == "mse" else spec.c
                 weights, biases = _reference_net.train(
-                    X[rows], y, net.layer_sizes, c, tc.seed, tc.epochs, tc.batch_size, tc.learning_rate
+                    X[rows], y, net.layer_sizes, spec.c, tc.seed, tc.epochs, tc.batch_size, tc.learning_rate
                 )
                 for got, want in zip(model.params.weights + model.params.biases, weights + biases):
                     np.testing.assert_allclose(got, want, rtol=1e-10, atol=0.0)

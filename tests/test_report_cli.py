@@ -466,6 +466,29 @@ class TestCli:
         assert cli_main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "r.json")]) == 1
         assert "dataset.n_sample" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "path, value, message",
+        [
+            *((path, None, f"missing config key '{path}'") for path in (
+                "dataset", "noise", "models", "models[1].kind",
+                "dataset.name", "noise.family", "net.input_dim", "net.hidden_layers",
+            )),
+            ("models[1].kind", "cauchy", "config key 'models[1].kind' must be 'mse' or 'clf', got 'cauchy'"),
+        ],
+    )
+    def test_missing_key_or_unknown_kind_names_its_path(self, tmp_path, capsys, path, value, message):
+        doc = typed_config_doc()
+        target, key = key_parent(doc, path)
+        if value is None:
+            del target[key]
+        else:
+            target[key] = value
+        cfg_path, out = tmp_path / "cfg.json", tmp_path / "r.json"
+        cfg_path.write_text(json.dumps(doc))
+        assert cli_main(["run", "--config", str(cfg_path), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: invalid config {cfg_path}: {message}\n"
+        assert not out.exists()
+
     def test_flags_override_config_file(self, tmp_path, capsys):
         cfg = ExperimentConfig(
             dataset=DatasetSpec(name="hc2", n_samples=400),
@@ -745,11 +768,17 @@ def typed_config_doc():
     )
 
 
-def set_key(doc, dotted, value):
+def key_parent(doc, dotted):
+    """The object that holds the key at ``dotted``, and that key."""
     *parents, last = dotted.replace("[1]", ".1").split(".")
     for key in parents:
         doc = doc[int(key)] if key.isdigit() else doc[key]
-    doc[last] = value
+    return doc, last
+
+
+def set_key(doc, dotted, value):
+    target, key = key_parent(doc, dotted)
+    target[key] = value
 
 
 class TestConfigNumberTypes:
