@@ -60,6 +60,7 @@ class LossSpec:
 
     @staticmethod
     def clf(c: float) -> "LossSpec":
+        _check_real("c", c)  # None would make an MSE spec
         return LossSpec(c)
 
 

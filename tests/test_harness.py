@@ -895,6 +895,13 @@ class TestPresetsAndConfig:
         with pytest.raises(ValueError, match=r"'models\[1\]\.kind' must be 'mse' or 'clf', got 'huber'"):
             config_from_dict(doc)
 
+    def test_clf_model_with_a_null_constant_is_rejected(self):
+        doc = config_to_dict(tiny_config())
+        for models in ([{"kind": "clf", "c": None}], [{"kind": "clf", "c": None}, {"kind": "clf", "c": 1}]):
+            doc["models"] = models
+            with pytest.raises(ValueError, match="^c must be a number, got None$"):
+                config_from_dict(doc)
+
     def test_mse_model_takes_no_constant(self):
         doc = config_to_dict(tiny_config())
         assert doc["models"] == [{"kind": "mse"}, {"kind": "clf", "c": 1.0}]

@@ -232,16 +232,23 @@ class TestLossSpec:
             assert mse_loss(r, 0.0) > 0
 
     def test_invalid_clf_constant(self):
+        out_of_range = (
+            r"^CLF constant c must be > 0 with c\^2 a finite normal float and c\^3 finite, got {}$"
+        )
         for c, reason in (
-            (0.0, r"c\^2 a finite normal float"),
-            (-3.0, "> 0"),
-            (math.nan, "finite normal"),
-            (True, "c must be a number"),
-            ("1", "c must be a number"),
+            (0.0, out_of_range.format("0.0")),
+            (-3.0, out_of_range.format("-3.0")),
+            (math.nan, out_of_range.format("nan")),
+            (True, "^c must be a number, got True$"),
+            ("1", "^c must be a number, got '1'$"),
         ):
             for make in (LossSpec, LossSpec.clf):
                 with pytest.raises(ValueError, match=reason):
                     make(c)
+
+    def test_clf_rejects_none(self):
+        with pytest.raises(ValueError, match="^c must be a number, got None$"):
+            LossSpec.clf(None)
 
     @pytest.mark.parametrize("c", [5e102, 1e-153])
     def test_constants_near_both_ends_accepted(self, c):
