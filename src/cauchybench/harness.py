@@ -15,8 +15,9 @@ The protocol for one experiment cell:
     minibatch loop (``nets.train_folds``) that reads each fold's rows
     from the replicate's one clean feature matrix (noise touches only
     targets, so no fold's features are copied for training),
-  * fold MAE/RMSE against the clean test fold are averaged into one
-    replicate score per model, and replicate scores feed the rank tests;
+  * each cell's MAE/RMSE on its clean test fold comes back as one record
+    (``CellInfo``); the document averages each model's fold scores into one
+    replicate score, and replicate scores feed the rank tests;
     replicates share nothing but the master seed, so they run in worker
     processes forked straight from the caller (``_forked``; no pool and no
     initializer), one per usable CPU at most. The unit of work is a
@@ -36,11 +37,11 @@ from __future__ import annotations
 import os
 import pickle
 import time
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from dataclasses import MISSING, asdict, dataclass, fields, replace
 from functools import partial
 from itertools import combinations
-from typing import Callable, NoReturn
+from typing import Callable, Iterator, NoReturn
 
 import numpy as np
 
@@ -238,16 +239,20 @@ def _hidden_layers(cfg: ExperimentConfig) -> tuple[int, ...]:
 
 @dataclass
 class CellInfo:
-    """Snapshot handed to an observer for each (replicate, fold, model) cell.
-    ``train_data``, the fold's training rows with their corrupted targets,
-    is built once per fold, and only when there is an observer."""
+    """One (replicate, fold, model) cell's scores on its clean test fold, from
+    the run that trained it to the observer and the results document. The
+    fold's data and training config are set only when there is an observer;
+    ``train_data``, its training rows with their corrupted targets, is built
+    once per fold."""
 
     replicate: int
     fold: int
     model: str
-    train_data: Dataset
-    test_data: Dataset
-    train_config: TrainConfig
+    mae: float
+    rmse: float
+    train_data: Dataset | None = None
+    test_data: Dataset | None = None
+    train_config: TrainConfig | None = None
 
 
 def run_replicate(
@@ -258,32 +263,33 @@ def run_replicate(
     observer: Callable[[CellInfo], None] | None = None,
 ) -> dict[str, list[dict[str, float]]]:
     """One full cross-validation pass; returns each model's fold scores,
-    [{"mae": ..., "rmse": ...}] in fold order, as in ``cell_scores``. Its
-    k pairs are one run, taken back as ``run_experiment`` takes its runs."""
+    [{"mae": ..., "rmse": ...}] in fold order, as in ``cell_scores``, read
+    from the records of its k pairs, taken back as one of ``run_experiment``'s runs."""
     ledger = ledger if ledger is not None else SeedLedger(cfg.master_seed)
     ledger.issue("data", replicate_index)
     ledger.issue("folds", replicate_index)
     k = cfg.folds
     pairs = range(replicate_index * k, (replicate_index + 1) * k)
     run = _run_pairs(cfg, _load_base(cfg), observer is not None, pairs)
-    scores = _take_runs([run], ledger, observer)
-    return {m.label: [pair[m.label] for pair in scores] for m in cfg.models}
+    cells = list(_take_runs([run], ledger, observer))
+    return {m: [{"mae": c.mae, "rmse": c.rmse} for c in cells if c.model == m] for m in cfg.model_labels}
 
 
 def _run_pairs(
     cfg: ExperimentConfig, base: Dataset | None, collect: bool, pairs: range
-) -> tuple[list[dict[str, dict[str, float]]], set[tuple[int, ...]], list[CellInfo]]:
+) -> tuple[list[CellInfo], set[tuple[int, ...]]]:
     """A run of (replicate, fold) pairs, numbered replicate x folds + fold,
     all trained in one ``train_folds`` call (``_pair_runs`` says why that
-    gives each model its bits alone): each pair's scores by model, the
-    noise and train streams the run issued on a ledger of its own and, if
-    ``collect``, the cells an observer is shown.
+    gives each model its bits alone): the run's records, one per cell in
+    (replicate, fold, model) order and carrying the cell's data only if
+    ``collect``, and the noise and train streams the run issued on a ledger
+    of its own.
 
     Each replicate the run touches is rebuilt from its ``data`` and
     ``folds`` streams, which the caller has issued. Each fold's rows index
     the touched replicates' clean feature matrices stacked."""
     k = cfg.folds
-    ledger, cells = SeedLedger(cfg.master_seed), []
+    ledger, records = SeedLedger(cfg.master_seed), []
     cleans, train_rows, prepared, offset = [], [], [], 0
     for r in range(pairs.start // k, -(-pairs.stop // k)):
         clean = _clean_dataset(cfg.dataset, _seed_stream(cfg.master_seed, "data", r), base)
@@ -316,31 +322,24 @@ def _run_pairs(
             model=err.model,
             fold=fold_idx,
         ) from err
-    scores = []
     for pair, (train_data, test_clean, tc), models in zip(pairs, prepared, trained):
         r, fold_idx = divmod(pair, k)
-        scores.append(pair_scores := {})
+        observed = (train_data, test_clean, tc) if collect else ()
         for spec, model in zip(cfg.models, models):
             preds = model.predict(test_clean.X)
-            pair_scores[spec.label] = {
-                "mae": mae_score(test_clean.y, preds),
-                "rmse": rmse_score(test_clean.y, preds),
-            }
-            if collect:
-                cells.append(CellInfo(r, fold_idx, spec.label, train_data, test_clean, tc))
-    return scores, ledger.issued, cells
+            mae, rmse = mae_score(test_clean.y, preds), rmse_score(test_clean.y, preds)
+            records.append(CellInfo(r, fold_idx, spec.label, mae, rmse, *observed))
+    return records, ledger.issued
 
 
-def _take_runs(runs, ledger: SeedLedger, observer) -> list[dict[str, dict[str, float]]]:
-    """The scores of ``_run_pairs`` outputs, in order; each run's streams
-    go to ``ledger``, then its cells to ``observer``, run by run."""
-    pair_scores = []
-    for scores, issued, cells in runs:
+def _take_runs(runs, ledger: SeedLedger, observer) -> Iterator[CellInfo]:
+    """The records of ``_run_pairs`` outputs, in order, yielded as each run comes
+    back: its streams go to ``ledger``, then its records to ``observer`` if any."""
+    for records, issued in runs:
         ledger.merge(issued)
-        for cell in cells:
+        for cell in records if observer is not None else ():
             observer(cell)
-        pair_scores += scores
-    return pair_scores
+        yield from records
 
 
 def compare_models(replicate_scores: dict[str, dict[str, list[float]]], metric: str) -> dict:
@@ -515,12 +514,12 @@ def run_experiment(cfg: ExperimentConfig, observer: Callable[[CellInfo], None] |
     job with its config and loaded data. This process imports
     ``numpy.random`` just before the fork, so the children share it
     instead of each loading it. It issues each replicate's data and folds
-    streams once, without building them; each run's own streams are merged
-    here and its cells replayed to ``observer`` (``_take_runs``), so the
-    observer runs in this process, on the cells in (replicate, fold,
-    model) order, each run's once it is back.
+    streams once, without building them; ``_take_runs`` merges each run's
+    own streams here and hands its records to ``observer``, so the observer
+    runs in this process, on the cells in (replicate, fold, model) order,
+    each run's once it is back. The document is built from those records.
     """
-    started = time.time()
+    started = time.perf_counter()
     ledger = SeedLedger(cfg.master_seed)
     for r in range(cfg.replicates):
         ledger.issue("data", r)
@@ -529,16 +528,13 @@ def run_experiment(cfg: ExperimentConfig, observer: Callable[[CellInfo], None] |
     cpus = _usable_cpus()
     runs = _pair_runs(cfg, cpus)
     workers = min(len(runs), cpus)
-    if workers == 1:
-        pair_scores = _take_runs(map(job, runs), ledger, observer)
-    else:
-        # fork, not spawn: a spawned worker imports numpy and the package
-        # again, which costs more than a small experiment's second core saves
-        with _forked(job, runs, workers) as outputs:
-            pair_scores = _take_runs(outputs, ledger, observer)
-    per_replicate = [pair_scores[r * cfg.folds : (r + 1) * cfg.folds] for r in range(cfg.replicates)]
     labels = cfg.model_labels
-    cells = {m: [[pair[m] for pair in rep] for rep in per_replicate] for m in labels}
+    cells = {m: [[] for _ in range(cfg.replicates)] for m in labels}  # cell_scores
+    # fork, not spawn: a spawned worker imports numpy and the package
+    # again, which costs more than a small experiment's second core saves
+    with _forked(job, runs, workers) if workers > 1 else nullcontext(map(job, runs)) as outputs:
+        for cell in _take_runs(outputs, ledger, observer):
+            cells[cell.model][cell.replicate].append({"mae": cell.mae, "rmse": cell.rmse})
     scores = {
         m: {k: [float(np.mean([c[k] for c in rep])) for rep in cells[m]] for k in ("mae", "rmse")}
         for m in labels
@@ -555,7 +551,7 @@ def run_experiment(cfg: ExperimentConfig, observer: Callable[[CellInfo], None] |
         "cell_scores": cells,
         "comparisons": {k: compare_models(scores, k) for k in ("mae", "rmse") if len(labels) > 1},
         "meta": {
-            "wall_clock_s": round(time.time() - started, 3),
+            "wall_clock_s": round(time.perf_counter() - started, 3),
             "seed_streams_issued": len(ledger.issued),
             "fresh_sample_per_replicate": cfg.dataset.name in _SYNTH_BUILDERS,
         },

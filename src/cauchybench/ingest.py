@@ -103,7 +103,10 @@ def _read_text(path: Path) -> str:
     try:
         return raw.decode("utf-8-sig")
     except UnicodeDecodeError:
-        return raw.decode("cp1252")
+        try:
+            return raw.decode("cp1252")
+        except UnicodeDecodeError as err:
+            raise IngestionError(f"{path}: neither UTF-8 nor cp1252 text: {err}") from None
 
 
 def _csv_rows(lines: list[str], path: Path):

@@ -3,12 +3,14 @@ top-level name is exported, and the package namespace holds no public
 name but its modules, so each name has one import path; importing the
 CLI, which loads every module a run does, loads no scipy, no
 multiprocessing and no unicodedata, and scipy is a test dependency only;
-the benchmark's traced run finds every function it wraps or replays;
+the benchmark's traced run finds every function it wraps or replays,
+and its observer reads every cell of a run without error;
 only the entry point sets the OpenBLAS thread default and freezes the
 import-time heap."""
 
 import ast
 import importlib
+import json
 import os
 import pkgutil
 import subprocess
@@ -113,6 +115,32 @@ def test_benchmark_trace_hooks_resolve(workload):
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(root / "src"), str(root / "benchmarks")])}
     out = subprocess.run([sys.executable, "-c", code], cwd=root, env=env, capture_output=True, text=True)
     assert out.returncode == 0, out.stderr[-2000:]
+
+
+def test_benchmark_observer_reads_every_cell():
+    # Only a `--trace 1` benchmark run reads the CellInfo fields that the
+    # benchmark's observer uses; this runs that observer on a 1-epoch
+    # hc2-cauchy experiment, called as a library.
+    root = Path(__file__).resolve().parents[1]
+    code = (
+        "import json, traced, workloads\n"
+        "from cauchybench import harness\n"
+        "cfg = workloads.config('hc2-cauchy', 11)\n"
+        "cfg['train'] = {**cfg['train'], 'epochs': 1}\n"
+        "tracer = traced.Tracer(cfg)\n"
+        "traced.install(tracer)\n"
+        "harness.run_experiment(harness.config_from_dict(cfg))\n"
+        "print(json.dumps({'errors': tracer.errors, 'folds': len(tracer.folds), 'cells': len(tracer.cells),\n"
+        "                  'shape': [cfg['replicates'], cfg['folds'], len(cfg['models'])]}))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(root / "src"), str(root / "benchmarks")])}
+    out = subprocess.run([sys.executable, "-c", code], cwd=root, env=env, capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr[-2000:]
+    seen = json.loads(out.stdout)
+    replicates, folds, models = seen["shape"]
+    assert seen["errors"] == []
+    assert seen["folds"] == replicates * folds
+    assert seen["cells"] == replicates * folds * models
 
 
 @pytest.mark.parametrize(

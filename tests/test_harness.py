@@ -311,6 +311,17 @@ class TestRunExperiment:
         b["meta"].pop("wall_clock_s")
         assert a == b
 
+    def test_wall_clock_is_not_moved_by_a_step_of_the_system_clock(self, monkeypatch):
+        # Each reading of the system clock is an hour behind the last, as
+        # when it is stepped back during the run.
+        import itertools
+
+        from cauchybench import harness
+
+        real, steps = time.time, itertools.count(0.0, -3600.0)
+        monkeypatch.setattr(harness.time, "time", lambda: real() + next(steps))
+        assert run_experiment(tiny_config())["meta"]["wall_clock_s"] >= 0
+
 
 def cpus(monkeypatch, n):
     """Make ``n`` CPUs usable by this process, as the harness counts them."""
@@ -357,6 +368,36 @@ class TestReplicatePool:
             assert np.array_equal(first.train_data.y, other.train_data.y)
             assert first.train_config.seed == other.train_config.seed
 
+    @pytest.mark.parametrize("n_cpus", [1, 2], ids=["in-process", "forked"])
+    def test_each_cell_reaches_the_document_as_its_record(self, monkeypatch, n_cpus):
+        # The records the observer is shown carry the document's cell
+        # scores; without an observer the same records carry no data.
+        from cauchybench import harness
+
+        take, records = harness._take_runs, []
+
+        def spy(runs, ledger, observer):
+            for cell in take(runs, ledger, observer):
+                records.append(cell)
+                yield cell
+
+        monkeypatch.setattr(harness, "_take_runs", spy)
+        cpus(monkeypatch, n_cpus)
+        seen = []
+        doc = run_experiment(self.CFG, observer=seen.append)
+        assert len(records) == len(seen) == 3 * 3 * 2
+        assert all(got is cell for got, cell in zip(records, seen))
+        for cell in seen:
+            scores = doc["cell_scores"][cell.model][cell.replicate][cell.fold]
+            assert scores == {"mae": cell.mae, "rmse": cell.rmse}
+            assert None not in (cell.train_data, cell.test_data, cell.train_config)
+        records.clear()
+        run_experiment(self.CFG)
+        assert [(c.replicate, c.fold, c.model, c.mae, c.rmse) for c in records] == [
+            (c.replicate, c.fold, c.model, c.mae, c.rmse) for c in seen
+        ]
+        assert all(c.train_data is c.test_data is c.train_config is None for c in records)
+
     def test_one_cpu_forks_nothing_and_gives_the_same_document(self, monkeypatch):
         cpus(monkeypatch, 2)
         pooled = run_experiment(self.CFG)
@@ -386,14 +427,15 @@ class TestReplicatePool:
 
     def test_a_child_receives_nothing_and_sends_only_its_outputs(self, tmp_path, monkeypatch):
         # The forked children inherit the job, with its config and the loaded
-        # bike data; each pickles only its runs' outputs, one per run, back.
+        # bike data; each pickles only its runs' outputs, one per run, back:
+        # one record per cell, carrying no data when there is no observer.
         log = tmp_path / "sent.log"
         parent, dumps = os.getpid(), pickle.dumps
 
         def spy(obj, *args, **kwargs):
             out = dumps(obj, *args, **kwargs)
             with open(log, "a") as f:
-                f.write(f"{os.getpid()} {len(out)} {len(obj[0])}\n")
+                f.write(f"{os.getpid()} {len(out)} {len(obj[0])}\n")  # obj[0]: the run's records
             return out
 
         cfg = benchmark_workload("bike-outliers")
@@ -405,7 +447,7 @@ class TestReplicatePool:
         sent = [tuple(map(int, line.split())) for line in log.read_text().splitlines()]
         assert parent not in {pid for pid, _, _ in sent}
         assert len({pid for pid, _, _ in sent}) == 2
-        assert sorted(pairs for _, _, pairs in sent) == [4, 5]  # the runs' pair counts
+        assert sorted(records for _, _, records in sent) == [28, 35]  # 4 and 5 pairs x 7 models
         assert max(size for _, size, _ in sent) < 4096, sent
 
     def test_the_forking_parent_loads_numpy_random_and_no_multiprocessing(self):

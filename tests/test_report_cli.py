@@ -630,10 +630,11 @@ class TestCli:
             ([*BIKE, "{tmp}"], "Is a directory"),
             (["run", "--config", "{tmp}"], "Is a directory"),
             ([*BIKE, "{tmp}/big.csv"], "big.csv: row 3: field larger than field limit (131072)"),
+            ([*BIKE, "{tmp}/bad.csv"], "bad.csv: neither UTF-8 nor cp1252 text: 'charmap' codec"),
         ],
         ids=["config", "table", "compare", "data", "schema", "header", "sidecar", "sidecar-not-json",
              "sidecar-role", "sidecar-no-target", "n-over-rows", "folds-over-rows", "net-width",
-             "data-directory", "config-directory", "field-over-csv-limit"],
+             "data-directory", "config-directory", "field-over-csv-limit", "undecodable-csv"],
     )
     def test_a_bad_input_file_exits_1_before_training(
         self, tmp_path, capsys, monkeypatch, bike_975, args, message
@@ -653,6 +654,7 @@ class TestCli:
         lines = bike_975.read_bytes().splitlines(keepends=True)
         lines[3] = b"x" * 200_000 + lines[3]  # data row 3's first field, past the csv module's limit
         (tmp_path / "big.csv").write_bytes(b"".join(lines))
+        (tmp_path / "bad.csv").write_bytes(b"x1,y\n1\x81,2\n")  # 0x81 is neither UTF-8 nor cp1252
         out = tmp_path / "r.json"
         args = [arg.format(tmp=tmp_path, csv=bike_975) for arg in args]
         if args[0] == "run":
