@@ -11,7 +11,7 @@ Run:  python demos/mini_benchmark.py   (about 2 s on a 2-core machine)
 
 import numpy as np
 
-from cauchybench.datagen import NoiseFamily, NoiseSpec
+from cauchybench.datagen import NoiseSpec
 from cauchybench.harness import DatasetSpec, ExperimentConfig, run_experiment
 from cauchybench.losses import LossSpec
 from cauchybench.nets import TrainConfig
@@ -35,7 +35,7 @@ def experiment(noise):
 
 results = []
 for tau in (None, 1.0, 10.0):
-    noise = NoiseSpec(NoiseFamily.NONE) if tau is None else NoiseSpec(NoiseFamily.CAUCHY, tau=tau)
+    noise = NoiseSpec("none") if tau is None else NoiseSpec("cauchy", tau=tau)
     label = "clean" if tau is None else f"Cauchy tau={tau:g}"
     print(f"\n=== training corruption: {label} ===")
     doc = run_experiment(experiment(noise))

@@ -11,13 +11,13 @@ Run:  python demos/train_mse_vs_clf.py   (a few seconds)
 
 import numpy as np
 
-from cauchybench.datagen import NoiseFamily, NoiseSpec, apply_noise, make_hc2
+from cauchybench.datagen import NoiseSpec, apply_noise, make_hc2
 from cauchybench.losses import LossSpec, mae_score, rmse_score
 from cauchybench.nets import NetworkConfig, TrainConfig, train_folds
 
 train_data = make_hc2(2000, seed=0)
 test = make_hc2(1000, seed=1)
-noisy_y = apply_noise(train_data.y, NoiseSpec(NoiseFamily.CAUCHY, tau=5.0, seed=2))
+noisy_y = apply_noise(train_data.y, NoiseSpec("cauchy", tau=5.0, seed=2))
 
 biggest = np.sort(np.abs(noisy_y - train_data.y))[-5:]
 print("five largest injected noise magnitudes:", np.array2string(biggest, precision=1))

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, field
-from enum import Enum
 from typing import Sequence
 
 import numpy as np
@@ -25,7 +24,6 @@ from .losses import _check_numbers
 
 __all__ = [
     "Dataset",
-    "NoiseFamily",
     "NoiseSpec",
     "noise_spec",
     "HC2_RANGES",
@@ -84,31 +82,22 @@ class Dataset:
         return Dataset(self.X[idx], self.y[idx], dict(self.meta))  # fancy indexing copies
 
 
-class NoiseFamily(str, Enum):
-    NONE = "none"
-    GAUSSIAN = "gaussian"
-    CAUCHY = "cauchy"
-    UNIFORM_OUTLIER = "uniform_outlier"
-
-    @property
-    def parameters(self) -> tuple[str, ...]:
-        """The NoiseSpec fields this family reads, besides family and seed."""
-        return _FAMILY_PARAMETERS[self]
-
-
-_FAMILY_PARAMETERS = {
-    NoiseFamily.NONE: (),
-    NoiseFamily.GAUSSIAN: ("sigma",),
-    NoiseFamily.CAUCHY: ("x0", "tau"),
-    NoiseFamily.UNIFORM_OUTLIER: ("proportion", "range_multiplier"),
+# The noise families by config name, and the NoiseSpec fields each reads.
+_FAMILIES = {
+    "none": (),
+    "gaussian": ("sigma",),
+    "cauchy": ("x0", "tau"),
+    "uniform_outlier": ("proportion", "range_multiplier"),
 }
 
 
 @dataclass(frozen=True)
 class NoiseSpec:
-    """Which corruption to apply to training targets, and with what parameters."""
+    """Which corruption to apply to training targets, and with what
+    parameters. ``family`` is the config name itself, checked against
+    ``_FAMILIES``, the one table of the families and the fields they read."""
 
-    family: NoiseFamily
+    family: str
     sigma: float | None = None          # Gaussian std
     x0: float = 0.0                     # Cauchy location
     tau: float | None = None            # Cauchy scale
@@ -117,32 +106,33 @@ class NoiseSpec:
     seed: int = 0
 
     def __post_init__(self):
-        object.__setattr__(self, "family", NoiseFamily(self.family))
-        _check_numbers(self, *self.family.parameters, seed=0)
-        fam = self.family
-        if fam is NoiseFamily.GAUSSIAN and not (self.sigma is not None and self.sigma > 0):
+        if not (isinstance(self.family, str) and self.family in _FAMILIES):
+            raise ValueError(f"unknown noise family {self.family!r}; expected one of {', '.join(_FAMILIES)}")
+        _check_numbers(self, *_FAMILIES[self.family], seed=0)
+        if self.family == "gaussian" and not self.sigma > 0:
             raise ValueError("Gaussian noise needs sigma > 0")
-        if fam is NoiseFamily.CAUCHY and not (self.tau is not None and self.tau > 0):
+        if self.family == "cauchy" and not self.tau > 0:
             raise ValueError("Cauchy noise needs tau > 0")
-        if fam is NoiseFamily.UNIFORM_OUTLIER:
-            if self.proportion is None or not (0.0 <= self.proportion <= 1.0):
+        if self.family == "uniform_outlier":
+            if not 0.0 <= self.proportion <= 1.0:
                 raise ValueError("outlier proportion must lie in [0, 1]")
             if self.range_multiplier <= 0:
                 raise ValueError("range_multiplier must be > 0")
 
     def describe(self) -> dict:
-        d = {"family": self.family.value, "seed": self.seed}
-        d.update((name, getattr(self, name)) for name in self.family.parameters)
+        d = {"family": self.family, "seed": self.seed}
+        d.update((name, getattr(self, name)) for name in _FAMILIES[self.family])
         return d
 
 
 def noise_spec(given: dict, key_name: str) -> NoiseSpec:
-    """The NoiseSpec of the fields in ``given``. A noise parameter that its
-    family does not read is an error, naming it as ``key_name.format(key)``."""
+    """The NoiseSpec of ``given``, whose family is its config name. A noise
+    parameter that its row of ``_FAMILIES`` does not list is an error,
+    naming it as ``key_name.format(key)``."""
     spec = NoiseSpec(**given)
     for key in given:
-        if key not in ("family", "seed", *spec.family.parameters):
-            raise ValueError(f"{key_name.format(key)} does not apply to {spec.family.value} noise")
+        if key not in ("family", "seed", *_FAMILIES[spec.family]):
+            raise ValueError(f"{key_name.format(key)} does not apply to {spec.family} noise")
     return spec
 
 
@@ -212,8 +202,8 @@ def _tanpi(v):
 
 def cauchy_quantile(u, x0: float, tau: float):
     """Inverse CDF of Cauchy(x0, tau): x0 + tau * tan(pi (u - 1/2))."""
-    if tau <= 0:
-        raise ValueError("tau must be > 0")
+    if not (np.isfinite(x0) and np.isfinite(tau) and tau > 0):
+        raise ValueError(f"need a finite x0 and a finite tau > 0, got x0={x0!r}, tau={tau!r}")
     u = np.asarray(u, dtype=float)
     if np.any((u <= 0.0) | (u >= 1.0)):
         raise ValueError("u must lie strictly inside (0, 1)")
@@ -222,15 +212,17 @@ def cauchy_quantile(u, x0: float, tau: float):
 
 
 def cauchy_noise(x0: float, tau: float, n: int, seed) -> np.ndarray:
-    """n Cauchy(x0, tau) draws by inverse CDF; non-finite draws are redrawn."""
-    if tau <= 0:
-        raise ValueError("tau must be > 0")
+    """n Cauchy(x0, tau) draws by inverse CDF; a non-finite draw (a pole,
+    or an overflow at a huge tau) is redrawn."""
+    if not (np.isfinite(x0) and np.isfinite(tau) and tau > 0):
+        raise ValueError(f"need a finite x0 and a finite tau > 0, got x0={x0!r}, tau={tau!r}")
     rng = np.random.default_rng(seed)
     out = np.empty(n)
     pending = np.arange(n)
     while pending.size:
         u = rng.random(pending.size)
-        vals = x0 + tau * _tanpi(u - 0.5)
+        with np.errstate(over="ignore"):
+            vals = x0 + tau * _tanpi(u - 0.5)
         ok = np.isfinite(vals)
         out[pending[ok]] = vals[ok]
         pending = pending[~ok]
@@ -244,16 +236,18 @@ def apply_noise(y, spec: NoiseSpec) -> np.ndarray:
     round(len(y) * proportion) targets, halves rounded away from zero,
     with uniform draws over an interval centred at the midpoint of the
     targets and spanning range_multiplier times their range, so corrupted
-    values dwarf anything the clean data holds. NONE returns a copy.
+    values dwarf anything the clean data holds. ``spec.family`` is compared
+    as its name, which NoiseSpec checked against ``_FAMILIES``; "none"
+    returns a copy.
     """
     y = np.asarray(y, dtype=float)
-    if spec.family is NoiseFamily.GAUSSIAN:
+    if spec.family == "gaussian":
         out = y + np.random.default_rng(spec.seed).normal(0.0, spec.sigma, size=len(y))
-    elif spec.family is NoiseFamily.CAUCHY:
+    elif spec.family == "cauchy":
         out = y + cauchy_noise(spec.x0, spec.tau, len(y), spec.seed)
     else:
         out = y.copy()
-    if spec.family is NoiseFamily.UNIFORM_OUTLIER:
+    if spec.family == "uniform_outlier":
         lo, hi = float(y.min()), float(y.max())
         if hi == lo:
             raise ValueError("degenerate targets (max == min); outlier range undefined")

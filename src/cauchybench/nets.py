@@ -121,6 +121,9 @@ class NetworkConfig:
 
 @dataclass(frozen=True)
 class TrainConfig:
+    """Adam's settings, epochs and batch size. A batch_size at or above the
+    largest fold trains full-batch, with buffers sized by that fold."""
+
     learning_rate: float = 0.001
     beta1: float = 0.9
     beta2: float = 0.999
@@ -555,7 +558,8 @@ def train_folds(
     from the same seed, and features are standardized with a scaler fitted
     to that fold's rows. The per-batch gradient is the mean over the batch
     of per-sample prediction gradients pushed through backprop. Returns,
-    per fold, one model per loss, in order.
+    per fold, one model per loss, in order. A ``batch_size`` at or above
+    the largest fold trains full-batch, with buffers sized by that fold.
 
     Once per epoch, each fold's shuffled order is composed with its rows
     and its targets are gathered in that order; each step then gathers
@@ -615,6 +619,7 @@ def train_folds(
 
     n_folds, n_models, d = len(folds), len(losses), net.input_dim
     sizes = np.array([idx.size for idx in rows])
+    widest = min(tc.batch_size, int(sizes.max()))  # the first step's, which sizes the buffers
     # Batches are gathered from the features with a column of ones
     # appended, layer 1's bias input; the caller's X is never written.
     # Rows are standardized as they are gathered, so no scaled copy is
@@ -624,8 +629,8 @@ def train_folds(
     X1 = np.ones((len(X), d + 1))
     X1[:, :d] = X
     scalers = [FeatureScaler.fit(X[idx]) for idx in rows]
-    mean = np.tile(np.stack([np.append(s.mean, 0.0) for s in scalers]), tc.batch_size)
-    scale = np.tile(np.stack([np.append(s.scale, 1.0) for s in scalers]), tc.batch_size)
+    mean = np.tile(np.stack([np.append(s.mean, 0.0) for s in scalers]), widest)
+    scale = np.tile(np.stack([np.append(s.scale, 1.0) for s in scalers]), widest)
 
     inits = [init_params(net, fold_tc.seed) for *_, fold_tc in folds]
     theta = np.empty((n_folds, n_models * sum(a.size for a in inits[0].weights + inits[0].biases)))
@@ -641,7 +646,7 @@ def train_folds(
     plan = _step_plan(sizes, tc.batch_size)
     # Each fold's rows of X in this epoch's order and their targets; past
     # a fold's end, its first row, the padding row.
-    order = np.empty((n_folds, len(plan) * tc.batch_size), dtype=np.intp)
+    order = np.empty((n_folds, sizes.max()), dtype=np.intp)
     y_order = np.empty(order.shape)
     for f, (idx, y) in enumerate(zip(rows, ys)):
         order[f, sizes[f] :], y_order[f, sizes[f] :] = idx[0], y[0]
@@ -649,8 +654,8 @@ def train_folds(
     # over shared batch and hidden buffers and the output layer's
     # block-diagonal weights. Each step of the epoch then holds its batch
     # rows and targets, its step object, and its width's mean and scale.
-    x_buf = np.empty((n_folds, tc.batch_size, d + 1))
-    bufs = _hidden_rows(n_folds, tc.batch_size, n_models, net.hidden_layers)
+    x_buf = np.empty((n_folds, widest, d + 1))
+    bufs = _hidden_rows(n_folds, widest, n_models, net.hidden_layers)
     blocks = np.zeros((n_folds, n_models, n_models, net.hidden_layers[-1]))
     steps = {}
     for i, (cols, pad, inv_count, takes) in enumerate(plan):

@@ -17,7 +17,6 @@ import pytest
 
 from cauchybench.cli import cli_main
 from cauchybench.datagen import (
-    NoiseFamily,
     NoiseSpec,
     cauchy_noise,
     cauchy_quantile,
@@ -168,7 +167,7 @@ def test_c5_harness_contracts():
     started = time.time()
     cfg = ExperimentConfig(
         dataset=DatasetSpec(name="hc2", n_samples=80),
-        noise=NoiseSpec(NoiseFamily.CAUCHY, tau=5.0),
+        noise=NoiseSpec("cauchy", tau=5.0),
         models=(LossSpec.clf(1.0), LossSpec.mse()),
         train=TrainConfig(epochs=3, batch_size=16),
         folds=4,
@@ -227,7 +226,7 @@ def test_c6_hc2_negative_control():
     started = time.time()
     cfg = ExperimentConfig(
         dataset=DatasetSpec(name="hc2", n_samples=1000),
-        noise=NoiseSpec(NoiseFamily.NONE),
+        noise=NoiseSpec("none"),
         models=HC_MODELS,
         train=TrainConfig(epochs=60, batch_size=128, learning_rate=0.001),
         folds=10,
@@ -250,7 +249,7 @@ def test_c6_hc2_negative_control():
 def test_c7_hc2_cauchy_noise(tau):
     cfg = ExperimentConfig(
         dataset=DatasetSpec(name="hc2", n_samples=1000),
-        noise=NoiseSpec(NoiseFamily.CAUCHY, tau=tau),
+        noise=NoiseSpec("cauchy", tau=tau),
         models=HC_MODELS,
         train=TrainConfig(epochs=60, batch_size=128, learning_rate=0.001),
         folds=10,
@@ -273,7 +272,7 @@ def test_c7_hc2_cauchy_noise(tau):
 def test_c8_hc2_gaussian_sigma50_mse_wins():
     cfg = ExperimentConfig(
         dataset=DatasetSpec(name="hc2", n_samples=4500),
-        noise=NoiseSpec(NoiseFamily.GAUSSIAN, sigma=50.0),
+        noise=NoiseSpec("gaussian", sigma=50.0),
         models=HC_MODELS,
         train=TrainConfig(epochs=45, batch_size=128, learning_rate=0.001),
         folds=10,
@@ -297,9 +296,9 @@ def _bike_outlier_battery(path, n_samples, epochs, seed):
     mse_means = []
     for prop in proportions:
         noise = (
-            NoiseSpec(NoiseFamily.NONE)
+            NoiseSpec("none")
             if prop == 0.0
-            else NoiseSpec(NoiseFamily.UNIFORM_OUTLIER, proportion=prop)
+            else NoiseSpec("uniform_outlier", proportion=prop)
         )
         cfg = ExperimentConfig(
             dataset=DatasetSpec(name="bike", n_samples=n_samples, path=str(path)),

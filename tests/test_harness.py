@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cauchybench.datagen import NoiseFamily, NoiseSpec, target_y1
+from cauchybench.datagen import NoiseSpec, target_y1
 from cauchybench.harness import (
     BIKE_CLF_GRID,
     HC_CLF_GRID,
@@ -48,7 +48,7 @@ def preset_config(name, dataset=(), **top):
     return config_from_dict(doc)
 
 
-def tiny_config(noise=NoiseSpec(NoiseFamily.NONE), models=None, **kw):
+def tiny_config(noise=NoiseSpec("none"), models=None, **kw):
     return ExperimentConfig(
         dataset=DatasetSpec(name="hc2", n_samples=60),
         noise=noise,
@@ -138,7 +138,7 @@ class TestRunReplicate:
 
     def test_corruption_isolation_test_folds_bit_clean(self):
         seen = []
-        cfg = tiny_config(noise=NoiseSpec(NoiseFamily.CAUCHY, tau=10.0))
+        cfg = tiny_config(noise=NoiseSpec("cauchy", tau=10.0))
         run_replicate(cfg, 0, observer=seen.append)
         assert seen
         for cell in seen:
@@ -150,7 +150,7 @@ class TestRunReplicate:
 
     def test_fairness_same_corrupted_matrix_and_seed_across_models(self):
         seen = []
-        cfg = tiny_config(noise=NoiseSpec(NoiseFamily.GAUSSIAN, sigma=5.0))
+        cfg = tiny_config(noise=NoiseSpec("gaussian", sigma=5.0))
         run_replicate(cfg, 0, observer=seen.append)
         by_fold = {}
         for cell in seen:
@@ -164,7 +164,7 @@ class TestRunReplicate:
                 assert first.train_config.seed == other.train_config.seed
 
     def test_bit_identical_rerun(self):
-        cfg = tiny_config(noise=NoiseSpec(NoiseFamily.GAUSSIAN, sigma=2.0))
+        cfg = tiny_config(noise=NoiseSpec("gaussian", sigma=2.0))
         a = run_replicate(cfg, 1)
         b = run_replicate(cfg, 1)
         assert a == b
@@ -179,7 +179,7 @@ class TestRunReplicate:
         from cauchybench.nets import NetworkConfig, train_folds
 
         seen = []
-        cfg = tiny_config(noise=NoiseSpec(NoiseFamily.GAUSSIAN, sigma=5.0))
+        cfg = tiny_config(noise=NoiseSpec("gaussian", sigma=5.0))
         scores = run_replicate(cfg, 0, observer=seen.append)
         labels = cfg.model_labels
         assert [(c.replicate, c.fold, c.model) for c in seen] == [
@@ -201,8 +201,8 @@ class TestRunReplicate:
     @pytest.mark.parametrize(
         "noise",
         [
-            NoiseSpec(NoiseFamily.GAUSSIAN, sigma=5.0),
-            NoiseSpec(NoiseFamily.UNIFORM_OUTLIER, proportion=0.1, range_multiplier=9.0),
+            NoiseSpec("gaussian", sigma=5.0),
+            NoiseSpec("uniform_outlier", proportion=0.1, range_multiplier=9.0),
         ],
     )
     def test_observed_train_data_is_the_noisy_copy_of_the_clean_rows(self, noise):
@@ -336,7 +336,7 @@ class TestReplicatePool:
     """run_experiment trains replicates in forked workers; every result
     equals the serial loop over ``run_replicate`` on one ledger."""
 
-    CFG = tiny_config(noise=NoiseSpec(NoiseFamily.GAUSSIAN, sigma=5.0), replicates=3, master_seed=8)
+    CFG = tiny_config(noise=NoiseSpec("gaussian", sigma=5.0), replicates=3, master_seed=8)
 
     def serial(self):
         ledger, seen = SeedLedger(self.CFG.master_seed), []
@@ -1015,7 +1015,7 @@ class TestPresetsAndConfig:
             built[cls] = cls(**kw)
         cfg = ExperimentConfig(
             dataset=built[DatasetSpec],
-            noise=NoiseSpec(NoiseFamily.UNIFORM_OUTLIER, proportion=0.1, range_multiplier=9.0),
+            noise=NoiseSpec("uniform_outlier", proportion=0.1, range_multiplier=9.0),
             models=(LossSpec.clf(3.0), LossSpec.mse()),
             net=built[NetworkConfig],
             train=built[TrainConfig],
@@ -1068,7 +1068,7 @@ class TestBikeExperiment:
         path = write_surrogate_bike_csv(tmp_path / "b.csv", n_rows=100)
         cfg = ExperimentConfig(
             dataset=DatasetSpec(name="bike", path=str(path), **dataset),
-            noise=NoiseSpec(NoiseFamily.NONE),
+            noise=NoiseSpec("none"),
             models=(LossSpec.clf(100.0), LossSpec.mse()),
             train=TrainConfig(epochs=1, batch_size=32),
             folds=3,
@@ -1085,7 +1085,7 @@ class TestBikeExperiment:
         path = write_surrogate_bike_csv(tmp_path / "b.csv", n_rows=100)
         cfg = ExperimentConfig(
             dataset=DatasetSpec(name="bike", n_samples=101, path=str(path)),
-            noise=NoiseSpec(NoiseFamily.NONE),
+            noise=NoiseSpec("none"),
             models=(LossSpec.mse(),),
             train=TrainConfig(epochs=1, batch_size=32, seed=0),
             folds=2,
@@ -1117,7 +1117,7 @@ class TestBikeExperiment:
         path = write_surrogate_bike_csv(tmp_path / "b.csv", n_rows=90)
         cfg = ExperimentConfig(
             dataset=DatasetSpec(name="bike", path=str(path)),
-            noise=NoiseSpec(NoiseFamily.UNIFORM_OUTLIER, proportion=0.1),
+            noise=NoiseSpec("uniform_outlier", proportion=0.1),
             models=(LossSpec.clf(100.0), LossSpec.mse()),
             train=TrainConfig(epochs=2, batch_size=16, seed=0),
             folds=3,
@@ -1135,7 +1135,7 @@ class TestBikeExperiment:
         path = write_surrogate_bike_csv(tmp_path / "b.csv", n_rows=600)
         cfg = ExperimentConfig(
             dataset=DatasetSpec(name="bike", n_samples=120, path=str(path)),
-            noise=NoiseSpec(NoiseFamily.UNIFORM_OUTLIER, proportion=0.1),
+            noise=NoiseSpec("uniform_outlier", proportion=0.1),
             models=(LossSpec.clf(100.0), LossSpec.mse()),
             train=TrainConfig(epochs=2, batch_size=32, seed=0),
             folds=3,

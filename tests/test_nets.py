@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -573,6 +574,22 @@ class TestTrainFolds:
         for models, want in zip(trained, self.alone(folds)):
             for got, ref in zip(models, want):
                 assert_close_params(got.params, ref.params)
+
+    def test_batch_above_the_largest_fold_is_full_batch_in_its_memory(self):
+        # A batch_size above the fold's 60 rows trains full-batch, with its
+        # buffers sized by the fold; sized by batch_size they take 100 MiB.
+        folds = [(noisy_data(n=60, seed=9), self.tc(9, batch_size=60))]
+        want = train_folds(*shared(folds), self.NET, MIXED_SPECS)[0]
+        oversized = [(data, replace(tc, batch_size=10**5)) for data, tc in folds]
+        tracemalloc.start()
+        try:
+            got = train_folds(*shared(oversized), self.NET, MIXED_SPECS)[0]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        for a, b in zip(got, want):
+            assert_same_params(a.params, b.params)
+        assert peak < 1 << 20
 
     def test_result_does_not_depend_on_peers(self):
         folds = [(noisy_data(n=n, seed=s), self.tc(60 + s)) for s, n in enumerate((75, 80, 70, 75))]

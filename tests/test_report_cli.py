@@ -1,6 +1,7 @@
 import io
 import json
 import os
+import re
 import shlex
 import signal
 import subprocess
@@ -16,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cauchybench.cli import _build_parser, cli_main
-from cauchybench.datagen import NoiseFamily, NoiseSpec, apply_noise, make_hc2, make_hc8
+from cauchybench.datagen import NoiseSpec, apply_noise, make_hc2, make_hc8
 from cauchybench.harness import (
     DatasetSpec,
     ExperimentConfig,
@@ -45,7 +46,7 @@ def load_gen_csv(path, n_features):
     return load_dataset(path, schema + [ColumnSchema("y", Role.TARGET)])
 
 
-def small_result(noise=NoiseSpec(NoiseFamily.NONE), seed=5):
+def small_result(noise=NoiseSpec("none"), seed=5):
     cfg = ExperimentConfig(
         dataset=DatasetSpec(name="hc2", n_samples=50),
         noise=noise,
@@ -185,7 +186,7 @@ class TestCli:
     def test_run_config_file(self, tmp_path):
         cfg = ExperimentConfig(
             dataset=DatasetSpec(name="hc2", n_samples=40),
-            noise=NoiseSpec(NoiseFamily.GAUSSIAN, sigma=1.0),
+            noise=NoiseSpec("gaussian", sigma=1.0),
             models=(LossSpec.mse(), LossSpec.clf(10.0)),
             train=TrainConfig(epochs=1, seed=0),
             folds=2,
@@ -307,9 +308,16 @@ class TestCli:
         capsys.readouterr()
         y = load_gen_csv(out, 2).y
         clean = make_hc2(6, 0).y
-        derived = NoiseSpec(NoiseFamily.CAUCHY, tau=1.0, seed=SeedLedger(0).derive_int("noise", 0, 0))
+        derived = NoiseSpec("cauchy", tau=1.0, seed=SeedLedger(0).derive_int("noise", 0, 0))
         assert y.tobytes() == apply_noise(clean, derived).tobytes()
-        assert not np.any(y == apply_noise(clean, NoiseSpec(NoiseFamily.CAUCHY, tau=1.0, seed=0)))
+        assert not np.any(y == apply_noise(clean, NoiseSpec("cauchy", tau=1.0, seed=0)))
+
+    def test_gen_at_a_huge_tau_writes_finite_targets_without_a_warning(self, tmp_path, capsys):
+        out = tmp_path / "d.csv"
+        args = ["gen", "--dataset", "hc2", "--n", "3", "--noise", "cauchy", "--tau", "1e308"]
+        assert cli_main([*args, "--out", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+        assert np.all(np.isfinite(load_gen_csv(out, 2).y))
 
     def test_negative_exponent_form_is_a_value(self, tmp_path, capsys):
         out = tmp_path / "d.csv"
@@ -454,7 +462,7 @@ class TestCli:
         doc = config_to_dict(
             ExperimentConfig(
                 dataset=DatasetSpec(name="hc2", n_samples=40),
-                noise=NoiseSpec(NoiseFamily.NONE),
+                noise=NoiseSpec("none"),
                 models=(LossSpec.mse(),),
                 folds=2,
                 replicates=1,
@@ -492,7 +500,7 @@ class TestCli:
     def test_flags_override_config_file(self, tmp_path, capsys):
         cfg = ExperimentConfig(
             dataset=DatasetSpec(name="hc2", n_samples=400),
-            noise=NoiseSpec(NoiseFamily.NONE),
+            noise=NoiseSpec("none"),
             models=(LossSpec.mse(), LossSpec.clf(10.0)),
             train=TrainConfig(epochs=50, batch_size=32, learning_rate=0.001, seed=0),
             folds=5,
@@ -541,7 +549,7 @@ class TestCli:
     def test_config_keeps_its_seed_without_the_flag(self, tmp_path, capsys):
         cfg = ExperimentConfig(
             dataset=DatasetSpec(name="hc2", n_samples=40),
-            noise=NoiseSpec(NoiseFamily.NONE),
+            noise=NoiseSpec("none"),
             models=(LossSpec.mse(),),
             train=TrainConfig(epochs=1, seed=0),
             folds=2,
@@ -573,7 +581,7 @@ class TestCli:
     def test_runtime_failure_exit_2(self, tmp_path, capsys):
         cfg = ExperimentConfig(
             dataset=DatasetSpec(name="hc2", n_samples=40),
-            noise=NoiseSpec(NoiseFamily.NONE),
+            noise=NoiseSpec("none"),
             models=(LossSpec.mse(),),
             train=TrainConfig(epochs=2, learning_rate=1e80, seed=0),
             folds=2,
@@ -759,7 +767,7 @@ def typed_config_doc():
     return config_to_dict(
         ExperimentConfig(
             dataset=DatasetSpec(name="hc2", n_samples=40),
-            noise=NoiseSpec(NoiseFamily.GAUSSIAN, sigma=1.0),
+            noise=NoiseSpec("gaussian", sigma=1.0),
             models=(LossSpec.mse(), LossSpec.clf(10.0)),
             net=NetworkConfig(2, (4,)),
             train=TrainConfig(epochs=1, batch_size=16, seed=0),
@@ -859,6 +867,21 @@ class TestConfigNumberTypes:
         err = capsys.readouterr().err
         assert err.startswith("error: invalid config") and field in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("family", ["gaussien", ["gaussian"], None, 5])
+    def test_unknown_noise_family_exits_1_listing_the_families(self, tmp_path, capsys, family):
+        doc = typed_config_doc()
+        doc["noise"] = {"family": family}
+        message = f"unknown noise family {family!r}; expected one of none, gaussian, cauchy, uniform_outlier"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            config_from_dict(doc)
+        cfg_path, out = tmp_path / "cfg.json", tmp_path / "r.json"
+        cfg_path.write_text(json.dumps(doc))
+        assert cli_main(["run", "--config", str(cfg_path), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: invalid config") and message in err
+        assert "Traceback" not in err
+        assert not out.exists()
 
     def test_integral_floats_are_stored_as_ints(self):
         doc = typed_config_doc()
