@@ -200,32 +200,36 @@ def _tanpi(v):
     return np.copysign(t, v)
 
 
-def cauchy_quantile(u, x0: float, tau: float):
-    """Inverse CDF of Cauchy(x0, tau): x0 + tau * tan(pi (u - 1/2))."""
+def _cauchy(u, x0: float, tau: float):
+    """x0 + tau * tan(pi (u - 1/2)), the Cauchy(x0, tau) inverse CDF at ``u``;
+    ±inf where it overflows float64 or meets the pole at u = 0."""
     if not (np.isfinite(x0) and np.isfinite(tau) and tau > 0):
         raise ValueError(f"need a finite x0 and a finite tau > 0, got x0={x0!r}, tau={tau!r}")
+    with np.errstate(over="ignore"):
+        return x0 + tau * _tanpi(u - 0.5)
+
+
+def cauchy_quantile(u, x0: float, tau: float):
+    """Inverse CDF of Cauchy(x0, tau): x0 + tau * tan(pi (u - 1/2)). A value
+    beyond float64, at a huge tau, is a ValueError."""
     u = np.asarray(u, dtype=float)
     if np.any((u <= 0.0) | (u >= 1.0)):
         raise ValueError("u must lie strictly inside (0, 1)")
-    out = x0 + tau * _tanpi(u - 0.5)
+    out = _cauchy(u, x0, tau)
+    if not np.all(np.isfinite(out)):
+        raise ValueError(f"the Cauchy({x0!r}, {tau!r}) quantile overflows float64")
     return float(out) if out.ndim == 0 else out
 
 
 def cauchy_noise(x0: float, tau: float, n: int, seed) -> np.ndarray:
     """n Cauchy(x0, tau) draws by inverse CDF; a non-finite draw (a pole,
     or an overflow at a huge tau) is redrawn."""
-    if not (np.isfinite(x0) and np.isfinite(tau) and tau > 0):
-        raise ValueError(f"need a finite x0 and a finite tau > 0, got x0={x0!r}, tau={tau!r}")
     rng = np.random.default_rng(seed)
-    out = np.empty(n)
-    pending = np.arange(n)
-    while pending.size:
-        u = rng.random(pending.size)
-        with np.errstate(over="ignore"):
-            vals = x0 + tau * _tanpi(u - 0.5)
-        ok = np.isfinite(vals)
-        out[pending[ok]] = vals[ok]
-        pending = pending[~ok]
+    out = _cauchy(rng.random(n), x0, tau)
+    bad = ~np.isfinite(out)
+    while bad.any():
+        out[bad] = _cauchy(rng.random(int(bad.sum())), x0, tau)
+        bad = ~np.isfinite(out)
     return out
 
 

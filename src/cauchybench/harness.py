@@ -98,7 +98,7 @@ class DatasetSpec:
             if not isinstance(getattr(self, name), (str, type(None))):
                 raise ValueError(f"{name} must be a string or null, got {getattr(self, name)!r}")
         if self.name not in ("hc2", "hc8", "bike"):
-            raise ValueError(f"unknown dataset {self.name!r}")
+            raise ValueError(f"unknown dataset {self.name!r}; expected one of hc2, hc8, bike")
         if self.name in _SYNTH_BUILDERS:
             if self.n_samples is None:
                 raise ValueError("synthetic datasets need n_samples")
@@ -345,7 +345,9 @@ def _take_runs(runs, ledger: SeedLedger, observer) -> Iterator[CellInfo]:
 def compare_models(replicate_scores: dict[str, dict[str, list[float]]], metric: str) -> dict:
     """Omnibus Kruskal-Wallis plus every pairwise Wilcoxon rank-sum test:
     from a results document's ``replicate_scores`` (model -> metric -> one
-    score per replicate), its ``comparisons[metric]`` entry."""
+    score per replicate), its ``comparisons[metric]`` entry, which holds
+    each test's own entry as the test returns it (``ranktests``), a pair's
+    after its two model labels."""
     if metric not in ("mae", "rmse"):
         raise ValueError(f"unknown metric {metric!r}")
     models = list(replicate_scores)
@@ -356,9 +358,9 @@ def compare_models(replicate_scores: dict[str, dict[str, list[float]]], metric: 
         raise ValueError("models have mismatched replicate counts")
     return {
         "metric": metric,
-        "kruskal_wallis": kruskal_wallis(groups).to_dict(),
+        "kruskal_wallis": kruskal_wallis(groups),
         "pairwise": [
-            {"model_a": a, "model_b": b, **wilcoxon_rank_sum(ga, gb).to_dict()}
+            {"model_a": a, "model_b": b, **wilcoxon_rank_sum(ga, gb)}
             for (a, ga), (b, gb) in combinations(zip(models, groups), 2)
         ],
     }
@@ -370,15 +372,17 @@ def compare_models(replicate_scores: dict[str, dict[str, list[float]]], metric: 
 _GROUP_FLOATS = 2**15
 
 
-def _pair_runs(cfg: ExperimentConfig, cpus: int) -> list[range]:
-    """The R x k (replicate, fold) pairs, numbered replicate x k + fold, in
-    contiguous runs whose lengths differ by at most one: one
-    ``train_folds`` call and one ``_run_pairs`` job each.
+def _pair_runs(cfg: ExperimentConfig, cpus: int, rows: int) -> list[range]:
+    """The R x k (replicate, fold) pairs of replicates of ``rows`` rows each,
+    numbered replicate x k + fold, in contiguous runs whose lengths differ
+    by at most one: one ``train_folds`` call and one ``_run_pairs`` job each.
 
     Replicates group g = min(ceil(R / cpus), max(1, _GROUP_FLOATS // s))
-    to a call, where s = folds x batch_size x models x (sum of hidden
-    units) is the float count of one replicate's (F, w, M, h) hidden
-    buffer of a step; a replicate with s > _GROUP_FLOATS / 2 trains alone.
+    to a call, where s = folds x w x models x (sum of hidden units) is the
+    float count of one replicate's (F, w, M, h) hidden buffer of a step,
+    and w = min(batch_size, largest training fold) is the widest step,
+    which ``train_folds`` sizes its buffers by; a replicate with
+    s > _GROUP_FLOATS / 2 trains alone.
     That gives G = ceil(R / g) groups. The run count is the largest
     multiple of ``cpus`` not above G, so no worker idles in a last round,
     or G itself when G < cpus.
@@ -388,7 +392,8 @@ def _pair_runs(cfg: ExperimentConfig, cpus: int) -> list[range]:
     counts, so the call's largest fold, which fixes its step plan, is a
     whole replicate's: each model gets the bits it gets when its
     replicate trains alone, even when the run starts or ends inside it."""
-    s = cfg.folds * cfg.train.batch_size * len(cfg.models) * sum(_hidden_layers(cfg))
+    widest = min(cfg.train.batch_size, rows - rows // cfg.folds)  # all rows but the smallest test fold
+    s = cfg.folds * widest * len(cfg.models) * sum(_hidden_layers(cfg))
     g = min(-(-cfg.replicates // cpus), max(1, _GROUP_FLOATS // s))
     groups = -(-cfg.replicates // g)
     jobs = groups - groups % cpus if groups >= cpus else groups
@@ -524,9 +529,10 @@ def run_experiment(cfg: ExperimentConfig, observer: Callable[[CellInfo], None] |
     for r in range(cfg.replicates):
         ledger.issue("data", r)
         ledger.issue("folds", r)
-    job = partial(_run_pairs, cfg, _load_base(cfg), observer is not None)
+    base = _load_base(cfg)
+    job = partial(_run_pairs, cfg, base, observer is not None)
     cpus = _usable_cpus()
-    runs = _pair_runs(cfg, cpus)
+    runs = _pair_runs(cfg, cpus, cfg.dataset.n_samples or len(base))
     workers = min(len(runs), cpus)
     labels = cfg.model_labels
     cells = {m: [[] for _ in range(cfg.replicates)] for m in labels}  # cell_scores

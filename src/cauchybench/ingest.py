@@ -20,16 +20,15 @@ import csv
 import itertools
 import json
 import math
-from dataclasses import dataclass
+from collections.abc import Mapping
 from pathlib import Path
+from types import MappingProxyType
 
 import numpy as np
 
 from .datagen import Dataset
 
 __all__ = [
-    "Role",
-    "ColumnSchema",
     "IngestionError",
     "load_dataset",
     "schema_from_json",
@@ -41,56 +40,45 @@ class IngestionError(ValueError):
     """A CSV or schema that is malformed or unfit for the run; ``cauchybench`` exits 1 on it."""
 
 
-# Roles a schema column can play.
-class Role:
-    NUMERIC = "numeric_feature"
-    CATEGORICAL = "categorical_feature"
-    TARGET = "target"
-    DROPPED = "dropped"
-
-    ALL = (NUMERIC, CATEGORICAL, TARGET, DROPPED)
+# The roles a schema column can play: a schema maps each column name to one
+# of them, in the order of the features.
+_ROLES = ("numeric_feature", "categorical_feature", "target", "dropped")
 
 
-@dataclass(frozen=True)
-class ColumnSchema:
-    name: str
-    role: str
-
-    def __post_init__(self):
-        if self.role not in Role.ALL:
-            raise IngestionError(f"unknown column role {self.role!r}")
-
-
-def _validate_schema(schema: list[ColumnSchema]) -> None:
-    targets = [c for c in schema if c.role == Role.TARGET]
-    features = [c for c in schema if c.role in (Role.NUMERIC, Role.CATEGORICAL)]
-    if len(targets) != 1:
-        raise IngestionError(f"schema must declare exactly one target column, found {len(targets)}")
-    if not features:
-        raise IngestionError("schema must declare at least one feature column")
-    names = [c.name for c in schema]
-    if len(set(names)) != len(names):
-        raise IngestionError("schema column names must be unique")
+def _validate_schema(schema: Mapping[str, str], source: str = "schema") -> None:
+    """The check every schema passes: known roles, exactly one target and
+    at least one feature. Each message starts with ``source``."""
+    for i, (name, role) in enumerate(schema.items()):
+        if role not in _ROLES:
+            raise IngestionError(
+                f"{source}: entry {i} ({name!r}) has unknown column role {role!r}; "
+                f"expected one of {', '.join(_ROLES)}"
+            )
+    roles = list(schema.values())
+    if roles.count("target") != 1:
+        raise IngestionError(f"{source}: needs exactly one target column, found {roles.count('target')}")
+    if "numeric_feature" not in roles and "categorical_feature" not in roles:
+        raise IngestionError(f"{source}: needs at least one feature column")
 
 
 # Default featurization of the Seoul bike file: drop the date, keep the
 # hour numeric, one-hot the three categoricals, predict the rental count.
-SEOUL_BIKE_SCHEMA: tuple[ColumnSchema, ...] = (
-    ColumnSchema("Date", Role.DROPPED),
-    ColumnSchema("Rented Bike Count", Role.TARGET),
-    ColumnSchema("Hour", Role.NUMERIC),
-    ColumnSchema("Temperature", Role.NUMERIC),
-    ColumnSchema("Humidity", Role.NUMERIC),
-    ColumnSchema("Wind speed", Role.NUMERIC),
-    ColumnSchema("Visibility", Role.NUMERIC),
-    ColumnSchema("Dew point temperature", Role.NUMERIC),
-    ColumnSchema("Solar Radiation", Role.NUMERIC),
-    ColumnSchema("Rainfall", Role.NUMERIC),
-    ColumnSchema("Snowfall", Role.NUMERIC),
-    ColumnSchema("Seasons", Role.CATEGORICAL),
-    ColumnSchema("Holiday", Role.CATEGORICAL),
-    ColumnSchema("Functioning Day", Role.CATEGORICAL),
-)
+SEOUL_BIKE_SCHEMA: Mapping[str, str] = MappingProxyType({
+    "Date": "dropped",
+    "Rented Bike Count": "target",
+    "Hour": "numeric_feature",
+    "Temperature": "numeric_feature",
+    "Humidity": "numeric_feature",
+    "Wind speed": "numeric_feature",
+    "Visibility": "numeric_feature",
+    "Dew point temperature": "numeric_feature",
+    "Solar Radiation": "numeric_feature",
+    "Rainfall": "numeric_feature",
+    "Snowfall": "numeric_feature",
+    "Seasons": "categorical_feature",
+    "Holiday": "categorical_feature",
+    "Functioning Day": "categorical_feature",
+})
 
 
 def _normalize(name: str) -> str:
@@ -125,17 +113,17 @@ def _csv_rows(lines: list[str], path: Path):
         yield row
 
 
-def load_dataset(path, schema=SEOUL_BIKE_SCHEMA) -> Dataset:
+def load_dataset(path, schema: Mapping[str, str] = SEOUL_BIKE_SCHEMA) -> Dataset:
     """Parse a CSV and encode it as a Dataset whose meta records the source path.
 
-    Header matching is order-insensitive and ignores unit suffixes. Any
-    numeric cell that does not parse as a finite number raises
+    ``schema`` maps each column name to its role, in the order of the
+    features. Header matching is order-insensitive and ignores unit
+    suffixes. Any numeric cell that does not parse as a finite number raises
     IngestionError naming its 1-based data row and column; a row the csv
     module refuses raises one naming the row. Numeric
     features pass through; each categorical feature becomes one indicator
     column per category, categories sorted lexicographically.
     """
-    schema = list(schema)
     _validate_schema(schema)
     source = str(path)
     path = Path(path)
@@ -151,61 +139,60 @@ def load_dataset(path, schema=SEOUL_BIKE_SCHEMA) -> Dataset:
     by_norm = {_normalize(h): i for i, h in enumerate(header)}
     positions: dict[str, int] = {}
     bound: dict[int, str] = {}  # header index -> the schema column bound to it
-    for col in schema:
-        idx = by_name.get(col.name, by_norm.get(_normalize(col.name)))
+    for name in schema:
+        idx = by_name.get(name, by_norm.get(_normalize(name)))
         if idx is None:
-            raise IngestionError(f"{path}: header has no column matching {col.name!r}")
+            raise IngestionError(f"{path}: header has no column matching {name!r}")
         if idx in bound:
             raise IngestionError(
-                f"{path}: schema columns {bound[idx]!r} and {col.name!r} "
+                f"{path}: schema columns {bound[idx]!r} and {name!r} "
                 f"both match header column {header[idx]!r}"
             )
-        positions[col.name], bound[idx] = idx, col.name
+        positions[name], bound[idx] = idx, name
     extra = [h for i, h in enumerate(header) if i not in bound]
     if extra:
         raise IngestionError(f"{path}: columns not covered by the schema: {extra}")
 
     # Typed columns: floats for numeric features and the target, str otherwise.
-    numeric_roles = (Role.NUMERIC, Role.TARGET)
-    columns: dict[str, list] = {c.name: [] for c in schema}
+    columns: dict[str, list] = {name: [] for name in schema}
     for row_num, row in enumerate(reader, start=1):
         if not row:
             continue
         if len(row) != len(header):
             raise IngestionError(f"{path}: row {row_num} has {len(row)} cells, expected {len(header)}")
-        for col in schema:
-            cell = row[positions[col.name]]
-            if col.role in numeric_roles:
+        for name, role in schema.items():
+            cell = row[positions[name]]
+            if role in ("numeric_feature", "target"):
                 try:
                     value = float(cell)
                 except ValueError:
                     value = math.nan
                 if not math.isfinite(value):  # nan, inf and 1e999 parse, but are no data
                     raise IngestionError(
-                        f"{path}: row {row_num}, column {col.name!r}: "
+                        f"{path}: row {row_num}, column {name!r}: "
                         f"cannot parse {cell!r} as a finite number"
                     )
-                columns[col.name].append(value)
+                columns[name].append(value)
             else:
-                columns[col.name].append(cell)
-    target_name = next(c.name for c in schema if c.role == Role.TARGET)
+                columns[name].append(cell)
+    target_name = next(name for name, role in schema.items() if role == "target")
     if not columns[target_name]:
         raise IngestionError(f"{path} has a header but no data rows")
 
     feature_cols: list[np.ndarray] = []
     feature_names: list[str] = []
     used_categories: dict[str, list[str]] = {}
-    for col in schema:
-        if col.role == Role.NUMERIC:
-            feature_cols.append(np.asarray(columns[col.name], dtype=float))
-            feature_names.append(col.name)
-        elif col.role == Role.CATEGORICAL:
-            values = columns[col.name]
+    for name, role in schema.items():
+        if role == "numeric_feature":
+            feature_cols.append(np.asarray(columns[name], dtype=float))
+            feature_names.append(name)
+        elif role == "categorical_feature":
+            values = columns[name]
             cats = sorted(set(values))
-            used_categories[col.name] = cats
+            used_categories[name] = cats
             for cat in cats:
                 feature_cols.append(np.array([1.0 if v == cat else 0.0 for v in values]))
-                feature_names.append(f"{col.name}={cat}")
+                feature_names.append(f"{name}={cat}")
     X = np.column_stack(feature_cols)
     y = np.asarray(columns[target_name], dtype=float)
     return Dataset(
@@ -220,8 +207,9 @@ def load_dataset(path, schema=SEOUL_BIKE_SCHEMA) -> Dataset:
     )
 
 
-def schema_from_json(path) -> list[ColumnSchema]:
-    """Sidecar format: a JSON list of {"name": <string>, "role": ...} objects."""
+def schema_from_json(path) -> dict[str, str]:
+    """The schema of a sidecar, a JSON list of {"name": <string>, "role": ...}
+    objects in column order; every error names the file and the entry."""
     with open(path) as fh:
         try:
             doc = json.load(fh)
@@ -229,8 +217,13 @@ def schema_from_json(path) -> list[ColumnSchema]:
             raise IngestionError(f"{path} is not JSON: {err}") from None
     if not isinstance(doc, list):
         raise IngestionError(f"{path}: a schema must be a JSON list of {{name, role}} objects")
+    schema: dict[str, str] = {}
     for i, entry in enumerate(doc):
         keys_ok = isinstance(entry, dict) and set(entry) == {"name", "role"}
         if not (keys_ok and isinstance(entry["name"], str)):
             raise IngestionError(f"{path}: entry {i} is not {{name: <string>, role}}: {entry!r}")
-    return [ColumnSchema(entry["name"], entry["role"]) for entry in doc]
+        if entry["name"] in schema:
+            raise IngestionError(f"{path}: entry {i} repeats the column name {entry['name']!r}")
+        schema[entry["name"]] = entry["role"]
+    _validate_schema(schema, str(path))
+    return schema

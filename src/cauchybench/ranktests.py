@@ -6,17 +6,20 @@ scores per model) and a tie-corrected normal approximation with
 continuity correction otherwise; Kruskal-Wallis with tie correction and a
 chi-square p-value. Ties get midranks throughout, so the tests are
 invariant under any strictly increasing transform of the data.
+
+Each test returns its entry of a results document's ``comparisons``: a
+dict of ``statistic``, ``p_value``, ``method`` (exact_permutation,
+normal_approx or chi_square_approx) and ``n_per_group``, the list of
+sample sizes. A new field of a test is one more key of that dict.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
 
 import numpy as np
 
 __all__ = [
-    "TestResult",
     "rank_with_ties",
     "wilcoxon_rank_sum",
     "kruskal_wallis",
@@ -28,17 +31,8 @@ __all__ = [
 EXACT_LIMIT = 12
 
 
-@dataclass(frozen=True)
-class TestResult:
-    __test__ = False  # not a pytest class, despite the name
-
-    statistic: float
-    p_value: float
-    method: str  # exact_permutation | normal_approx | chi_square_approx
-    n_per_group: tuple[int, ...]
-
-    def to_dict(self) -> dict:
-        return {**asdict(self), "n_per_group": list(self.n_per_group)}
+def _entry(statistic: float, p_value: float, method: str, sizes: list[int]) -> dict:
+    return {"statistic": statistic, "p_value": p_value, "method": method, "n_per_group": sizes}
 
 
 def rank_with_ties(values) -> np.ndarray:
@@ -65,7 +59,7 @@ def _normal_sf(z: float) -> float:
     return 0.5 * math.erfc(z / math.sqrt(2.0))
 
 
-def wilcoxon_rank_sum(a, b) -> TestResult:
+def wilcoxon_rank_sum(a, b) -> dict:
     """Two-sided Mann-Whitney/Wilcoxon rank-sum test on two samples.
 
     The statistic is U for the first sample, built from pooled midranks.
@@ -99,17 +93,17 @@ def wilcoxon_rank_sum(a, b) -> TestResult:
         # U = mu where the doubled rank sum is n1 * (total + 1)
         dev = np.abs(np.arange(counts.shape[1]) - n1 * (total + 1))
         hits = int(counts[n1, dev >= dev[doubled[:n1].sum()]].sum())
-        return TestResult(u, hits / math.comb(total, n1), "exact_permutation", (n1, n2))
+        return _entry(u, hits / math.comb(total, n1), "exact_permutation", [n1, n2])
 
     tie = _tie_term(pooled)
     var = (n1 * n2 / 12.0) * ((total + 1) - tie / (total * (total - 1)))
     if var <= 0:  # every pooled value identical
-        return TestResult(u, 1.0, "normal_approx", (n1, n2))
+        return _entry(u, 1.0, "normal_approx", [n1, n2])
     z = max(abs(u - mu) - 0.5, 0.0) / math.sqrt(var)
-    return TestResult(u, min(2.0 * _normal_sf(z), 1.0), "normal_approx", (n1, n2))
+    return _entry(u, min(2.0 * _normal_sf(z), 1.0), "normal_approx", [n1, n2])
 
 
-def kruskal_wallis(groups) -> TestResult:
+def kruskal_wallis(groups) -> dict:
     """Kruskal-Wallis H over k >= 2 groups, tie-corrected, chi-square p-value."""
     arrays = [np.asarray(g, dtype=float) for g in groups]
     if len(arrays) < 2:
@@ -129,10 +123,10 @@ def kruskal_wallis(groups) -> TestResult:
     h = 12.0 / (n * (n + 1)) * h - 3.0 * (n + 1)
     correction = 1.0 - _tie_term(pooled) / (n**3 - n)
     if correction <= 0.0:  # all pooled values identical
-        return TestResult(0.0, 1.0, "chi_square_approx", tuple(sizes))
+        return _entry(0.0, 1.0, "chi_square_approx", sizes)
     h = max(h / correction, 0.0)
     p = chi_square_sf(h, len(arrays) - 1)
-    return TestResult(h, p, "chi_square_approx", tuple(sizes))
+    return _entry(h, p, "chi_square_approx", sizes)
 
 
 def chi_square_sf(x: float, df: int) -> float:

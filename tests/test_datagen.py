@@ -21,7 +21,7 @@ from cauchybench.datagen import (
     target_y1,
     target_y2,
 )
-from cauchybench.ingest import ColumnSchema, Role, load_dataset
+from cauchybench.ingest import load_dataset
 
 # Frozen oracle values.
 E_MINUS_1 = 1.7182818284590452
@@ -142,6 +142,15 @@ class TestCauchy:
             cauchy_noise(x0, tau, 5, seed=0)
         with pytest.raises(ValueError, match=message):
             cauchy_quantile(0.5, x0, tau)
+
+    @pytest.mark.parametrize("u", [1e-10, [0.5, 1 - 1e-10]], ids=["scalar", "array"])
+    def test_quantile_beyond_float64_is_an_error_without_a_warning(self, u):
+        # tau * tan(pi (u - 1/2)) is about -3.2e317 at u = 1e-10; the suite
+        # makes an overflow warning an error.
+        with pytest.raises(ValueError, match=r"^the Cauchy\(0\.0, 1e\+308\) quantile overflows float64$"):
+            cauchy_quantile(u, 0.0, 1e308)
+        assert cauchy_quantile(0.75, 0.0, 1e308) == 1e308
+        assert cauchy_quantile(0.75, 0, 1) == 1.0
 
     def test_huge_tau_redraws_overflows_without_a_warning(self):
         # About a third of the products tau * tan overflow at tau = 1e308;
@@ -324,8 +333,8 @@ class TestCsvRoundTrip:
         ds = make_hc8(50, seed=27)
         path = tmp_path / "d.csv"
         export_csv(ds, path)
-        schema = [ColumnSchema(f"x{i}", Role.NUMERIC) for i in range(1, 9)]
-        back = load_dataset(path, schema + [ColumnSchema("y", Role.TARGET)])
+        schema = {**{f"x{i}": "numeric_feature" for i in range(1, 9)}, "y": "target"}
+        back = load_dataset(path, schema)
         assert np.array_equal(back.X, ds.X)
         assert np.array_equal(back.y, ds.y)
         assert back.meta["feature_names"] == [f"x{i}" for i in range(1, 9)]

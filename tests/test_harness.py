@@ -613,10 +613,11 @@ def benchmark_workload(name):
     return config_from_dict(doc)
 
 
-def run_lengths(cfg, cpus):
-    """The lengths of ``_pair_runs(cfg, cpus)``, checked to tile the
+def run_lengths(cfg, cpus, rows=None):
+    """The lengths of ``_pair_runs`` at ``cpus`` CPUs and ``rows`` rows per
+    replicate (``dataset.n_samples`` when None), checked to tile the
     (replicate, fold) pairs in order."""
-    runs = _pair_runs(cfg, cpus)
+    runs = _pair_runs(cfg, cpus, rows or cfg.dataset.n_samples)
     assert [p for run in runs for p in run] == list(range(cfg.replicates * cfg.folds))
     return [len(run) for run in runs]
 
@@ -624,26 +625,63 @@ def run_lengths(cfg, cpus):
 class TestReplicateGroups:
     """The pool deals contiguous runs of (replicate, fold) pairs, one
     ``train_folds`` call each. Replicates group while their hidden buffers
-    (folds x batch_size x models x hidden units floats each) together stay
-    within 2**15 floats, at most ceil(replicates / CPUs) to a group; the
-    run count is the largest multiple of the CPUs not above the group
-    count (the group count when it is below the CPUs), and the runs'
-    lengths differ by at most one."""
+    (folds x widest step x models x hidden units floats each, the widest
+    step being the batch size or the largest training fold if that is
+    smaller) together stay within 2**15 floats, at most
+    ceil(replicates / CPUs) to a group; the run count is the largest
+    multiple of the CPUs not above the group count (the group count when
+    it is below the CPUs), and the runs' lengths differ by at most one."""
 
     def test_small_steps_group_and_large_ones_do_not(self):
         hc2 = benchmark_workload("hc2-cauchy")  # groups [0, 1, 2], [3, 4] at 2 CPUs
         assert run_lengths(hc2, 2) == [8, 7]
         assert run_lengths(hc2, 1) == [15]
         bike = benchmark_workload("bike-outliers")  # three one-replicate groups
-        assert run_lengths(bike, 2) == [5, 4]
-        assert run_lengths(bike, 1) == [3, 3, 3]
-        assert run_lengths(bike, 4) == [3, 3, 3]  # fewer groups than CPUs: one run each
+        rows = 975  # the benchmark's bike file
+        assert run_lengths(bike, 2, rows) == [5, 4]
+        assert run_lengths(bike, 1, rows) == [3, 3, 3]
+        assert run_lengths(bike, 4, rows) == [3, 3, 3]  # fewer groups than CPUs: one run each
         hc8 = benchmark_workload("hc8-gaussian-pair")
         assert run_lengths(hc8, 2) == run_lengths(hc8, 1) == [5] * 12
         for name in list_presets():
             cfg = preset_config(name, {"path": "bike.csv"} if name.startswith("bike") else {})
-            assert run_lengths(cfg, 1) == [10] * 5, name
-            assert run_lengths(cfg, 2) == [13, 13, 12, 12], name
+            rows = 8760  # the Seoul bike file's, for a bike preset
+            assert run_lengths(cfg, 1, rows) == [10] * 5, name
+            assert run_lengths(cfg, 2, rows) == [13, 13, 12, 12], name
+
+    @pytest.mark.parametrize("batch_size", [40, 10**6])
+    def test_a_batch_over_the_largest_fold_groups_as_that_fold(self, batch_size):
+        # 60 rows in 3 folds train on 40 rows each, so both batch sizes train
+        # full-batch and fill the same buffers.
+        cfg = preset_config("hc2-cauchy-10", {"n_samples": 60}, folds=3, replicates=5,
+                            train={"batch_size": batch_size})
+        assert run_lengths(cfg, 2) == [8, 7]
+
+    @pytest.mark.parametrize("batch_size", [40, 10**6])
+    def test_a_bike_file_groups_by_its_own_rows(self, tmp_path, monkeypatch, batch_size):
+        # With no n_samples a replicate holds the whole 60-row file: 3 folds x
+        # 40 rows x 2 models x 28 hidden units is 6,720 floats, so replicates
+        # group four to a call, dealt at one CPU as runs of 8 and 7 pairs.
+        from cauchybench import harness
+
+        folds_per_call = []
+
+        def spy(X, folds, net, losses):
+            folds_per_call.append(len(folds))
+            return train_folds(X, folds, net, losses)
+
+        monkeypatch.setattr(harness, "train_folds", spy)
+        cpus(monkeypatch, 1)
+        cfg = ExperimentConfig(
+            dataset=DatasetSpec(name="bike", path=str(write_surrogate_bike_csv(tmp_path / "b.csv", n_rows=60))),
+            noise=NoiseSpec("none"),
+            models=(LossSpec.clf(100.0), LossSpec.mse()),
+            train=TrainConfig(epochs=1, batch_size=batch_size),
+            folds=3,
+            replicates=5,
+        )
+        run_experiment(cfg)
+        assert folds_per_call == [8, 7]
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -660,7 +698,7 @@ class TestReplicateGroups:
             tiny_config(models=models, folds=folds, replicates=replicates, net=NetworkConfig(2, tuple(hidden))),
             train=replace(TINY_TRAIN, batch_size=batch_size),
         )
-        runs = _pair_runs(cfg, n_cpus)
+        runs = _pair_runs(cfg, n_cpus, cfg.dataset.n_samples)
         assert all(type(run) is range and run.step == 1 for run in runs)
         assert [p for run in runs for p in run] == list(range(replicates * folds))
         # every run holds every fold index, which the bit-identity argument needs
@@ -1075,7 +1113,7 @@ class TestBikeExperiment:
             replicates=2,
         )
         cfg = replace(cfg, **top)
-        assert len(_pair_runs(cfg, 2)) == 2
+        assert len(_pair_runs(cfg, 2, 100)) == 2
         with pytest.raises(ValueError, match=message):
             run_experiment(cfg)
         with pytest.raises(ValueError, match=message):

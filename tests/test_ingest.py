@@ -4,22 +4,12 @@ import numpy as np
 import pytest
 
 from cauchybench.datagen import export_csv, make_hc2
-from cauchybench.ingest import (
-    SEOUL_BIKE_SCHEMA,
-    ColumnSchema,
-    IngestionError,
-    Role,
-    load_dataset,
-    schema_from_json,
-)
+from cauchybench.ingest import SEOUL_BIKE_SCHEMA, IngestionError, load_dataset, schema_from_json
 
 from ._surrogate import real_bike_csv, write_surrogate_bike_csv
 
-SMALL_SCHEMA = [
-    ColumnSchema("Temperature", Role.NUMERIC),
-    ColumnSchema("Season", Role.CATEGORICAL),
-    ColumnSchema("Count", Role.TARGET),
-]
+SMALL_SCHEMA = {"Temperature": "numeric_feature", "Season": "categorical_feature", "Count": "target"}
+ROLES = "numeric_feature, categorical_feature, target, dropped"
 
 
 def write(tmp_path, text, name="t.csv", encoding="utf-8"):
@@ -89,11 +79,7 @@ class TestLoadCsv:
 
     def test_target_and_feature_bound_to_one_column_rejected(self, tmp_path):
         p = write(tmp_path, "Count(n),Temp\n5,1\n6,2\n")
-        schema = [
-            ColumnSchema("Count", Role.NUMERIC),
-            ColumnSchema("Count(x)", Role.TARGET),
-            ColumnSchema("Temp", Role.NUMERIC),
-        ]
+        schema = {"Count": "numeric_feature", "Count(x)": "target", "Temp": "numeric_feature"}
         with pytest.raises(IngestionError) as exc:
             load_dataset(p, schema)
         assert str(exc.value) == (
@@ -102,11 +88,7 @@ class TestLoadCsv:
 
     def test_two_features_bound_to_one_column_rejected(self, tmp_path):
         p = write(tmp_path, "Temperature(C),Count\n1.5,10\n")
-        schema = [
-            ColumnSchema("Temperature", Role.NUMERIC),
-            ColumnSchema("Temperature(C)", Role.NUMERIC),
-            ColumnSchema("Count", Role.TARGET),
-        ]
+        schema = {"Temperature": "numeric_feature", "Temperature(C)": "numeric_feature", "Count": "target"}
         with pytest.raises(IngestionError) as exc:
             load_dataset(p, schema)
         assert str(exc.value) == (
@@ -144,11 +126,7 @@ class TestEncode:
         assert np.array_equal(ds.y, [10, 20, 30])
 
     def test_all_numeric_passthrough(self, tmp_path):
-        schema = [
-            ColumnSchema("a", Role.NUMERIC),
-            ColumnSchema("b", Role.NUMERIC),
-            ColumnSchema("y", Role.TARGET),
-        ]
+        schema = {"a": "numeric_feature", "b": "numeric_feature", "y": "target"}
         p = write(tmp_path, "a,b,y\n1,4,7\n2,5,8\n3,6,9\n")
         ds = load_dataset(p, schema)
         assert np.array_equal(ds.X, [[1, 4], [2, 5], [3, 6]])
@@ -165,20 +143,32 @@ class TestEncode:
         assert "Count" not in ds.meta["feature_names"]
         assert ds.meta["target_name"] == "Count"
 
-    def test_schema_validation(self):
-        with pytest.raises(ValueError):
-            load_dataset("x.csv", [ColumnSchema("a", Role.NUMERIC)])  # no target
-        with pytest.raises(ValueError):
-            load_dataset("x.csv", [ColumnSchema("y", Role.TARGET)])  # no features
-        with pytest.raises(ValueError):
-            ColumnSchema("a", "mystery_role")
+    @pytest.mark.parametrize(
+        "schema, message",
+        [
+            ({"a": "numeric_feature"}, "schema: needs exactly one target column, found 0"),
+            ({"a": "target", "b": "numeric_feature", "c": "target"},
+             "schema: needs exactly one target column, found 2"),
+            ({"y": "target", "d": "dropped"}, "schema: needs at least one feature column"),
+            ({"y": "target", "a": "mystery_role"},
+             f"schema: entry 1 ('a') has unknown column role 'mystery_role'; expected one of {ROLES}"),
+        ],
+    )
+    def test_schema_validation(self, schema, message):
+        with pytest.raises(IngestionError) as exc:
+            load_dataset("x.csv", schema)  # checked before the file is looked for
+        assert str(exc.value) == message
+
+    def test_default_schema_is_read_only(self):
+        assert list(SEOUL_BIKE_SCHEMA)[:3] == ["Date", "Rented Bike Count", "Hour"]
+        with pytest.raises(TypeError):
+            SEOUL_BIKE_SCHEMA["Date"] = "numeric_feature"
 
     def test_round_trip_through_dataset_csv(self, tmp_path):
         ds = make_hc2(20, seed=1)
         out = tmp_path / "hc2.csv"
         export_csv(ds, out)
-        schema = [ColumnSchema("x1", Role.NUMERIC), ColumnSchema("x2", Role.NUMERIC),
-                  ColumnSchema("y", Role.TARGET)]
+        schema = {"x1": "numeric_feature", "x2": "numeric_feature", "y": "target"}
         back = load_dataset(out, schema)
         assert np.array_equal(back.X, ds.X)
         assert np.array_equal(back.y, ds.y)
@@ -187,9 +177,9 @@ class TestEncode:
 class TestSchemaJson:
     def test_round_trip(self, tmp_path):
         p = tmp_path / "schema.json"
-        p.write_text(json.dumps([{"name": c.name, "role": c.role} for c in SMALL_SCHEMA]))
+        p.write_text(json.dumps([{"name": name, "role": role} for name, role in SMALL_SCHEMA.items()]))
         back = schema_from_json(p)
-        assert back == SMALL_SCHEMA
+        assert list(back.items()) == list(SMALL_SCHEMA.items())  # in order
 
     @pytest.mark.parametrize(
         "doc, where",
@@ -199,13 +189,23 @@ class TestSchemaJson:
             ([{"name": "Count", "role": "target", "unit": "n"}], "entry 0"),
             ([{"name": 3, "role": "target"}], "entry 0"),
             ([{"name": "Count", "role": "target"}, "Season"], "entry 1"),
+            (
+                [{"name": "Count", "role": "target"}, {"name": "Temperature", "role": "numeric"}],
+                f"entry 1 ('Temperature') has unknown column role 'numeric'; expected one of {ROLES}",
+            ),
+            (
+                [{"name": "Temperature", "role": "numeric_feature"}, {"name": "Count", "role": "target"},
+                 {"name": "Temperature", "role": "dropped"}],
+                "entry 2 repeats the column name 'Temperature'",
+            ),
         ],
     )
     def test_malformed_sidecar_names_the_entry(self, tmp_path, doc, where):
         p = tmp_path / "schema.json"
         p.write_text(json.dumps(doc))
-        with pytest.raises(IngestionError, match=where):
+        with pytest.raises(IngestionError) as exc:
             schema_from_json(p)
+        assert str(exc.value).startswith(f"{p}: ") and where in str(exc.value)
 
 
 class TestBikeFile:

@@ -1,3 +1,4 @@
+import json
 import math
 from itertools import combinations
 
@@ -9,7 +10,6 @@ from scipy import integrate, special
 
 from cauchybench.ranktests import (
     EXACT_LIMIT,
-    TestResult,
     chi_square_sf,
     kruskal_wallis,
     rank_with_ties,
@@ -67,26 +67,26 @@ class TestRankWithTies:
 class TestWilcoxonRankSum:
     def test_identical_samples_p_one(self):
         res = wilcoxon_rank_sum([1, 2, 3], [1, 2, 3])
-        assert res.method == "exact_permutation"
-        assert res.p_value == 1.0
+        assert res["method"] == "exact_permutation"
+        assert res["p_value"] == 1.0
 
     def test_disjoint_small(self):
         res = wilcoxon_rank_sum([1, 2, 3], [4, 5, 6])
-        assert res.statistic == 0.0
-        assert res.p_value == pytest.approx(WRS_P_DISJOINT_3, abs=1e-15)
+        assert res["statistic"] == 0.0
+        assert res["p_value"] == pytest.approx(WRS_P_DISJOINT_3, abs=1e-15)
 
     def test_disjoint_five_vs_five(self):
         res = wilcoxon_rank_sum([1, 2, 3, 4, 5], [6, 7, 8, 9, 10])
-        assert res.p_value == pytest.approx(WRS_P_DISJOINT_5, abs=1e-15)
-        assert res.method == "exact_permutation"
+        assert res["p_value"] == pytest.approx(WRS_P_DISJOINT_5, abs=1e-15)
+        assert res["method"] == "exact_permutation"
 
     def test_two_sided_symmetric_in_samples(self):
         rng = np.random.default_rng(2)
         for _ in range(20):
             a = rng.normal(size=int(rng.integers(2, 6)))
             b = rng.normal(size=int(rng.integers(2, 6)))
-            assert wilcoxon_rank_sum(a, b).p_value == pytest.approx(
-                wilcoxon_rank_sum(b, a).p_value, abs=1e-12
+            assert wilcoxon_rank_sum(a, b)["p_value"] == pytest.approx(
+                wilcoxon_rank_sum(b, a)["p_value"], abs=1e-12
             )
 
     def test_exact_p_is_multiple_of_inverse_binomial(self):
@@ -97,14 +97,14 @@ class TestWilcoxonRankSum:
             b = rng.normal(size=n2)
             res = wilcoxon_rank_sum(a, b)
             total = math.comb(n1 + n2, n1)
-            assert res.p_value * total == pytest.approx(round(res.p_value * total), abs=1e-9)
+            assert res["p_value"] * total == pytest.approx(round(res["p_value"] * total), abs=1e-9)
 
     def test_matches_brute_force_with_ties(self):
         rng = np.random.default_rng(4)
         for _ in range(25):
             a = rng.integers(0, 4, size=int(rng.integers(2, 6))).astype(float)
             b = rng.integers(0, 4, size=int(rng.integers(2, 6))).astype(float)
-            assert wilcoxon_rank_sum(a, b).p_value == pytest.approx(
+            assert wilcoxon_rank_sum(a, b)["p_value"] == pytest.approx(
                 brute_force_wrs_p(a, b), abs=1e-12
             )
 
@@ -116,13 +116,13 @@ class TestWilcoxonRankSum:
             for n1 in range(1, total):
                 for draw in draws:
                     a, b = draw(size=n1), draw(size=total - n1)
-                    assert wilcoxon_rank_sum(a, b).p_value == brute_force_wrs_p(a, b)
+                    assert wilcoxon_rank_sum(a, b)["p_value"] == brute_force_wrs_p(a, b)
 
     def test_normal_approx_used_above_limit(self):
         rng = np.random.default_rng(5)
         res = wilcoxon_rank_sum(rng.normal(size=10), rng.normal(size=10))
-        assert res.method == "normal_approx"
-        assert 0.0 <= res.p_value <= 1.0
+        assert res["method"] == "normal_approx"
+        assert 0.0 <= res["p_value"] <= 1.0
 
     def test_exact_vs_normal_close_at_five_per_group(self):
         rng = np.random.default_rng(6)
@@ -131,12 +131,12 @@ class TestWilcoxonRankSum:
         for _ in range(100):
             a = rng.normal(size=5)
             b = rng.normal(size=5) + rng.normal() * 0.5
-            exact = wilcoxon_rank_sum(a, b).p_value
+            exact = wilcoxon_rank_sum(a, b)["p_value"]
             # Force the approximation path by shrinking the limit.
             old = ranktests.EXACT_LIMIT
             ranktests.EXACT_LIMIT = 0
             try:
-                approx = wilcoxon_rank_sum(a, b).p_value
+                approx = wilcoxon_rank_sum(a, b)["p_value"]
             finally:
                 ranktests.EXACT_LIMIT = old
             assert abs(exact - approx) < 0.05
@@ -149,27 +149,27 @@ class TestWilcoxonRankSum:
 class TestKruskalWallis:
     def test_identical_groups(self):
         res = kruskal_wallis([[1, 2], [1, 2], [1, 2]])
-        assert res.statistic == pytest.approx(0.0, abs=1e-12)
-        assert res.p_value == pytest.approx(1.0, abs=1e-9)
+        assert res["statistic"] == pytest.approx(0.0, abs=1e-12)
+        assert res["p_value"] == pytest.approx(1.0, abs=1e-9)
 
     def test_frozen_three_group_example(self):
         res = kruskal_wallis([[1, 2], [3, 4], [5, 6]])
-        assert res.statistic == pytest.approx(KW_H_123, abs=1e-9)
-        assert res.p_value == pytest.approx(KW_P_123, abs=1e-6)
-        assert res.method == "chi_square_approx"
-        assert res.n_per_group == (2, 2, 2)
+        assert res["statistic"] == pytest.approx(KW_H_123, abs=1e-9)
+        assert res["p_value"] == pytest.approx(KW_P_123, abs=1e-6)
+        assert res["method"] == "chi_square_approx"
+        assert res["n_per_group"] == [2, 2, 2]
 
     def test_shift_invariance(self):
         rng = np.random.default_rng(7)
         groups = [rng.normal(size=5) for _ in range(4)]
         base = kruskal_wallis(groups)
         shifted = kruskal_wallis([g + 17.3 for g in groups])
-        assert shifted.statistic == pytest.approx(base.statistic, abs=1e-12)
+        assert shifted["statistic"] == pytest.approx(base["statistic"], abs=1e-12)
 
     def test_all_constant_data(self):
         res = kruskal_wallis([[2.0, 2.0], [2.0], [2.0, 2.0]])
-        assert res.statistic == 0.0
-        assert res.p_value == 1.0
+        assert res["statistic"] == 0.0
+        assert res["p_value"] == 1.0
 
     def test_two_groups_equals_squared_rank_sum_z(self):
         # KW with k=2 is the square of the standardized U statistic
@@ -189,7 +189,7 @@ class TestKruskalWallis:
             var = n1 * n2 / 12 * ((n + 1) - tie / (n * (n - 1)))
             if var <= 0:
                 continue
-            h = kruskal_wallis([a, b]).statistic
+            h = kruskal_wallis([a, b])["statistic"]
             assert h == pytest.approx((u - mu) ** 2 / var, abs=1e-9)
 
     def test_rejects_degenerate_calls(self):
@@ -217,12 +217,12 @@ class TestRankInvariance:
             c = np.round(rng.uniform(-3, 3, size=int(rng.integers(2, 7))), 2)
             w0 = wilcoxon_rank_sum(a, b)
             w1 = wilcoxon_rank_sum(f(a), f(b))
-            assert w0.statistic == w1.statistic
-            assert w0.p_value == w1.p_value
+            assert w0["statistic"] == w1["statistic"]
+            assert w0["p_value"] == w1["p_value"]
             k0 = kruskal_wallis([a, b, c])
             k1 = kruskal_wallis([f(a), f(b), f(c)])
-            assert k0.statistic == pytest.approx(k1.statistic, abs=1e-12)
-            assert k0.p_value == pytest.approx(k1.p_value, abs=1e-12)
+            assert k0["statistic"] == pytest.approx(k1["statistic"], abs=1e-12)
+            assert k0["p_value"] == pytest.approx(k1["p_value"], abs=1e-12)
 
     # Drawn from few small integers, so ties are common, and the maps above
     # stay injective on them: every order and every tie survives exactly.
@@ -284,10 +284,12 @@ class TestChiSquareSf:
                 assert chi_square_sf(float(x), df) == pytest.approx(want, rel=1e-12, abs=0.0)
 
 
-class TestResultSerialization:
-    def test_to_dict(self):
-        res = wilcoxon_rank_sum([1.0, 2.0], [3.0, 4.0])
-        doc = res.to_dict()
-        assert set(doc) == {"statistic", "p_value", "method", "n_per_group"}
-        assert doc["n_per_group"] == [2, 2]
-        assert isinstance(res, TestResult)
+class TestDocumentEntry:
+    def test_each_test_returns_its_results_document_entry(self):
+        # the dict the document stores, keys in its order, as JSON writes it
+        wrs = wilcoxon_rank_sum([1.0, 2.0], [3.0, 4.0])
+        assert json.dumps(wrs) == (
+            '{"statistic": 0.0, "p_value": 0.3333333333333333, "method": "exact_permutation", "n_per_group": [2, 2]}'
+        )
+        kw = kruskal_wallis([[1.0, 1.0], [1.0, 1.0], [1.0]])
+        assert kw == {"statistic": 0.0, "p_value": 1.0, "method": "chi_square_approx", "n_per_group": [2, 2, 1]}

@@ -28,7 +28,7 @@ from cauchybench.harness import (
     run_experiment,
 )
 from cauchybench.nets import NetworkConfig
-from cauchybench.ingest import ColumnSchema, Role, load_dataset
+from cauchybench.ingest import load_dataset
 from cauchybench.losses import LossSpec
 from cauchybench.nets import TrainConfig
 from cauchybench.report import (
@@ -42,8 +42,8 @@ from cauchybench.report import (
 
 def load_gen_csv(path, n_features):
     """A `gen` CSV read back through ingest with an all-numeric schema."""
-    schema = [ColumnSchema(f"x{i}", Role.NUMERIC) for i in range(1, n_features + 1)]
-    return load_dataset(path, schema + [ColumnSchema("y", Role.TARGET)])
+    schema = {**{f"x{i}": "numeric_feature" for i in range(1, n_features + 1)}, "y": "target"}
+    return load_dataset(path, schema)
 
 
 def small_result(noise=NoiseSpec("none"), seed=5):
@@ -632,6 +632,11 @@ class TestCli:
             ([*BIKE, "{csv}", "--schema", "{tmp}/text.json"], "is not JSON"),
             ([*BIKE, "{csv}", "--schema", "{tmp}/role.json"], "unknown column role 'label'"),
             ([*BIKE, "{csv}", "--schema", "{tmp}/no_target.json"], "exactly one target column, found 0"),
+            ([*BIKE, "{csv}", "--schema", "{tmp}/numeric.json"],
+             "{tmp}/numeric.json: entry 1 ('Hour') has unknown column role 'numeric'; "
+             "expected one of numeric_feature, categorical_feature, target, dropped"),
+            ([*BIKE, "{csv}", "--schema", "{tmp}/twice.json"],
+             "{tmp}/twice.json: entry 2 repeats the column name 'Hour'"),
             ([*BIKE, "{csv}", "--n", "100000"], "n_samples=100000 exceeds the 975 rows"),
             ([*BIKE, "{csv}", "--folds", "5000"], "got k=5000, n=975"),
             (["run", "--config", "{tmp}/wide.json"], "configured net expects 3 features, data has 17"),
@@ -641,8 +646,9 @@ class TestCli:
             ([*BIKE, "{tmp}/bad.csv"], "bad.csv: neither UTF-8 nor cp1252 text: 'charmap' codec"),
         ],
         ids=["config", "table", "compare", "data", "schema", "header", "sidecar", "sidecar-not-json",
-             "sidecar-role", "sidecar-no-target", "n-over-rows", "folds-over-rows", "net-width",
-             "data-directory", "config-directory", "field-over-csv-limit", "undecodable-csv"],
+             "sidecar-role", "sidecar-no-target", "sidecar-unknown-role", "sidecar-repeated-column",
+             "n-over-rows", "folds-over-rows", "net-width", "data-directory", "config-directory",
+             "field-over-csv-limit", "undecodable-csv"],
     )
     def test_a_bad_input_file_exits_1_before_training(
         self, tmp_path, capsys, monkeypatch, bike_975, args, message
@@ -656,6 +662,9 @@ class TestCli:
         (tmp_path / "text.json").write_text("{not json")
         (tmp_path / "role.json").write_text(json.dumps([{"name": "Date", "role": "label"}]))
         (tmp_path / "no_target.json").write_text(json.dumps([{"name": "Hour", "role": "numeric_feature"}]))
+        date, hour = {"name": "Date", "role": "dropped"}, {"name": "Hour", "role": "numeric_feature"}
+        (tmp_path / "numeric.json").write_text(json.dumps([date, {**hour, "role": "numeric"}]))
+        (tmp_path / "twice.json").write_text(json.dumps([date, hour, hour]))
         doc = {**preset_document("bike-negative"), "net": {"input_dim": 3, "hidden_layers": [14, 14]}}
         doc["dataset"]["path"] = str(bike_975)
         (tmp_path / "wide.json").write_text(json.dumps(doc))
@@ -669,7 +678,7 @@ class TestCli:
             args += ["--out", str(out)]
         assert cli_main(args) == 1
         err = capsys.readouterr().err
-        assert err.startswith("error: ") and err.count("\n") == 1 and message in err
+        assert err.startswith("error: ") and err.count("\n") == 1 and message.format(tmp=tmp_path) in err
         assert "Traceback" not in err
         assert not out.exists()
 
@@ -868,11 +877,19 @@ class TestConfigNumberTypes:
         assert err.startswith("error: invalid config") and field in err
         assert "Traceback" not in err
 
-    @pytest.mark.parametrize("family", ["gaussien", ["gaussian"], None, 5])
-    def test_unknown_noise_family_exits_1_listing_the_families(self, tmp_path, capsys, family):
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            *(("noise", {"family": family},
+               f"unknown noise family {family!r}; expected one of none, gaussian, cauchy, uniform_outlier")
+              for family in ("gaussien", ["gaussian"], None, 5)),
+            ("dataset", {"name": "hc3", "n_samples": 40}, "unknown dataset 'hc3'; expected one of hc2, hc8, bike"),
+        ],
+        ids=["family-gaussien", "family-list", "family-null", "family-5", "dataset-hc3"],
+    )
+    def test_unknown_name_exits_1_listing_the_known_ones(self, tmp_path, capsys, key, value, message):
         doc = typed_config_doc()
-        doc["noise"] = {"family": family}
-        message = f"unknown noise family {family!r}; expected one of none, gaussian, cauchy, uniform_outlier"
+        doc[key] = value
         with pytest.raises(ValueError, match=re.escape(message)):
             config_from_dict(doc)
         cfg_path, out = tmp_path / "cfg.json", tmp_path / "r.json"
